@@ -428,10 +428,6 @@ def bucket_and_scale(gammas: dict, dim: int) -> BucketChoice:
     )
 
 
-def scaled_capacities(x: dict, scale: Fraction) -> dict:
-    return {k: min(Fraction(1), scale * v) for k, v in sorted(x.items())}
-
-
 @dataclass
 class RoundedSelection:
     connected: tuple  # demand indices that connected
@@ -552,11 +548,7 @@ def assemble_junction_tree(cover: LabelCoverLp, rounded: RoundedSelection, confi
             product_edge_ids.update(joined.up.recover(u, v))
         for u, v in zip(rounded.down_chains[di], rounded.down_chains[di][1:]):
             product_edge_ids.update(joined.down.recover(u, v))
-    base_edges = set()
-    for pidx in sorted(product_edge_ids):
-        ref = pg.edges[pidx].base_edge
-        if ref is not None:
-            base_edges.add(ref)
+    base_edges = {pg.edges[pidx].base_edge for pidx in product_edge_ids}
     instance = bundle.instance
     cost = instance.total_cost(base_edges)
     theta = bundle.problem.theta if isinstance(bundle.problem, ScaledInstance) else None

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 from .errors import PcspanError
+from .layered import build_closure
 from .model import Demand, Edge, PcsInstance, ResourceVector, Walk, walk_resource
 from .reductions import (
     AVOID,
@@ -242,40 +243,19 @@ def gen_hopset(
             for v in range(n):
                 if u != v and rng.random() < 0.2:
                     arcs.append((u, v, rng.randint(1, 3)))
-    dist = _all_pairs(n, arcs)
+    adj = {}
+    for (u, v, length) in arcs:
+        adj.setdefault(u, []).append((None, v, length))
+    dist = build_closure(range(n), lambda u: adj.get(u, ())).dist
     demands = []
     for _ in range(k):
         for _try in range(60):
             s, t = rng.randrange(n), rng.randrange(n)
-            if s == t or dist.get((s, t)) is None:
+            if s == t or t not in dist[s]:
                 continue
-            demands.append(HopsetDemand(s, t, dist[(s, t)] + rng.randint(0, slack)))
+            demands.append(HopsetDemand(s, t, int(dist[s][t]) + rng.randint(0, slack)))
             break
         else:
             raise GenerationError("hopset demand sampling failed")
     return HopsetInstance(n=n, edges=tuple(arcs), demands=tuple(demands), beta=beta)
 
-
-def _all_pairs(n, arcs) -> dict:
-    import heapq
-
-    adj = {}
-    for (u, v, length) in arcs:
-        adj.setdefault(u, []).append((v, length))
-    out = {}
-    for s in range(n):
-        dist = {s: 0}
-        heap = [(0, s)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if dist.get(u) != d:
-                continue
-            for v, length in adj.get(u, ()):
-                nd = d + length
-                if v not in dist or nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        for t, d in dist.items():
-            if t != s:
-                out[(s, t)] = d
-    return out

@@ -2,8 +2,8 @@
 
 For each candidate root: product graph -> useful-state pruning -> metric
 closures -> layered halves -> label-cover LP -> representative pruning ->
-bucketing -> randomized rounding -> assembly.  The product graph is built
-once per search and re-rooted for each root by moving its bridge.  The best
+bucketing -> randomized rounding -> assembly.  The product graph does not
+depend on the root, so it is built once per search and shared.  The best
 (lowest-density) tree across roots wins, with deterministic tie-breaking
 toward smaller root ids.
 """
@@ -36,7 +36,7 @@ from .model import PcsInstance
 from .product import (
     build_product_graph,
     connectable_relation_pairs,
-    reroot_product_graph,
+    reachable,
     states_reachable_from_root_right,
     states_reaching_root_left,
 )
@@ -79,83 +79,57 @@ def build_label_cover(
 ):
     """The per-root reduction to minimum-density Steiner label cover.
 
-    ``pg`` is a product graph of ``problem`` built for any root (one per
-    greedy round); it is re-rooted at ``root``.  Without it the graph is
-    built here.  Returns None when no demand has a relation pair whose
-    endpoints connect to the root (such roots are skipped before any LP work).
+    ``pg`` is the product graph of ``problem`` (one per greedy round); without
+    it the graph is built here.  Returns None when no demand has a relation
+    pair whose endpoints connect to the root (such roots are skipped before
+    any LP work).
     """
     if pg is None:
-        pg = build_product_graph(problem, root, config)
-    pg = reroot_product_graph(pg, root)
-    reach_left = states_reaching_root_left(pg)
-    reach_right = states_reachable_from_root_right(pg)
+        pg = build_product_graph(problem, config)
+    root_left = pg.root_copy("L", root)
+    root_right = pg.root_copy("R", root)
+    reach_left = states_reaching_root_left(pg, root)
+    reach_right = states_reachable_from_root_right(pg, root)
     relations = connectable_relation_pairs(pg, reach_left, reach_right)
     if not any(relations.values()):
         return None
     instance = pg.instance
 
-    src_attach = {}
-    snk_attach = {}
-    attach_left = set()
-    attach_right = set()
+    src_states = {}
+    snk_states = {}
     for di, pairs in sorted(relations.items()):
         d = instance.demands[di]
         for (i_lab, j_lab) in pairs:
-            svid = pg.vertex_ids[("S", "L", d.source, i_lab)]
-            tvid = pg.vertex_ids[("S", "R", d.target, j_lab)]
-            src_attach[(di, i_lab)] = svid
-            snk_attach[(di, j_lab)] = tvid
-            attach_left.add(svid)
-            attach_right.add(tvid)
+            src_states[(di, i_lab)] = pg.vertex_ids[("S", "L", d.source, i_lab)]
+            snk_states[(di, j_lab)] = pg.vertex_ids[("S", "R", d.target, j_lab)]
 
-    useful_left = _forward_reachable(pg, attach_left, "state") & reach_left
-    useful_right = _backward_reachable(pg, attach_right, "state") & reach_right
-    useful_left.add(pg.root_left())
-    useful_right.add(pg.root_right())
+    useful_left = _forward_reachable(pg, src_states.values()) & reach_left
+    useful_right = _backward_reachable(pg, snk_states.values()) & reach_right
+    useful_left.add(root_left)
+    useful_right.add(root_right)
 
     def out_edges(v):
         for idx in pg.out_adj[v]:
             pe = pg.edges[idx]
-            if pe.kind == "state":
-                yield idx, pe.head, pe.cost
+            yield idx, pe.head, pe.cost
 
     closure_left = build_closure(useful_left, out_edges)
     closure_right = build_closure(useful_right, out_edges)
     h = config.height
-    up = build_layered(closure_left, useful_left, pg.root_left(), h, "up")
-    down = build_layered(closure_right, useful_right, pg.root_right(), h, "down")
-    joined = join_halves(up, down, src_attach, snk_attach, relations)
+    up = build_layered(closure_left, useful_left, root_left, h, "up")
+    down = build_layered(closure_right, useful_right, root_right, h, "down")
+    joined = join_halves(up, down, src_states, snk_states, relations)
     return RootedLabelCover(problem=problem, root=root, pg=pg, joined=joined)
 
 
-def _forward_reachable(pg, seeds, kind) -> set:
-    seen = set(seeds)
-    stack = sorted(seen)
-    while stack:
-        v = stack.pop()
-        for idx in pg.out_adj[v]:
-            pe = pg.edges[idx]
-            if pe.kind != kind:
-                continue
-            if pe.head not in seen:
-                seen.add(pe.head)
-                stack.append(pe.head)
-    return seen
+# the useful-state searches keep module-level names of their own so that
+# bench/tracer.py can time them apart from the root reachability
+def _forward_reachable(pg, seeds) -> set:
+    return reachable(pg, seeds)
 
 
-def _backward_reachable(pg, seeds, kind) -> set:
-    seen = set(seeds)
-    stack = sorted(seen)
-    while stack:
-        v = stack.pop()
-        for idx in pg.in_adj[v]:
-            pe = pg.edges[idx]
-            if pe.kind != kind:
-                continue
-            if pe.tail not in seen:
-                seen.add(pe.tail)
-                stack.append(pe.tail)
-    return seen
+def _backward_reachable(pg, seeds) -> set:
+    return reachable(pg, seeds, backward=True)
 
 
 def junction_tree_for_root(
@@ -227,12 +201,9 @@ def min_density_junction_tree(
     if rng is None:
         rng = random.Random(config.seed)
     best = None
-    pg = None
     root_list = sorted(roots) if roots is not None else range(instance.n)
+    pg = build_product_graph(problem, config) if root_list else None
     for root in root_list:
-        # only the product graph's bridge depends on the root
-        if pg is None:
-            pg = build_product_graph(problem, root, config)
         tree = junction_tree_for_root(problem, root, rng, config, pg)
         if tree is None:
             continue

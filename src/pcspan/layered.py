@@ -102,11 +102,6 @@ class LayeredGraph:
         if self.root not in set(self.vertices):
             raise ContractError("root missing from layered vertex set")
 
-    def psi(self, layered_vertex):
-        """(level, vid) -> source vertex; identity on the vid part."""
-        _level, vid = layered_vertex
-        return vid
-
     def edge_cost(self, u, v):
         """Cost of any (u@level, v@level±1) edge; None when no closure path."""
         return self.closure.cost(u, v)
@@ -114,18 +109,6 @@ class LayeredGraph:
     def closure_successors(self, vid):
         """Vertices reachable by one closure step (edge direction)."""
         return sorted(v for v, c in self.closure.dist.get(vid, {}).items())
-
-    def materialize_edges(self):
-        """Explicit (level_from, u, level_to, v, cost) list, for tests."""
-        out = []
-        for lvl in range(self.h, 0, -1) if self.direction == "up" else range(0, self.h):
-            for u in self.vertices:
-                for v, cost in sorted(self.closure.dist.get(u, {}).items()):
-                    if self.direction == "up":
-                        out.append((lvl, u, lvl - 1, v, cost))
-                    else:
-                        out.append((lvl, u, lvl + 1, v, cost))
-        return out
 
     def recover(self, u, v):
         """Source-graph edge refs realizing a layered edge's cost."""
@@ -142,9 +125,8 @@ def build_layered(closure: CostClosure, vertices, root, h: int, direction: str) 
 class JoinedGraph:
     """T_r: the up half feeding the down half through a zero-cost bridge.
 
-    Terminals stay trackable: source terminals attach (zero cost) to their
-    state's level-h copy in the up half, sink terminals mirror in the down
-    half, and `psi_terminal` recovers the product-graph terminal.
+    A demand's relation labels map to the states where its walk starts (at
+    level h of the up half) and ends (at level h of the down half).
     """
 
     up: LayeredGraph
@@ -156,13 +138,6 @@ class JoinedGraph:
     @property
     def h(self) -> int:
         return self.up.h
-
-    def max_path_edges(self) -> int:
-        # up path (h) + bridge + down path (h)
-        return 2 * self.h + 1
-
-    def relation_sizes(self) -> dict:
-        return {di: len(pairs) for di, pairs in self.relations.items()}
 
 
 def join_halves(up: LayeredGraph, down: LayeredGraph, src_attach, snk_attach, relations) -> JoinedGraph:
@@ -212,13 +187,3 @@ def enumerate_root_paths(half: LayeredGraph, state_vid, cap: int):
     extend([start], half.h)
     return paths
 
-
-def path_cost(half: LayeredGraph, vids) -> Fraction:
-    """Total closure cost along a chain oriented in edge direction."""
-    total = Fraction(0)
-    for u, v in zip(vids, vids[1:]):
-        c = half.edge_cost(u, v)
-        if c is None:
-            raise ContractError("path uses a missing closure edge")
-        total += c
-    return total

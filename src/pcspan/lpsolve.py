@@ -32,7 +32,6 @@ class LinearProgram:
     objective: dict
     eq_rows: list = field(default_factory=list)  # (row dict, rhs)
     ub_rows: list = field(default_factory=list)  # (row dict, rhs)
-    names: list | None = None  # optional var names for LP-format export
 
     def add_eq(self, row: dict, rhs):
         self.eq_rows.append((dict(row), Fraction(rhs)))
@@ -259,34 +258,3 @@ def solve_exact(lp: LinearProgram) -> LpSolution:
         duality_gap=Fraction(0),
     )
 
-
-def to_lp_text(lp: LinearProgram) -> str:
-    """CPLEX-LP-format export for differential testing with external solvers."""
-
-    def name(j):
-        if lp.names and j < len(lp.names):
-            return lp.names[j]
-        return f"x{j}"
-
-    def term(j, v):
-        v = Fraction(v)
-        sign = "+" if v >= 0 else "-"
-        mag = abs(v)
-        coef = f"{mag.numerator}" if mag.denominator == 1 else f"{float(mag):.12g}"
-        return f"{sign} {coef} {name(j)}"
-
-    lines = ["Minimize", " obj: " + " ".join(term(j, v) for j, v in sorted(lp.objective.items()))]
-    lines.append("Subject To")
-    for i, (row, b) in enumerate(lp.eq_rows):
-        lines.append(
-            f" e{i}: " + " ".join(term(j, v) for j, v in sorted(row.items())) + f" = {float(b):.12g}"
-        )
-    for i, (row, b) in enumerate(lp.ub_rows):
-        lines.append(
-            f" u{i}: " + " ".join(term(j, v) for j, v in sorted(row.items())) + f" <= {float(b):.12g}"
-        )
-    lines.append("Bounds")
-    for j in range(lp.num_vars):
-        lines.append(f" 0 <= {name(j)}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -112,9 +112,6 @@ class PcsInstance:
     def out_edges(self, v: int):
         return self._adj_out[v]
 
-    def in_edges(self, v: int):
-        return self._adj_in[v]
-
     def _validate(self):
         if self.n <= 0:
             raise ParseError("instance needs at least one vertex")
@@ -134,12 +131,9 @@ class PcsInstance:
             self._check_vector(d.budget, f"budget of demand ({d.source},{d.target})")
         self._check_no_negative_length_cycle()
         adj_out = [[] for _ in range(self.n)]
-        adj_in = [[] for _ in range(self.n)]
         for eid, e in enumerate(self.edges):
             adj_out[e.tail].append(eid)
-            adj_in[e.head].append(eid)
         object.__setattr__(self, "_adj_out", tuple(tuple(a) for a in adj_out))
-        object.__setattr__(self, "_adj_in", tuple(tuple(a) for a in adj_in))
 
     def _check_vector(self, vec: ResourceVector, what: str):
         if len(vec) != self.dim:
@@ -174,9 +168,6 @@ class PcsInstance:
         return all(
             e.res[0].denominator == 1 and e.res[0] >= 1 for e in self.edges
         )
-
-    def max_length_t(self) -> Fraction:
-        return max((e.res[0] for e in self.edges), default=Fraction(0))
 
     def total_cost(self, edge_ids) -> Fraction:
         seen = set(edge_ids)

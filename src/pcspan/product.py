@@ -1,29 +1,30 @@
-"""Rooted layered product graph: resource budgets become connectivity.
+"""Resource-labelled product graph: resource budgets become connectivity.
 
 States are (vertex, label, side).  A label is an integer vector; entry 0
 counts length in units of delta (delta = 1 in the integer regime, Delta in
 the scaled regime), entries 1..m are the clamped resource coordinates.  On
 the R side a walk from (r, 0, R) to (u, I, R) witnesses an r ~> u walk of
 clamped consumption I * delta; on the L side a walk from (u, I, L) to
-(r, 0, L) witnesses a u ~> r walk likewise.  A single zero-cost dummy edge
-bridges (r, 0, L) -> (r, 0, R).
+(r, 0, L) witnesses a u ~> r walk likewise.
 
-Unlike the bare two-copy picture, every vertex (the root included) carries
-all valid labels, so junction walks that revisit the root mid-way are tracked
-exactly; only the zero-label root copies are bridged.  Covering coordinates
-clamp at -tau per coordinate during edge transitions, mirroring the RCSP
-oracle, so both sides compute the same reachability relation.
+The graph belongs to the instance, not to a root: every vertex (the root
+included) carries all valid labels, so junction walks that revisit the root
+mid-way are tracked exactly, and a root enters only through its zero-label
+copies (``ProductGraph.root_copy``).  Resource coordinates step with the RCSP
+oracle's own clamped transition (``rcsp.step_config``), so both sides
+compute the same reachability relation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import ContractError, ResourceLimitError
-from .model import PcsInstance, Walk, theta_relaxed_bound
+from .model import PcsInstance, theta_relaxed_bound
+from .rcsp import _enumerate_configs, config_bounds, step_config, through_root_witness
 from .scaling import ScaledInstance
 
 
@@ -32,15 +33,6 @@ class LayerBounds:
     lower: tuple  # t^- as integer units
     upper: tuple  # t^+ as integer units
     delta: Fraction
-
-    def valid(self, label: tuple) -> bool:
-        return all(self.lower[i] <= label[i] <= self.upper[i] for i in range(len(label)))
-
-    def config_count(self) -> int:
-        out = 1
-        for lo, hi in zip(self.lower[1:], self.upper[1:]):
-            out *= hi - lo + 1
-        return out
 
     def label_count(self) -> int:
         out = 1
@@ -68,16 +60,8 @@ def layer_bounds(problem) -> LayerBounds:
         delta = Fraction(1)
         t0_minus = 0
         t0_plus = math.floor(max(d.budget[0] for d in instance.demands))
-    lower = [t0_minus]
-    upper = [t0_plus]
-    for i in range(1, instance.dim):
-        if instance.resource_kind(i) == "packing":
-            lower.append(0)
-            upper.append(instance.tau)
-        else:
-            lower.append(-instance.tau)
-            upper.append(0)
-    return LayerBounds(tuple(lower), tuple(upper), delta)
+    lower, upper = config_bounds(instance)
+    return LayerBounds((t0_minus,) + lower, (t0_plus,) + upper, delta)
 
 
 def _base_of(problem) -> PcsInstance:
@@ -92,26 +76,11 @@ def _edge_units(problem, eid: int) -> int:
 
 def step_label(instance: PcsInstance, bounds: LayerBounds, label: tuple, eid: int, units: int):
     """Label after traversing the edge (R-side orientation); None if invalid."""
-    res = instance.edges[eid].res
-    out = [label[0] + units]
-    for i in range(1, instance.dim):
-        v = label[i] + res[i]
-        if instance.resource_kind(i) == "covering" and v < -instance.tau:
-            v = -instance.tau
-        out.append(v)
-    out = tuple(out)
-    return out if bounds.valid(out) else None
-
-
-def compose_labels(instance: PcsInstance, i_label: tuple, j_label: tuple) -> tuple:
-    """Clamped label of a concatenated walk from the two halves' labels."""
-    out = [i_label[0] + j_label[0]]
-    for i in range(1, instance.dim):
-        v = i_label[i] + j_label[i]
-        if instance.resource_kind(i) == "covering" and v < -instance.tau:
-            v = -instance.tau
-        out.append(v)
-    return tuple(out)
+    length = label[0] + units
+    if not bounds.lower[0] <= length <= bounds.upper[0]:
+        return None
+    cfg = step_config(instance, label[1:], instance.edges[eid].res)
+    return None if cfg is None else (length,) + cfg
 
 
 def demand_budget_units(problem, demand_idx: int, bounds: LayerBounds) -> tuple:
@@ -141,104 +110,55 @@ class ProductEdge:
     tail: int
     head: int
     cost: Fraction
-    base_edge: int | None  # None for the dummy bridge / terminal attachments
-    kind: str  # "state", "bridge", "attach"
+    base_edge: int
 
 
 @dataclass
 class ProductGraph:
     problem: object  # PcsInstance or ScaledInstance
-    root: int
     bounds: LayerBounds
     labels: tuple  # all valid labels, sorted
-    vertex_ids: dict  # vertex key -> int id
+    vertex_ids: dict  # ("S", side, v, label) -> int id
     vertex_keys: tuple  # int id -> key
     edges: tuple  # ProductEdge
     out_adj: tuple
     in_adj: tuple
 
-    # vertex keys:
-    #   ("S", side, v, label)            product state
-    #   ("T", demand_idx, end, label)    dummy terminal, end in {"src", "snk"}
-
     @property
     def instance(self) -> PcsInstance:
         return _base_of(self.problem)
 
-    def state_id(self, side: str, v: int, label: tuple):
-        return self.vertex_ids.get(("S", side, v, label))
-
-    def terminal_id(self, demand_idx: int, end: str, label: tuple):
-        return self.vertex_ids.get(("T", demand_idx, end, label))
-
-    def root_left(self) -> int:
-        zero = tuple(0 for _ in range(self.instance.dim))
-        return self.vertex_ids[("S", "L", self.root, zero)]
-
-    def root_right(self) -> int:
-        zero = tuple(0 for _ in range(self.instance.dim))
-        return self.vertex_ids[("S", "R", self.root, zero)]
+    def root_copy(self, side: str, root: int) -> int:
+        """Id of the root's zero-label state on side "L" or "R"."""
+        if not (0 <= root < self.instance.n):
+            raise ContractError(f"root {root} outside vertex range")
+        return self.vertex_ids[("S", side, root, (0,) * self.instance.dim)]
 
     def budget_units(self, demand_idx: int) -> tuple:
         return demand_budget_units(self.problem, demand_idx, self.bounds)
 
-    def relation_pairs(self, demand_idx: int):
-        """All (I, J) label pairs in the demand's relation (valid labels)."""
-        box = self.budget_units(demand_idx)
-        for i_label in self.labels:
-            for j_label in self.labels:
-                if relation_holds(box, i_label, j_label):
-                    yield i_label, j_label
 
-    def relation_size(self, demand_idx: int) -> int:
-        return sum(1 for _ in self.relation_pairs(demand_idx))
+def _enumerate_labels(instance: PcsInstance, bounds: LayerBounds) -> list:
+    lengths = range(bounds.lower[0], bounds.upper[0] + 1)
+    return sorted((t,) + cfg for t in lengths for cfg in _enumerate_configs(instance))
 
 
-def _enumerate_labels(bounds: LayerBounds):
-    ranges = [range(lo, hi + 1) for lo, hi in zip(bounds.lower, bounds.upper)]
-    labels = [()]
-    for rng in ranges:
-        labels = [lab + (v,) for lab in labels for v in rng]
-    return sorted(labels)
-
-
-def build_product_graph(
-    problem, root: int, config: SolverConfig = DEFAULT_CONFIG
-) -> ProductGraph:
+def build_product_graph(problem, config: SolverConfig = DEFAULT_CONFIG) -> ProductGraph:
     instance = _base_of(problem)
-    if not (0 <= root < instance.n):
-        raise ContractError(f"root {root} outside vertex range")
     bounds = layer_bounds(problem)
-    label_count = bounds.label_count()
-    total_vertices = 2 * instance.n * label_count + 2 * len(instance.demands) * label_count
+    total_vertices = 2 * instance.n * bounds.label_count()
     if total_vertices > config.max_product_vertices:
         raise ResourceLimitError(
             f"product graph would need {total_vertices} vertices "
             f"(cap {config.max_product_vertices})"
         )
-    labels = _enumerate_labels(bounds)
+    labels = _enumerate_labels(instance, bounds)
+    vertex_keys = tuple(
+        ("S", side, v, lab) for side in ("L", "R") for v in range(instance.n) for lab in labels
+    )
+    vertex_ids = {key: vid for vid, key in enumerate(vertex_keys)}
 
-    vertex_ids = {}
-    vertex_keys = []
-
-    def add_vertex(key):
-        vid = vertex_ids.get(key)
-        if vid is None:
-            vid = len(vertex_keys)
-            vertex_ids[key] = vid
-            vertex_keys.append(key)
-        return vid
-
-    for side in ("L", "R"):
-        for v in range(instance.n):
-            for lab in labels:
-                add_vertex(("S", side, v, lab))
-    for di in range(len(instance.demands)):
-        for lab in labels:
-            add_vertex(("T", di, "src", lab))
-            add_vertex(("T", di, "snk", lab))
-
-    # state edges; parallel duplicates keep the cheapest (then smallest id)
+    # parallel duplicates keep the cheapest (then smallest id)
     best = {}
     for eid, e in enumerate(instance.edges):
         units = _edge_units(problem, eid)
@@ -256,41 +176,7 @@ def build_product_graph(
                 cur = best.get((tv, hv))
                 if cur is None or (e.cost, eid) < cur:
                     best[(tv, hv)] = (e.cost, eid)
-    edges = [
-        ProductEdge(tv, hv, cost, eid, "state")
-        for (tv, hv), (cost, eid) in sorted(best.items())
-    ]
-
-    zero = tuple(0 for _ in range(instance.dim))
-    edges.append(
-        ProductEdge(
-            vertex_ids[("S", "L", root, zero)],
-            vertex_ids[("S", "R", root, zero)],
-            Fraction(0),
-            None,
-            "bridge",
-        )
-    )
-    for di, d in enumerate(instance.demands):
-        for lab in labels:
-            edges.append(
-                ProductEdge(
-                    vertex_ids[("T", di, "src", lab)],
-                    vertex_ids[("S", "L", d.source, lab)],
-                    Fraction(0),
-                    None,
-                    "attach",
-                )
-            )
-            edges.append(
-                ProductEdge(
-                    vertex_ids[("S", "R", d.target, lab)],
-                    vertex_ids[("T", di, "snk", lab)],
-                    Fraction(0),
-                    None,
-                    "attach",
-                )
-            )
+    edges = tuple(ProductEdge(tv, hv, cost, eid) for (tv, hv), (cost, eid) in sorted(best.items()))
     out_adj = [[] for _ in vertex_keys]
     in_adj = [[] for _ in vertex_keys]
     for idx, pe in enumerate(edges):
@@ -298,100 +184,44 @@ def build_product_graph(
         in_adj[pe.head].append(idx)
     return ProductGraph(
         problem=problem,
-        root=root,
         bounds=bounds,
         labels=tuple(labels),
         vertex_ids=vertex_ids,
-        vertex_keys=tuple(vertex_keys),
-        edges=tuple(edges),
+        vertex_keys=vertex_keys,
+        edges=edges,
         out_adj=tuple(tuple(a) for a in out_adj),
         in_adj=tuple(tuple(a) for a in in_adj),
     )
 
 
-def reroot_product_graph(pg: ProductGraph, root: int) -> ProductGraph:
-    """The product graph of the same problem rooted at ``root``.
-
-    Only the bridge depends on the root, so it moves to the new root's
-    zero-label copies and keeps its edge index; labels, vertices, state and
-    attach edges are shared with ``pg``.  The result equals
-    ``build_product_graph(pg.problem, root, config)``.
-    """
-    if not (0 <= root < pg.instance.n):
-        raise ContractError(f"root {root} outside vertex range")
-    if root == pg.root:
-        return pg
-    old_left, old_right = pg.root_left(), pg.root_right()
-    zero = pg.vertex_keys[old_left][3]
-    new_left = pg.vertex_ids[("S", "L", root, zero)]
-    new_right = pg.vertex_ids[("S", "R", root, zero)]
-    bridge = next(idx for idx in pg.out_adj[old_left] if pg.edges[idx].kind == "bridge")
-    edges = list(pg.edges)
-    edges[bridge] = replace(edges[bridge], tail=new_left, head=new_right)
-    out_adj = list(pg.out_adj)
-    in_adj = list(pg.in_adj)
-    out_adj[old_left] = tuple(idx for idx in out_adj[old_left] if idx != bridge)
-    in_adj[old_right] = tuple(idx for idx in in_adj[old_right] if idx != bridge)
-    out_adj[new_left] = tuple(sorted(out_adj[new_left] + (bridge,)))
-    in_adj[new_right] = tuple(sorted(in_adj[new_right] + (bridge,)))
-    return replace(
-        pg, root=root, edges=tuple(edges), out_adj=tuple(out_adj), in_adj=tuple(in_adj)
-    )
+def reachable(pg: ProductGraph, seeds, backward: bool = False) -> set:
+    """Vertex ids reachable from ``seeds`` (``backward``: that reach them)."""
+    adj = pg.in_adj if backward else pg.out_adj
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for idx in adj[stack.pop()]:
+            pe = pg.edges[idx]
+            w = pe.tail if backward else pe.head
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
-def project_to_base(pg: ProductGraph, product_edge_ids) -> Walk:
-    """Map product edges to their originating base edges; dummies vanish."""
-    base = []
-    for idx in product_edge_ids:
-        if not (0 <= idx < len(pg.edges)):
-            raise ContractError(f"product edge index {idx} out of range")
-        ref = pg.edges[idx].base_edge
-        if ref is not None:
-            base.append(ref)
-    return Walk(tuple(base))
-
-
-def states_reaching_root_left(pg: ProductGraph) -> set:
+def states_reaching_root_left(pg: ProductGraph, root: int) -> set:
     """Vertex ids (L states) that can reach (r, 0, L)."""
-    target = pg.root_left()
-    seen = {target}
-    stack = [target]
-    while stack:
-        v = stack.pop()
-        for idx in pg.in_adj[v]:
-            pe = pg.edges[idx]
-            if pe.kind != "state":
-                continue
-            if pe.tail not in seen:
-                seen.add(pe.tail)
-                stack.append(pe.tail)
-    return seen
+    return reachable(pg, (pg.root_copy("L", root),), backward=True)
 
 
-def states_reachable_from_root_right(pg: ProductGraph) -> set:
+def states_reachable_from_root_right(pg: ProductGraph, root: int) -> set:
     """Vertex ids (R states) reachable from (r, 0, R)."""
-    start = pg.root_right()
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for idx in pg.out_adj[v]:
-            pe = pg.edges[idx]
-            if pe.kind != "state":
-                continue
-            if pe.head not in seen:
-                seen.add(pe.head)
-                stack.append(pe.head)
-    return seen
+    return reachable(pg, (pg.root_copy("R", root),))
 
 
-def connectable_relation_pairs(pg: ProductGraph, reach_left=None, reach_right=None) -> dict:
+def connectable_relation_pairs(pg: ProductGraph, reach_left: set, reach_right: set) -> dict:
     """Per demand, the relation pairs whose endpoints actually connect to the
     root through the product graph (the rest carry no LP value)."""
-    if reach_left is None:
-        reach_left = states_reaching_root_left(pg)
-    if reach_right is None:
-        reach_right = states_reachable_from_root_right(pg)
     instance = pg.instance
     out = {}
     for di, d in enumerate(instance.demands):
@@ -419,16 +249,16 @@ def connectable_relation_pairs(pg: ProductGraph, reach_left=None, reach_right=No
 def equivalence_check(
     problem, root: int, config: SolverConfig = DEFAULT_CONFIG
 ) -> dict:
-    """Compare product-graph terminal connectivity against the oracle's
+    """Compare product-graph relation-pair connectivity against the oracle's
     through-root feasibility on the two-copy intersection graph.
 
     In the scaled regime the oracle runs on the scaled graph with the same
     theta relaxation the relation uses.
     """
-    from .rcsp import through_root_witness
-
-    pg = build_product_graph(problem, root, config)
-    pairs = connectable_relation_pairs(pg)
+    pg = build_product_graph(problem, config)
+    pairs = connectable_relation_pairs(
+        pg, states_reaching_root_left(pg, root), states_reachable_from_root_right(pg, root)
+    )
     instance = _base_of(problem)
     if isinstance(problem, ScaledInstance):
         oracle_instance = problem.as_instance()
@@ -449,31 +279,3 @@ def equivalence_check(
         if product_ok != oracle_ok:
             report["mismatches"] += 1
     return report
-
-
-def dump_edges(pg: ProductGraph) -> str:
-    """Debug dump: one state edge per line (side, u, I, v, J, cost)."""
-    lines = []
-    for pe in pg.edges:
-        if pe.kind != "state":
-            continue
-        _, side, u, i_lab = pg.vertex_keys[pe.tail]
-        _, _side, v, j_lab = pg.vertex_keys[pe.head]
-        lines.append(f"{side} {u} {list(i_lab)} {v} {list(j_lab)} {pe.cost}")
-    return "\n".join(sorted(lines)) + "\n"
-
-
-def analytic_state_edge_count(problem) -> int:
-    """Reference count: per base edge and side, the number of valid label
-    pairs related by the clamped transition (duplicates not collapsed)."""
-    instance = _base_of(problem)
-    bounds = layer_bounds(problem)
-    labels = _enumerate_labels(bounds)
-    count = 0
-    for eid in range(len(instance.edges)):
-        units = _edge_units(problem, eid)
-        per_edge = sum(
-            1 for lab in labels if step_label(instance, bounds, lab, eid, units) is not None
-        )
-        count += 2 * per_edge  # L and R side
-    return count

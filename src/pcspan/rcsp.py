@@ -37,30 +37,30 @@ def config_count(instance: PcsInstance) -> int:
     return (instance.tau + 1) ** instance.m
 
 
-def clamp_config(instance: PcsInstance, cfg: tuple) -> tuple:
-    """Clamp covering coordinates at -tau; idempotent."""
-    out = list(cfg)
-    for i in instance.covering_indices():
-        j = i - 1
-        if out[j] < -instance.tau:
-            out[j] = -instance.tau
-    return tuple(out)
+def config_bounds(instance: PcsInstance) -> tuple:
+    """(lower, upper) tuples bounding each clamped config coordinate 1..m:
+    packing in [0, tau], covering in [-tau, 0]."""
+    p, c, tau = instance.packing, instance.covering, instance.tau
+    return (0,) * p + (-tau,) * c, (tau,) * p + (0,) * c
 
 
 def step_config(instance: PcsInstance, cfg: tuple, res: ResourceVector):
     """Advance a clamped config by one edge; None when a packing bound breaks.
 
-    Packing coordinates exceed tau only on walks that can never satisfy any
-    budget (budgets are <= tau), so those states are dropped.
+    Covering coordinates clamp at -tau.  Packing coordinates exceed tau only
+    on walks that can never satisfy any budget (budgets are <= tau), so those
+    states are dropped.
     """
-    out = list(cfg)
-    for i in range(1, instance.dim):
-        j = i - 1
-        out[j] += res[i]
-    for i in instance.packing_indices():
-        if out[i - 1] > instance.tau:
-            return None
-    return clamp_config(instance, tuple(out))
+    out = []
+    for i, v in enumerate(cfg, 1):
+        v += res[i]
+        if i <= instance.packing:
+            if v > instance.tau:
+                return None
+        elif v < -instance.tau:
+            v = -instance.tau
+        out.append(v)
+    return tuple(out)
 
 
 def config_feasible(instance: PcsInstance, cfg: tuple, budget: ResourceVector) -> bool:
@@ -195,15 +195,9 @@ def _backward_min_lengths(
 
 
 def _enumerate_configs(instance: PcsInstance) -> list:
-    ranges = []
-    for i in range(1, instance.dim):
-        if instance.resource_kind(i) == "packing":
-            ranges.append(range(0, instance.tau + 1))
-        else:
-            ranges.append(range(-instance.tau, 1))
     configs = [()]
-    for rng in ranges:
-        configs = [cfg + (v,) for cfg in configs for v in rng]
+    for lo, hi in zip(*config_bounds(instance)):
+        configs = [cfg + (v,) for cfg in configs for v in range(lo, hi + 1)]
     return configs
 
 
@@ -291,27 +285,6 @@ def feasible_witness(
     return _lex_reconstruct(
         instance, demand.source, (demand.target, cfg), length, hops, edge_ids
     )
-
-
-def min_feasible_hops(
-    instance: PcsInstance,
-    demand: Demand,
-    max_hops: int,
-    edge_subset=None,
-) -> int | None:
-    """Smallest edge count of any feasible walk for the demand, or None."""
-    table = shortest_lengths_from(
-        instance, demand.source, max_hops=max_hops, edge_subset=edge_subset
-    )
-    for h, tab in enumerate(table.by_hops):
-        for (v, cfg), length in tab.items():
-            if (
-                v == demand.target
-                and length <= demand.budget[0]
-                and config_feasible(instance, cfg, demand.budget)
-            ):
-                return h
-    return None
 
 
 def hop_bound(instance: PcsInstance, config: SolverConfig = DEFAULT_CONFIG) -> int:

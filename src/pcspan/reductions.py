@@ -25,6 +25,7 @@ from .errors import (
     ParseError,
 )
 from .greedy import SolveReport, solve_pcs
+from .layered import build_closure
 from .model import Demand, Edge, PcsInstance, ResourceVector, Walk
 from .rcsp import validate_demands
 
@@ -99,10 +100,6 @@ class RcsInstance:
     @property
     def must_visit_count(self) -> int:
         return sum(1 for g in self.groups if g.kind == MUST_VISIT)
-
-    @property
-    def avoid_count(self) -> int:
-        return sum(1 for g in self.groups if g.kind == AVOID)
 
     @property
     def m(self) -> int:
@@ -320,57 +317,39 @@ def solve_rcs(rcs: RcsInstance, config: SolverConfig = DEFAULT_CONFIG) -> SolveR
 class ClosureEdge:
     tail: int
     head: int
-    weight: int  # exact shortest distance in the source graph
-    cost: int  # 0 iff the edge already exists in the source graph
+    weight: int  # input length (cost 0) or exact shortest distance (cost 1)
+    cost: int  # 0 for an edge of the source graph, 1 for a shortcut
 
 
 @dataclass(frozen=True)
 class WeightedClosure:
     n: int
-    edges: tuple  # ClosureEdge, sorted by (tail, head)
-
-    def edge_index(self):
-        return {(e.tail, e.head): i for i, e in enumerate(self.edges)}
+    edges: tuple  # ClosureEdge, sorted by (tail, head, cost)
 
 
 def weighted_transitive_closure(n: int, length_edges) -> WeightedClosure:
-    """All reachable ordered pairs, weighted by exact shortest distance;
-    cost 1 on closure-only edges, 0 on edges present in the input.
+    """Every input pair at cost 0 with its shortest input length, plus a
+    cost-1 shortcut at the exact shortest distance for every reachable
+    ordered pair that no input edge already realizes.
 
     `length_edges` is an iterable of (tail, head, positive integer length).
     """
-    adj = {}
-    present = set()
+    direct = {}
     for (u, v, length) in length_edges:
         if length < 1:
             raise ContractError("closure needs positive integer lengths")
-        present.add((u, v))
-        adj.setdefault(u, []).append((v, length))
-    out = []
-    for src in range(n):
-        dist = {src: 0}
-        heap = [(0, src)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if dist.get(u) != d:
-                continue
-            for v, length in adj.get(u, ()):
-                nd = d + length
-                if v not in dist or nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        for v in sorted(dist):
-            if v == src:
-                continue
-            out.append(
-                ClosureEdge(
-                    tail=src,
-                    head=v,
-                    weight=dist[v],
-                    cost=0 if (src, v) in present else 1,
-                )
-            )
-    return WeightedClosure(n=n, edges=tuple(sorted(out, key=lambda e: (e.tail, e.head))))
+        direct[(u, v)] = min(length, direct.get((u, v), length))
+
+    adj = {}
+    for (u, v), length in direct.items():
+        adj.setdefault(u, []).append((None, v, length))
+    dist = build_closure(range(n), lambda u: adj.get(u, ())).dist
+    out = [ClosureEdge(u, v, length, 0) for (u, v), length in direct.items() if u != v]
+    for u in range(n):
+        for v, d in dist[u].items():
+            if v != u and d < direct.get((u, v), d + 1):
+                out.append(ClosureEdge(u, v, int(d), 1))
+    return WeightedClosure(n=n, edges=tuple(sorted(out, key=lambda e: (e.tail, e.head, e.cost))))
 
 
 @dataclass(frozen=True)

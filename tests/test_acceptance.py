@@ -193,7 +193,7 @@ def test_criterion_6_end_to_end_quality():
         opt, _ = brute_force_opt(inst, config)
         ratio = report.cost / opt if opt > 0 else Fraction(1)
         ratios.append(ratio)
-        pg_size = len(build_product_graph(inst, 0, config).vertex_keys)
+        pg_size = len(build_product_graph(inst, config).vertex_keys)
         slack = 4 * math.sqrt(k) * 2 ** (m + 1) * math.log2(pg_size) ** 3
         if float(ratio) > slack:
             worst_ok = False
@@ -292,7 +292,7 @@ def test_criterion_8_hopset_reduction():
             k = len(hs.demands)
             m = 1
             inst, _ = __import__("pcspan.reductions", fromlist=["hopset_to_pcs"]).hopset_to_pcs(hs)
-            pg_size = len(build_product_graph(inst, 0).vertex_keys)
+            pg_size = len(build_product_graph(inst).vertex_keys)
             slack = 4 * math.sqrt(k) * 2 ** (m + 1) * math.log2(pg_size) ** 3
             if best == 0:
                 if out["hopset_size"] != 0:

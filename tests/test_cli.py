@@ -148,3 +148,27 @@ def test_solve_reports_are_byte_identical_across_runs(tmp_path):
     assert run(["--mode", "pcs-int", str(inst_path), "--seed", "7", "--out", str(r1)]) == 0
     assert run(["--mode", "pcs-int", str(inst_path), "--seed", "7", "--out", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_bench_runtime_excludes_the_oracle(tmp_path, monkeypatch):
+    import time
+
+    import pcspan.cli
+
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    run(["--mode", "gen", "--kind", "pcs", "--n", "4", "--k", "1", "--m", "1",
+         "--tau", "1", "--seed", "1", "--out", str(suite / "i1.json")])
+    original = pcspan.cli.brute_force_opt
+
+    def slow_opt(*args, **kwargs):
+        time.sleep(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pcspan.cli, "brute_force_opt", slow_opt)
+    out = tmp_path / "out"
+    assert run(["--mode", "bench", str(suite), "--out", str(out)]) == 0
+    header, row = (out / "bench_summary.csv").read_text().splitlines()
+    assert header.split(",")[-1] == "runtime_s"
+    assert row.split(",")[4]  # the oracle still ran
+    assert float(row.split(",")[-1]) < 1.0

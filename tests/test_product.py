@@ -1,26 +1,23 @@
-from dataclasses import fields
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from pcspan.config import SolverConfig
 from pcspan.errors import ContractError, ResourceLimitError
 from pcspan.generate import gen_pcs
-from pcspan.model import is_feasible, walk_resource
+from pcspan.model import Walk, is_feasible, walk_resource
 from pcspan.product import (
-    analytic_state_edge_count,
     build_product_graph,
     connectable_relation_pairs,
-    dump_edges,
     equivalence_check,
     layer_bounds,
-    project_to_base,
     relation_holds,
-    reroot_product_graph,
     states_reachable_from_root_right,
     states_reaching_root_left,
     step_label,
 )
+from pcspan.rcsp import config_count
 from pcspan.scaling import scale_instance
 
 from conftest import make_instance
@@ -43,15 +40,13 @@ def test_config_count_example():
         packing=1,
         covering=0,
     )
-    assert layer_bounds(inst).config_count() == 3
+    assert config_count(inst) == 3
 
 
 def test_edge_label_offsets(tri_instance):
-    pg = build_product_graph(tri_instance, 0)
+    pg = build_product_graph(tri_instance)
     inst = tri_instance
     for pe in pg.edges:
-        if pe.kind != "state":
-            continue
         _, side, u, i_lab = pg.vertex_keys[pe.tail]
         _, _s, v, j_lab = pg.vertex_keys[pe.head]
         res = inst.edges[pe.base_edge].res
@@ -65,15 +60,6 @@ def test_edge_label_offsets(tri_instance):
             if inst.resource_kind(i) == "covering":
                 expected = max(-inst.tau, expected)
             assert dst[i] == expected
-
-
-def test_exactly_one_bridge(tri_instance):
-    pg = build_product_graph(tri_instance, 1)
-    bridges = [pe for pe in pg.edges if pe.kind == "bridge"]
-    assert len(bridges) == 1
-    assert bridges[0].cost == 0
-    assert pg.vertex_keys[bridges[0].tail][1] == "L"
-    assert pg.vertex_keys[bridges[0].head][1] == "R"
 
 
 def test_covering_clamp_keeps_floor_entry_fixed():
@@ -91,10 +77,21 @@ def test_covering_clamp_keeps_floor_entry_fixed():
     assert stepped is not None and stepped[1] == -1  # entry stays at the clamp
 
 
+def _analytic_state_edge_count(instance):
+    """Reference count: per base edge and side, the number of valid labels
+    the clamped transition accepts (duplicates not collapsed)."""
+    bounds = layer_bounds(instance)
+    labels = list(product(*(range(lo, hi + 1) for lo, hi in zip(bounds.lower, bounds.upper))))
+    return 2 * sum(
+        step_label(instance, bounds, lab, eid, int(e.res[0])) is not None
+        for eid, e in enumerate(instance.edges)
+        for lab in labels
+    )
+
+
 def test_analytic_edge_count_matches(tri_instance):
-    pg = build_product_graph(tri_instance, 0)
-    built = sum(1 for pe in pg.edges if pe.kind == "state")
-    assert built == analytic_state_edge_count(tri_instance)
+    pg = build_product_graph(tri_instance)
+    assert len(pg.edges) == _analytic_state_edge_count(tri_instance)
 
 
 def test_memory_guard():
@@ -107,25 +104,36 @@ def test_memory_guard():
         covering=0,
     )
     with pytest.raises(ResourceLimitError):
-        build_product_graph(inst, 0, SolverConfig(max_product_vertices=5))
+        build_product_graph(inst, SolverConfig(max_product_vertices=5))
 
 
-def test_project_to_base_dummies_vanish(tri_instance):
-    pg = build_product_graph(tri_instance, 1)
-    bridge_idx = next(i for i, pe in enumerate(pg.edges) if pe.kind == "bridge")
-    assert project_to_base(pg, [bridge_idx]).is_empty()
+def test_memory_guard_counts_states_only(tri_instance):
+    # 2 sides * 3 vertices * 6 labels (length 0..2, packing 0..1)
+    states = 2 * tri_instance.n * layer_bounds(tri_instance).label_count()
+    assert states == 36
+    pg = build_product_graph(tri_instance, SolverConfig(max_product_vertices=states))
+    assert len(pg.vertex_keys) == states
+    with pytest.raises(ResourceLimitError):
+        build_product_graph(tri_instance, SolverConfig(max_product_vertices=states - 1))
 
 
 def test_projection_resource_dominated_by_labels(tri_instance):
-    # follow a terminal-to-terminal path by hand and check RES <= I + J
-    pg = build_product_graph(tri_instance, 1)
-    pairs = connectable_relation_pairs(pg)
-    (i_lab, j_lab) = pairs[0][0]
-    # product path: (s^t,I) -> (s,I,L) -> (r,0,L) -> (r,0,R) -> (t,J,R) -> (t^s,J)
-    path = _find_product_path(
-        pg, pg.terminal_id(0, "src", i_lab), pg.terminal_id(0, "snk", j_lab)
+    # follow a source-root-target path by hand and check RES <= I + J
+    root = 1
+    pg = build_product_graph(tri_instance)
+    pairs = connectable_relation_pairs(
+        pg, states_reaching_root_left(pg, root), states_reachable_from_root_right(pg, root)
     )
-    walk = project_to_base(pg, path)
+    (i_lab, j_lab) = pairs[0][0]
+    d = tri_instance.demands[0]
+    # product path: (s,I,L) -> (r,0,L), then (r,0,R) -> (t,J,R)
+    up = _find_product_path(
+        pg, pg.vertex_ids[("S", "L", d.source, i_lab)], pg.root_copy("L", root)
+    )
+    down = _find_product_path(
+        pg, pg.root_copy("R", root), pg.vertex_ids[("S", "R", d.target, j_lab)]
+    )
+    walk = Walk(tuple(pg.edges[idx].base_edge for idx in up + down))
     res = walk_resource(walk, tri_instance)
     combined = tuple(a + b for a, b in zip(i_lab, j_lab))
     assert res[0] <= combined[0]
@@ -219,14 +227,22 @@ def test_degenerate_roots_source_and_target(tri_instance):
         assert rep["demands"][0]["product"]
 
 
+def _dump_edges(pg) -> str:
+    """Debug dump: one state edge per line (side, u, I, v, J, cost)."""
+    lines = []
+    for pe in pg.edges:
+        _, side, u, i_lab = pg.vertex_keys[pe.tail]
+        _, _side, v, j_lab = pg.vertex_keys[pe.head]
+        lines.append(f"{side} {u} {list(i_lab)} {v} {list(j_lab)} {pe.cost}")
+    return "\n".join(sorted(lines)) + "\n"
+
+
 def test_dump_edges_format(tri_instance):
-    pg = build_product_graph(tri_instance, 0)
-    text = dump_edges(pg)
+    pg = build_product_graph(tri_instance)
+    text = _dump_edges(pg)
     line = text.splitlines()[0].split()
     assert line[0] in ("L", "R")
-    assert len([l for l in text.splitlines() if l]) == sum(
-        1 for pe in pg.edges if pe.kind == "state"
-    )
+    assert len([l for l in text.splitlines() if l]) == len(pg.edges)
 
 
 def test_parallel_product_edges_keep_cheapest():
@@ -238,9 +254,9 @@ def test_parallel_product_edges_keep_cheapest():
         packing=1,
         covering=0,
     )
-    pg = build_product_graph(inst, 1)
-    state_edges = [pe for pe in pg.edges if pe.kind == "state"]
-    assert all(pe.cost == 2 and pe.base_edge == 1 for pe in state_edges)
+    pg = build_product_graph(inst)
+    assert pg.edges
+    assert all(pe.cost == 2 and pe.base_edge == 1 for pe in pg.edges)
 
 
 def test_relation_box_semantics():
@@ -250,31 +266,15 @@ def test_relation_box_semantics():
     assert not relation_holds(budget, (2, 1, 0), (2, 1, -1))
 
 
-def _bridge_index(pg):
-    (idx,) = [i for i, pe in enumerate(pg.edges) if pe.kind == "bridge"]
-    return idx
-
-
-def test_rerooted_graph_equals_fresh_build(tri_instance):
-    problems = [tri_instance]
-    problems += [gen_pcs(n=5, k=2, m=2, tau=1, regime="integer", seed=s + 7) for s in range(3)]
-    theta_inst = gen_pcs(n=4, k=1, m=1, tau=1, regime="rational-negative", seed=201)
-    problems.append(scale_instance(theta_inst, Fraction(1, 2)))
-    for problem in problems:
-        n = problem.base.n if hasattr(problem, "base") else problem.n
-        round_pg = build_product_graph(problem, n - 1)
-        for root in range(n):
-            derived = reroot_product_graph(round_pg, root)
-            fresh = build_product_graph(problem, root)
-            for f in fields(fresh):
-                assert getattr(derived, f.name) == getattr(fresh, f.name), (root, f.name)
-            assert _bridge_index(derived) == _bridge_index(fresh) == _bridge_index(round_pg)
-        # the round's graph itself is left as it was built
-        assert round_pg == build_product_graph(problem, n - 1)
-
-
-def test_reroot_checks_root_range(tri_instance):
-    pg = build_product_graph(tri_instance, 0)
+def test_root_copy_checks_root_range(tri_instance):
+    pg = build_product_graph(tri_instance)
+    assert pg.vertex_keys[pg.root_copy("L", 0)] == ("S", "L", 0, (0, 0))
+    assert pg.vertex_keys[pg.root_copy("R", 2)] == ("S", "R", 2, (0, 0))
     for root in (-1, tri_instance.n):
+        for side in ("L", "R"):
+            with pytest.raises(ContractError):
+                pg.root_copy(side, root)
         with pytest.raises(ContractError):
-            reroot_product_graph(pg, root)
+            states_reaching_root_left(pg, root)
+        with pytest.raises(ContractError):
+            equivalence_check(tri_instance, root)

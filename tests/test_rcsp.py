@@ -7,6 +7,7 @@ from pcspan.errors import ContractError, InfeasibleDemandError, InfeasibleWithin
 from pcspan.model import Demand, ResourceVector, is_feasible, is_theta_feasible
 from pcspan.oracle import enumerate_feasible_walks
 from pcspan.rcsp import (
+    config_feasible,
     feasible_witness,
     hop_bound,
     shortest_lengths_from,
@@ -232,9 +233,21 @@ def test_monotonicity_under_subgraph_growth():
                 assert big[di]["feasible"]
 
 
-def test_hop_bound_is_tight_on_random_instances():
-    from pcspan.rcsp import min_feasible_hops
+def min_feasible_hops(instance, demand, max_hops):
+    """Smallest edge count of any feasible walk for the demand, or None."""
+    table = shortest_lengths_from(instance, demand.source, max_hops=max_hops)
+    for h, tab in enumerate(table.by_hops):
+        for (v, cfg), length in tab.items():
+            if (
+                v == demand.target
+                and length <= demand.budget[0]
+                and config_feasible(instance, cfg, demand.budget)
+            ):
+                return h
+    return None
 
+
+def test_hop_bound_is_tight_on_random_instances():
     for seed in range(8):
         inst = gen_pcs(n=5, k=2, m=1, tau=1, regime="integer", seed=seed + 500)
         bound = hop_bound(inst)

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from pcspan.errors import InfeasibleDemandError
-from pcspan.generate import gen_rcs
+from pcspan.generate import gen_hopset, gen_rcs
 from pcspan.model import Walk
 from pcspan.oracle import enumerate_feasible_walks
 from pcspan.rcsp import feasible_witness
@@ -201,21 +201,41 @@ def test_claim_visit_count_bound():
         assert max(verts.count(v) for v in set(verts)) <= cap
 
 
+def _closure_pairs(closure):
+    return [(e.tail, e.head, e.weight, e.cost) for e in closure.edges]
+
+
 def test_weighted_closure_triangle():
     closure = weighted_transitive_closure(3, [(0, 1, 1), (1, 2, 1), (0, 2, 5)])
-    idx = closure.edge_index()
-    two_hop = closure.edges[idx[(0, 2)]]
-    assert two_hop.weight == 2  # shortest distance wins over the direct edge
-    assert two_hop.cost == 0  # the edge exists in the source graph
-    assert closure.edges[idx[(0, 1)]].weight == 1
-    assert (2, 0) not in idx  # unreachable pair absent
+    pairs = _closure_pairs(closure)
+    # the direct edge keeps its own length at cost 0; the shorter two-hop
+    # distance becomes a cost-1 shortcut beside it
+    assert [p for p in pairs if p[:2] == (0, 2)] == [(0, 2, 5, 0), (0, 2, 2, 1)]
+    assert (0, 1, 1, 0) in pairs
+    assert all(p[:2] != (2, 0) for p in pairs)  # unreachable pair absent
 
 
 def test_weighted_closure_new_edges_cost_one():
     closure = weighted_transitive_closure(3, [(0, 1, 2), (1, 2, 3)])
-    idx = closure.edge_index()
-    assert closure.edges[idx[(0, 2)]].cost == 1
-    assert closure.edges[idx[(0, 2)]].weight == 5
+    assert _closure_pairs(closure) == [(0, 1, 2, 0), (0, 2, 5, 1), (1, 2, 3, 0)]
+
+
+def test_weighted_closure_parallel_inputs_keep_shortest():
+    closure = weighted_transitive_closure(2, [(0, 1, 4), (0, 1, 2), (1, 1, 1)])
+    assert _closure_pairs(closure) == [(0, 1, 2, 0)]
+
+
+@pytest.mark.parametrize("seed", [22011002, 9, 52, 83])
+def test_hopset_with_long_input_edge_solves(seed):
+    # each instance has an input edge longer than the shortest path between
+    # its endpoints; pricing it at cost 0 with the shorter weight made the
+    # solver pick a free edge that verification could not use
+    hs = gen_hopset(n=7, k=3, beta=3, style="random", seed=seed)
+    closure = weighted_transitive_closure(hs.n, hs.edges)
+    shortcut = {(e.tail, e.head) for e in closure.edges if e.cost == 1}
+    assert any((u, v) in shortcut for (u, v, _length) in hs.edges)
+    out = solve_hopset(hs)
+    assert all(entry["feasible"] for entry in out["verification"].values())
 
 
 def test_hopset_reduction_shapes():
