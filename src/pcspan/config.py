@@ -25,8 +25,6 @@ class SolverConfig:
     combination_limit: int = 10**6
     # layered-path enumeration guard (per attachment state)
     max_paths_per_terminal: int = 20000
-    # LPs at most this many columns are solved with the exact rational simplex
-    exact_lp_threshold: int = 48
     workers: int = 1
 
     @property

@@ -41,13 +41,11 @@ class LabelCoverLp:
 class LpValues:
     """Exact-rational view of a solved label-cover LP."""
 
-    y: dict  # (demand, I, J) -> Fraction, renormalized to sum exactly 1
+    y: dict  # (demand, I, J) -> Fraction, summing to exactly 1
     z: dict  # (demand, end, label) -> Fraction
     x: dict  # edge key -> Fraction
     flow: dict  # (side, state, path_idx) -> Fraction
     objective: Fraction
-    method: str
-    raw_y_total: Fraction
 
 
 def _up_edge_keys(h: int, chain) -> list:
@@ -150,16 +148,12 @@ def build_lp(bundle, config: SolverConfig = DEFAULT_CONFIG) -> LabelCoverLp:
                 cap_row[var(("x", ekey))] = -1
                 ub_rows.append((cap_row, Fraction(0)))
 
-    var(("x", ("bridge",)))
-
     objective = {}
     for key, idx in var_index.items():
         if key[0] != "x":
             continue
         ekey = key[1]
-        if ekey == ("bridge",):
-            cost = Fraction(0)
-        elif ekey[0] == "up":
+        if ekey[0] == "up":
             cost = joined.up.edge_cost(ekey[2], ekey[3])
         else:
             cost = joined.down.edge_cost(ekey[2], ekey[3])
@@ -183,9 +177,9 @@ def build_lp(bundle, config: SolverConfig = DEFAULT_CONFIG) -> LabelCoverLp:
     )
 
 
-def solve_lp(cover: LabelCoverLp, config: SolverConfig = DEFAULT_CONFIG) -> LpValues:
-    """Solve and convert to exact rationals; y renormalized to total 1."""
-    sol = _solve_lp_backend(cover.lp, exact_threshold=config.exact_lp_threshold)
+def solve_lp(cover: LabelCoverLp) -> LpValues:
+    """Solve exactly and split the values by variable kind."""
+    sol = _solve_lp_backend(cover.lp)
     y = {}
     z = {}
     x = {}
@@ -200,25 +194,9 @@ def solve_lp(cover: LabelCoverLp, config: SolverConfig = DEFAULT_CONFIG) -> LpVa
             x[key[1]] = val
         elif key[0] == "g":
             flow[key[1:]] = val
-        elif key[0] == "Z":
-            pass
-    total = sum(y.values(), Fraction(0))
-    if total <= 0:
-        raise InternalInvariantError("LP returned zero relation mass")
-    if total != 1:
-        y = {k: v / total for k, v in y.items()}
-        z = {k: v / total for k, v in z.items()}
-        x = {k: v / total for k, v in x.items()}
-        flow = {k: v / total for k, v in flow.items()}
-    return LpValues(
-        y=y,
-        z=z,
-        x=x,
-        flow=flow,
-        objective=sol.objective / total,
-        method=sol.method,
-        raw_y_total=total,
-    )
+    if sum(y.values(), Fraction(0)) != 1:
+        raise InternalInvariantError("LP relation mass is not exactly 1")
+    return LpValues(y=y, z=z, x=x, flow=flow, objective=sol.objective)
 
 
 def sort_representatives(reps, c: int) -> list:

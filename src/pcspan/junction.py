@@ -143,7 +143,7 @@ def junction_tree_for_root(
     if bundle is None:
         return None
     cover = build_lp(bundle, config)
-    values = solve_lp(cover, config)
+    values = solve_lp(cover)
     pruned = {}
     gammas = {}
     for di, pairs in sorted(bundle.joined.relations.items()):

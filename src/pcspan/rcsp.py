@@ -83,7 +83,6 @@ class LabelTable:
     source: int
     by_hops: tuple  # tuple of dicts: state -> Fraction, index = max hops used
     lengths: dict  # state -> overall minimal length
-    predecessor: dict  # state -> (prev_state, edge_id) attaining the minimum
 
     def length(self, vertex: int, cfg: tuple):
         return self.lengths.get((vertex, cfg))
@@ -117,7 +116,6 @@ def shortest_lengths_from(
     start = (source, zero_config(instance))
     current = {start: Fraction(0)}
     tables = [dict(current)]
-    pred = {start: None}
     for _ in range(max_hops):
         nxt = dict(current)
         changed = False
@@ -134,20 +132,13 @@ def shortest_lengths_from(
                 old = nxt.get(state2)
                 if old is None or cand < old:
                     nxt[state2] = cand
-                    pred[state2] = ((v, cfg), eid)
                     changed = True
         tables.append(nxt)
         current = nxt
         if not changed:
             # converged early; later tables equal this one
             break
-    lengths = dict(current)
-    return LabelTable(
-        source=source,
-        by_hops=tuple(tables),
-        lengths=lengths,
-        predecessor=pred,
-    )
+    return LabelTable(source=source, by_hops=tuple(tables), lengths=dict(current))
 
 
 def _backward_min_lengths(
