@@ -77,7 +77,6 @@ def make_config(args) -> SolverConfig:
         seed=args.seed,
         max_product_vertices=args.max_product_vertices,
         rounding_retries=args.rounding_retries,
-        workers=args.workers,
     )
 
 

@@ -25,7 +25,6 @@ class SolverConfig:
     combination_limit: int = 10**6
     # layered-path enumeration guard (per attachment state)
     max_paths_per_terminal: int = 20000
-    workers: int = 1
 
     @property
     def height(self) -> int:

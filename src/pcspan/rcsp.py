@@ -44,6 +44,13 @@ def config_bounds(instance: PcsInstance) -> tuple:
     return (0,) * p + (-tau,) * c, (tau,) * p + (0,) * c
 
 
+def _enumerate_configs(instance: PcsInstance) -> list:
+    configs = [()]
+    for lo, hi in zip(*config_bounds(instance)):
+        configs = [cfg + (v,) for cfg in configs for v in range(lo, hi + 1)]
+    return configs
+
+
 def step_config(instance: PcsInstance, cfg: tuple, res: ResourceVector):
     """Advance a clamped config by one edge; None when a packing bound breaks.
 
@@ -98,6 +105,64 @@ def _allowed_edges(instance: PcsInstance, edge_subset):
     return ids
 
 
+def _successors(instance: PcsInstance, edges, edge_ids):
+    """Arcs between (vertex, config) states over `edges[eid]` for the
+    ascending ids `edge_ids`.
+
+    Returns (arcs, expanded): `arcs(state)` lists (eid, next state, length)
+    in edge-id order and steps each config once per state and edge;
+    `expanded` maps every state expanded so far to its arcs.
+    """
+    out_by_tail = {}
+    for eid in edge_ids:
+        out_by_tail.setdefault(edges[eid].tail, []).append(eid)
+    expanded = {}
+
+    def arcs(state):
+        out = expanded.get(state)
+        if out is None:
+            v, cfg = state
+            out = []
+            for eid in out_by_tail.get(v, ()):
+                e = edges[eid]
+                cfg2 = step_config(instance, cfg, e.res)
+                if cfg2 is not None:
+                    out.append((eid, (e.head, cfg2), e.res[0]))
+            expanded[state] = out
+        return out
+
+    return arcs, expanded
+
+
+def _relax(arcs, start, max_hops: int) -> list:
+    """Hop-bounded Bellman-Ford from `start` over `arcs(state)`.
+
+    `tables[h]` maps every state reached by a walk of at most h arcs to the
+    minimal length of such a walk.  Each hop re-relaxes only the states the
+    previous hop improved; the search stops after `max_hops` hops or at the
+    first hop that improves nothing (later tables would equal the last).
+    """
+    tables = [{start: Fraction(0)}]
+    improved = (start,)
+    for _ in range(max_hops):
+        current = tables[-1]
+        nxt = dict(current)
+        changed = set()
+        for state in improved:
+            base = current[state]
+            for _eid, state2, length in arcs(state):
+                cand = base + length
+                old = nxt.get(state2)
+                if old is None or cand < old:
+                    nxt[state2] = cand
+                    changed.add(state2)
+        if not changed:
+            break
+        tables.append(nxt)
+        improved = changed
+    return tables
+
+
 def shortest_lengths_from(
     instance: PcsInstance,
     source: int,
@@ -112,125 +177,62 @@ def shortest_lengths_from(
     """
     if max_hops is None:
         max_hops = default_hop_cap(instance, config)
-    edge_ids = list(_allowed_edges(instance, edge_subset))
-    start = (source, zero_config(instance))
-    current = {start: Fraction(0)}
-    tables = [dict(current)]
-    for _ in range(max_hops):
-        nxt = dict(current)
-        changed = False
-        for eid in edge_ids:
-            e = instance.edges[eid]
-            for (v, cfg), length in current.items():
-                if v != e.tail:
-                    continue
-                cfg2 = step_config(instance, cfg, e.res)
-                if cfg2 is None:
-                    continue
-                state2 = (e.head, cfg2)
-                cand = length + e.res[0]
-                old = nxt.get(state2)
-                if old is None or cand < old:
-                    nxt[state2] = cand
-                    changed = True
-        tables.append(nxt)
-        current = nxt
-        if not changed:
-            # converged early; later tables equal this one
-            break
-    return LabelTable(source=source, by_hops=tuple(tables), lengths=dict(current))
+    arcs, _ = _successors(instance, instance.edges, _allowed_edges(instance, edge_subset))
+    tables = _relax(arcs, (source, zero_config(instance)), max_hops)
+    return LabelTable(source=source, by_hops=tuple(tables), lengths=dict(tables[-1]))
 
 
-def _backward_min_lengths(
-    instance: PcsInstance,
-    target_state: tuple,
-    max_hops: int,
-    edge_ids,
-) -> list:
-    """B[h][(v, cfg)] = min length over walks of <= h edges from v, entered
-    with clamped config cfg, that end in target_state."""
-    # enumerate all configs once; transitions need cfg at the tail
-    all_cfgs = _enumerate_configs(instance)
-    step_cache = {}
-    for eid in edge_ids:
-        e = instance.edges[eid]
-        for cfg in all_cfgs:
-            step_cache[(eid, cfg)] = step_config(instance, cfg, e.res)
-    tables = [{target_state: Fraction(0)}]
-    current = tables[0]
-    for _ in range(max_hops):
-        nxt = dict(current)
-        changed = False
-        for eid in edge_ids:
-            e = instance.edges[eid]
-            for cfg in all_cfgs:
-                cfg2 = step_cache[(eid, cfg)]
-                if cfg2 is None:
-                    continue
-                down = current.get((e.head, cfg2))
-                if down is None:
-                    continue
-                cand = e.res[0] + down
-                state = (e.tail, cfg)
-                old = nxt.get(state)
-                if old is None or cand < old:
-                    nxt[state] = cand
-                    changed = True
-        tables.append(nxt)
-        current = nxt
-        if not changed:
-            while len(tables) <= max_hops:
-                tables.append(current)
-            break
-    return tables
+def _witness(instance: PcsInstance, edges, edge_ids, demand: Demand, theta, max_hops):
+    """Edge ids of the canonical feasible walk over `edges`, or None.
 
-
-def _enumerate_configs(instance: PcsInstance) -> list:
-    configs = [()]
-    for lo, hi in zip(*config_bounds(instance)):
-        configs = [cfg + (v,) for cfg in configs for v in range(lo, hi + 1)]
-    return configs
-
-
-def _lex_reconstruct(
-    instance: PcsInstance,
-    source: int,
-    target_state: tuple,
-    total_length: Fraction,
-    hop_budget: int,
-    edge_ids,
-) -> Walk:
-    """Lexicographically smallest edge-id sequence among walks from source to
-    target_state of length == total_length using <= hop_budget edges."""
-    back = _backward_min_lengths(instance, target_state, hop_budget, edge_ids)
-    out_by_tail = {}
-    for eid in edge_ids:
-        out_by_tail.setdefault(instance.edges[eid].tail, []).append(eid)
+    The forward tables give the feasible target state with the smallest
+    (length, hops, config); the backward tables over the reversed expanded
+    arcs then steer the lexicographically smallest optimal edge sequence.
+    They are exact for every state the steering reads: a walk of at most
+    `hops` edges only leaves states the forward search expanded.
+    """
+    bound = (
+        demand.budget[0]
+        if theta is None
+        else theta_relaxed_bound(demand.budget[0], Fraction(theta))
+    )
+    arcs, expanded = _successors(instance, edges, edge_ids)
+    start = (demand.source, zero_config(instance))
+    best = None
+    for h, tab in enumerate(_relax(arcs, start, max_hops)):
+        for (v, cfg), length in tab.items():
+            if v != demand.target or length > bound:
+                continue
+            if not config_feasible(instance, cfg, demand.budget):
+                continue
+            key = (length, h, cfg)
+            if best is None or key < best:
+                best = key
+    if best is None:
+        return None
+    length, hops, cfg = best
+    target = (demand.target, cfg)
+    reverse = {}
+    for state, out in expanded.items():
+        for eid, state2, step in out:
+            reverse.setdefault(state2, []).append((eid, state, step))
+    back = _relax(lambda s: reverse.get(s, ()), target, hops)
     walk = []
-    state = (source, zero_config(instance))
-    remaining = hop_budget
-    length_left = total_length
-    while True:
-        if state == target_state and length_left == 0:
-            return Walk(tuple(walk))
+    state = start
+    while state != target or length != 0:
+        remaining = hops - len(walk)
         if remaining == 0:
             raise AssertionError("witness reconstruction ran out of hops")
-        chosen = None
-        for eid in sorted(out_by_tail.get(state[0], ())):
-            e = instance.edges[eid]
-            cfg2 = step_config(instance, state[1], e.res)
-            if cfg2 is None:
-                continue
-            need = length_left - e.res[0]
-            cont = back[remaining - 1].get((e.head, cfg2))
-            if cont is not None and cont == need:
-                chosen = (eid, (e.head, cfg2), need)
+        ahead = back[min(remaining - 1, len(back) - 1)]
+        for eid, state2, step in arcs(state):
+            if ahead.get(state2) == length - step:
                 break
-        if chosen is None:
+        else:
             raise AssertionError("witness reconstruction dead end")
-        eid, state, length_left = chosen
         walk.append(eid)
-        remaining -= 1
+        state = state2
+        length -= step
+    return tuple(walk)
 
 
 def feasible_witness(
@@ -249,33 +251,9 @@ def feasible_witness(
     """
     if max_hops is None:
         max_hops = default_hop_cap(instance, config)
-    edge_ids = list(_allowed_edges(instance, edge_subset))
-    bound = (
-        demand.budget[0]
-        if theta is None
-        else theta_relaxed_bound(demand.budget[0], Fraction(theta))
-    )
-    table = shortest_lengths_from(
-        instance, demand.source, max_hops=max_hops, edge_subset=edge_ids, config=config
-    )
-    best = None
-    for h, tab in enumerate(table.by_hops):
-        for (v, cfg), length in tab.items():
-            if v != demand.target:
-                continue
-            if length > bound:
-                continue
-            if not config_feasible(instance, cfg, demand.budget):
-                continue
-            key = (length, h, cfg)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        return None
-    length, hops, cfg = best
-    return _lex_reconstruct(
-        instance, demand.source, (demand.target, cfg), length, hops, edge_ids
-    )
+    edge_ids = _allowed_edges(instance, edge_subset)
+    walk = _witness(instance, instance.edges, edge_ids, demand, theta, max_hops)
+    return None if walk is None else Walk(walk)
 
 
 def hop_bound(instance: PcsInstance, config: SolverConfig = DEFAULT_CONFIG) -> int:
@@ -337,42 +315,6 @@ def verify_solution(
     return report
 
 
-def intersection_instance(instance: PcsInstance, root: int):
-    """Two copies of the graph glued at `root`.
-
-    Walks from s in the plus copy to t in the minus copy are exactly the
-    s ~> root ~> t walks of the base graph.  Returns (glued instance without
-    demands, plus-map, minus-map, edge-id back map).
-    """
-    n = instance.n
-    plus = {v: v for v in range(n)}
-    minus = {}
-    next_id = n
-    for v in range(n):
-        if v == root:
-            minus[v] = plus[root]
-        else:
-            minus[v] = next_id
-            next_id += 1
-    edges = []
-    back = []
-    for eid, e in enumerate(instance.edges):
-        edges.append(Edge(plus[e.tail], plus[e.head], e.cost, e.res))
-        back.append(eid)
-    for eid, e in enumerate(instance.edges):
-        edges.append(Edge(minus[e.tail], minus[e.head], e.cost, e.res))
-        back.append(eid)
-    glued = PcsInstance(
-        n=next_id,
-        edges=tuple(edges),
-        demands=(),
-        tau=instance.tau,
-        packing=instance.packing,
-        covering=instance.covering,
-    )
-    return glued, plus, minus, back
-
-
 def through_root_witness(
     instance: PcsInstance,
     demand: Demand,
@@ -384,22 +326,23 @@ def through_root_witness(
 ) -> Walk | None:
     """A feasible (or theta-feasible) s ~> root ~> t walk, or None.
 
-    Runs the oracle on the two-copy intersection graph; the glued vertex
-    forces every witness through the root.  The returned walk is expressed
-    in base-instance edge ids.
+    Searches two copies of the graph glued at the root: edge eid joins the
+    plus copy (vertex ids unchanged), edge E + eid the minus copy (vertex v
+    becomes v + n, the root stays itself).  Every walk from s in the plus
+    copy to t in the minus copy passes the root; it maps back by gid % E.
     """
-    glued, plus, minus, back = intersection_instance(instance, root)
-    if edge_subset is None:
-        allowed = None
-    else:
-        wanted = set(edge_subset)
-        allowed = [gid for gid, beid in enumerate(back) if beid in wanted]
-    gdemand = Demand(plus[demand.source], minus[demand.target], demand.budget)
+    edge_ids = _allowed_edges(instance, edge_subset)
+    count = len(instance.edges)
+
+    def minus(v):
+        return v if v == root else v + instance.n
+
+    glued = list(instance.edges) + [
+        Edge(minus(e.tail), minus(e.head), e.cost, e.res) for e in instance.edges
+    ]
+    glued_ids = list(edge_ids) + [count + eid for eid in edge_ids]
     if max_hops is None:
         max_hops = 2 * default_hop_cap(instance, config)
-    witness = feasible_witness(
-        glued, gdemand, theta=theta, edge_subset=allowed, max_hops=max_hops, config=config
-    )
-    if witness is None:
-        return None
-    return Walk(tuple(back[gid] for gid in witness.edges))
+    gdemand = Demand(demand.source, minus(demand.target), demand.budget)
+    walk = _witness(instance, glued, glued_ids, gdemand, theta, max_hops)
+    return None if walk is None else Walk(tuple(gid % count for gid in walk))

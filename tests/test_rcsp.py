@@ -1,11 +1,12 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from pcspan.config import SolverConfig
 from pcspan.errors import ContractError, InfeasibleDemandError, InfeasibleWithinCapError
-from pcspan.model import Demand, ResourceVector, is_feasible, is_theta_feasible
-from pcspan.oracle import enumerate_feasible_walks
+from pcspan.model import Demand, Edge, ResourceVector, is_feasible, is_theta_feasible
+from pcspan.oracle import _enumerate_walks, enumerate_feasible_walks, through_root_candidates
 from pcspan.rcsp import (
     config_feasible,
     feasible_witness,
@@ -221,6 +222,56 @@ def test_oracle_agrees_with_enumeration_on_random_instances():
                 assert is_feasible(witness, d, inst)
 
 
+def canonical_walk(instance, demand, cap):
+    """The witness the oracle must return, by enumeration: among feasible
+    walks with at most `cap` edges take the smallest (length, edge count,
+    clamped config), then the lexicographically smallest edge tuple with that
+    length and config and at most that many edges."""
+    prune_length = all(e.res[0] >= 0 for e in instance.edges)
+    walks = _enumerate_walks(
+        instance, demand.source, demand.target, demand.budget, cap, 10**5, prune_length
+    )
+    if not walks:
+        return None
+
+    def clamped(res):
+        # packing entries are >= 0, so only covering entries move
+        return tuple(max(res[i], -instance.tau) for i in range(1, instance.dim))
+
+    length, hops, cfg = min((res[0], len(edges), clamped(res)) for edges, res in walks)
+    return min(
+        edges
+        for edges, res in walks
+        if res[0] == length and clamped(res) == cfg and len(edges) <= hops
+    )
+
+
+def unit_lengths(instance):
+    """The instance with every length set to 1, so that optimal walks tie."""
+    edges = tuple(
+        Edge(e.tail, e.head, e.cost, ResourceVector((Fraction(1),) + e.res.entries[1:]))
+        for e in instance.edges
+    )
+    return replace(instance, edges=edges)
+
+
+def test_witness_is_the_canonical_walk_on_random_instances():
+    cap = 6
+    found = 0
+    for seed in range(24):
+        regime = "integer" if seed % 2 else "rational-negative"
+        base = gen_pcs(
+            n=5, k=3, m=2, tau=2, regime=regime, seed=seed + 900, extra_edge_prob=0.6
+        )
+        for inst in (base, unit_lengths(base)):
+            for d in inst.demands:
+                expected = canonical_walk(inst, d, cap)
+                witness = feasible_witness(inst, d, max_hops=cap)
+                assert (None if witness is None else witness.edges) == expected
+                found += expected is not None
+    assert found > 100
+
+
 def test_monotonicity_under_subgraph_growth():
     for seed in range(8):
         inst = gen_pcs(n=5, k=2, m=1, tau=1, regime="integer", seed=seed + 100)
@@ -265,6 +316,30 @@ def test_through_root_witness_passes_root(tri_instance):
     ]
     assert 1 in verts
     assert is_feasible(w, tri_instance.demands[0], tri_instance)
+
+
+def test_through_root_witness_rejects_foreign_edges(tri_instance):
+    for subset in ([0, 1, 2, 99], [-1, 0]):
+        with pytest.raises(ContractError):
+            through_root_witness(tri_instance, tri_instance.demands[0], 1, edge_subset=subset)
+
+
+def test_through_root_witness_matches_candidates_on_random_instances():
+    cap = 5
+    outcomes = set()
+    for seed in range(6):
+        inst = gen_pcs(n=4, k=2, m=2, tau=1, regime="integer", seed=seed + 700)
+        for root in range(inst.n):
+            for d in inst.demands:
+                candidates = through_root_candidates(inst, d, root, cap=cap)
+                witness = through_root_witness(inst, d, root, max_hops=cap)
+                assert (witness is not None) == bool(candidates)
+                outcomes.add(witness is not None)
+                if witness is not None:
+                    verts = [d.source] + [inst.edges[eid].head for eid in witness.edges]
+                    assert root in verts
+                    assert is_feasible(witness, d, inst)
+    assert outcomes == {True, False}
 
 
 def test_through_root_witness_with_root_revisit():
