@@ -11,8 +11,7 @@ from fractions import Fraction
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError
 from .junction import min_density_junction_tree
-from .model import Edge, PcsInstance, Walk
-from .oracle import brute_force_min_density_junction, brute_force_opt
+from .model import Edge, PcsInstance
 from .rcsp import feasible_witness
 
 
@@ -138,23 +137,3 @@ def solve_pcs(
     returns a theta-feasible subgraph.
     """
     return greedy_density_loop(instance, mode, config)
-
-
-def density_lemma_check(instance: PcsInstance, config: SolverConfig = DEFAULT_CONFIG) -> dict:
-    """Exact witness for the sqrt(k) density bound on brute-forceable
-    instances: min junction density <= OPT / sqrt(k), compared exactly via
-    density^2 * k <= OPT^2."""
-    opt_cost, opt_edges = brute_force_opt(instance, config)
-    root, density, edges, members = brute_force_min_density_junction(instance, config)
-    k = len(instance.demands)
-    holds = density * density * k <= opt_cost * opt_cost
-    return {
-        "opt": opt_cost,
-        "opt_edges": sorted(opt_edges),
-        "min_density": density,
-        "density_root": root,
-        "density_edges": sorted(edges),
-        "density_members": members,
-        "k": k,
-        "holds": holds,
-    }

@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ContractError
+from .errors import ContractError, ResourceLimitError
 
 
 @dataclass
@@ -158,7 +158,8 @@ def enumerate_root_paths(half: LayeredGraph, state_vid, cap: int):
     """All level-respecting chains of exactly h closure steps linking a
     level-h state with the root copy at level 0 (repeats allowed via the
     zero-cost diagonal).  Sequences follow edge direction: up-half chains run
-    state -> root, down-half chains run root -> state.  Raises on cap."""
+    state -> root, down-half chains run root -> state.  Raises
+    ResourceLimitError past the cap."""
     if half.direction == "up":
         start, goal = state_vid, half.root
     else:
@@ -173,7 +174,7 @@ def enumerate_root_paths(half: LayeredGraph, state_vid, cap: int):
             if cur == goal:
                 paths.append(tuple(prefix))
                 if len(paths) > cap:
-                    raise ContractError(
+                    raise ResourceLimitError(
                         f"path enumeration exceeded cap {cap}; lower h or shrink the instance"
                     )
             return

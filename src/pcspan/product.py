@@ -7,12 +7,13 @@ the R side a walk from (r, 0, R) to (u, I, R) witnesses an r ~> u walk of
 clamped consumption I * delta; on the L side a walk from (u, I, L) to
 (r, 0, L) witnesses a u ~> r walk likewise.
 
-The graph belongs to the instance, not to a root: every vertex (the root
-included) carries all valid labels, so junction walks that revisit the root
-mid-way are tracked exactly, and a root enters only through its zero-label
-copies (``ProductGraph.root_copy``).  Resource coordinates step with the RCSP
-oracle's own clamped transition (``rcsp.step_config``), so both sides
-compute the same reachability relation.
+The graph belongs to the instance, not to a root: it holds every state that
+some vertex's zero-label copy reaches (R side) or that reaches one (L side),
+the root's own nonzero labels included, so junction walks that revisit the
+root mid-way are tracked exactly, and a root enters only through its
+zero-label copies (``ProductGraph.root_copy``).  Resource coordinates step
+with the RCSP oracle's own clamped transition (``rcsp.step_config``), so both
+sides compute the same reachability relation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import ContractError, ResourceLimitError
 from .model import PcsInstance, theta_relaxed_bound
-from .rcsp import _enumerate_configs, config_bounds, step_config, through_root_witness
+from .rcsp import _enumerate_configs, config_bounds, step_config
 from .scaling import ScaledInstance
 
 
@@ -118,7 +119,7 @@ class ProductGraph:
     problem: object  # PcsInstance or ScaledInstance
     bounds: LayerBounds
     labels: tuple  # all valid labels, sorted
-    vertex_ids: dict  # ("S", side, v, label) -> int id
+    vertex_ids: dict  # ("S", side, v, label) -> int id, reached states only
     vertex_keys: tuple  # int id -> key
     edges: tuple  # ProductEdge
     out_adj: tuple
@@ -143,7 +144,38 @@ def _enumerate_labels(instance: PcsInstance, bounds: LayerBounds) -> list:
     return sorted((t,) + cfg for t in lengths for cfg in _enumerate_configs(instance))
 
 
+def _reach_labels(instance, bounds, units, adj, other_end) -> dict:
+    """Label-setting search from every vertex's zero-label copy.
+
+    From a reached (v, lab) it steps ``lab`` over each edge in ``adj[v]`` to
+    (``other_end(edge)``, step); returns every reached state mapped to its
+    arcs (step state, edge id).
+    """
+    zero = (0,) * instance.dim
+    reached = {(v, zero): [] for v in range(instance.n)}
+    stack = list(reached)
+    while stack:
+        v, lab = state = stack.pop()
+        arcs = reached[state]
+        for eid in adj[v]:
+            nxt = step_label(instance, bounds, lab, eid, units[eid])
+            if nxt is None:
+                continue
+            key = (other_end(instance.edges[eid]), nxt)
+            arcs.append((key, eid))
+            if key not in reached:
+                reached[key] = []
+                stack.append(key)
+    return reached
+
+
 def build_product_graph(problem, config: SolverConfig = DEFAULT_CONFIG) -> ProductGraph:
+    """The states some zero-label copy reaches, and the edges among them.
+
+    R states are reached forward from some (v, 0, R); L states reach some
+    (v, 0, L).  Every per-root search stays inside these states, so dropping
+    the rest changes no reachability, and ids keep the global key order.
+    """
     instance = _base_of(problem)
     bounds = layer_bounds(problem)
     total_vertices = 2 * instance.n * bounds.label_count()
@@ -152,30 +184,35 @@ def build_product_graph(problem, config: SolverConfig = DEFAULT_CONFIG) -> Produ
             f"product graph would need {total_vertices} vertices "
             f"(cap {config.max_product_vertices})"
         )
-    labels = _enumerate_labels(instance, bounds)
+    units = [_edge_units(problem, eid) for eid in range(len(instance.edges))]
+    out_edges = [[] for _ in range(instance.n)]
+    in_edges = [[] for _ in range(instance.n)]
+    for eid, e in enumerate(instance.edges):
+        out_edges[e.tail].append(eid)
+        in_edges[e.head].append(eid)
+    # R side: (tail, lab) -> (head, step); the L edge (tail, step) -> (head, lab)
+    # is entered from its head, so the L search runs over in-edges
+    right = _reach_labels(instance, bounds, units, out_edges, lambda e: e.head)
+    left = _reach_labels(instance, bounds, units, in_edges, lambda e: e.tail)
     vertex_keys = tuple(
-        ("S", side, v, lab) for side in ("L", "R") for v in range(instance.n) for lab in labels
+        ("S", side, v, lab)
+        for side, states in (("L", left), ("R", right))
+        for v, lab in sorted(states)
     )
     vertex_ids = {key: vid for vid, key in enumerate(vertex_keys)}
 
     # parallel duplicates keep the cheapest (then smallest id)
     best = {}
-    for eid, e in enumerate(instance.edges):
-        units = _edge_units(problem, eid)
-        for lab in labels:
-            nxt = step_label(instance, bounds, lab, eid, units)
-            if nxt is None:
-                continue
-            # R side: (tail, lab) -> (head, nxt); L side: (tail, nxt) -> (head, lab)
-            pairs = (
-                (("S", "R", e.tail, lab), ("S", "R", e.head, nxt)),
-                (("S", "L", e.tail, nxt), ("S", "L", e.head, lab)),
-            )
-            for tail_key, head_key in pairs:
-                tv, hv = vertex_ids[tail_key], vertex_ids[head_key]
-                cur = best.get((tv, hv))
-                if cur is None or (e.cost, eid) < cur:
-                    best[(tv, hv)] = (e.cost, eid)
+    for side, states in (("L", left), ("R", right)):
+        for (v, lab), arcs in states.items():
+            here = vertex_ids[("S", side, v, lab)]
+            for (w, nxt), eid in arcs:
+                there = vertex_ids[("S", side, w, nxt)]
+                pair = (there, here) if side == "L" else (here, there)
+                cand = (instance.edges[eid].cost, eid)
+                cur = best.get(pair)
+                if cur is None or cand < cur:
+                    best[pair] = cand
     edges = tuple(ProductEdge(tv, hv, cost, eid) for (tv, hv), (cost, eid) in sorted(best.items()))
     out_adj = [[] for _ in vertex_keys]
     in_adj = [[] for _ in vertex_keys]
@@ -185,7 +222,7 @@ def build_product_graph(problem, config: SolverConfig = DEFAULT_CONFIG) -> Produ
     return ProductGraph(
         problem=problem,
         bounds=bounds,
-        labels=tuple(labels),
+        labels=tuple(_enumerate_labels(instance, bounds)),
         vertex_ids=vertex_ids,
         vertex_keys=vertex_keys,
         edges=edges,
@@ -229,12 +266,12 @@ def connectable_relation_pairs(pg: ProductGraph, reach_left: set, reach_right: s
         src_ok = [
             lab
             for lab in pg.labels
-            if pg.vertex_ids[("S", "L", d.source, lab)] in reach_left
+            if pg.vertex_ids.get(("S", "L", d.source, lab)) in reach_left
         ]
         snk_ok = [
             lab
             for lab in pg.labels
-            if pg.vertex_ids[("S", "R", d.target, lab)] in reach_right
+            if pg.vertex_ids.get(("S", "R", d.target, lab)) in reach_right
         ]
         pairs = [
             (i_lab, j_lab)
@@ -244,38 +281,3 @@ def connectable_relation_pairs(pg: ProductGraph, reach_left: set, reach_right: s
         ]
         out[di] = pairs
     return out
-
-
-def equivalence_check(
-    problem, root: int, config: SolverConfig = DEFAULT_CONFIG
-) -> dict:
-    """Compare product-graph relation-pair connectivity against the oracle's
-    through-root feasibility on the two-copy intersection graph.
-
-    In the scaled regime the oracle runs on the scaled graph with the same
-    theta relaxation the relation uses.
-    """
-    pg = build_product_graph(problem, config)
-    pairs = connectable_relation_pairs(
-        pg, states_reaching_root_left(pg, root), states_reachable_from_root_right(pg, root)
-    )
-    instance = _base_of(problem)
-    if isinstance(problem, ScaledInstance):
-        oracle_instance = problem.as_instance()
-        theta = problem.theta
-    else:
-        oracle_instance = problem
-        theta = None
-    report = {"root": root, "demands": [], "mismatches": 0}
-    for di, d in enumerate(instance.demands):
-        product_ok = bool(pairs[di])
-        witness = through_root_witness(
-            oracle_instance, oracle_instance.demands[di], root, theta=theta, config=config
-        )
-        oracle_ok = witness is not None
-        report["demands"].append(
-            {"demand": di, "product": product_ok, "oracle": oracle_ok}
-        )
-        if product_ok != oracle_ok:
-            report["mismatches"] += 1
-    return report

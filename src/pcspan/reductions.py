@@ -193,34 +193,6 @@ def routing_feasible_exists(rcs: RcsInstance, demand: RcsDemand) -> bool:
     )
 
 
-def essential_set_is_valid(rcs: RcsInstance, vertices, cap: int = 12) -> bool:
-    """Desk-scale premise check for essential-set solving: every demand's
-    every routing-feasible walk (up to the cap) touches the vertex set."""
-    wanted = set(vertices)
-    arc_heads = [e.head for e in rcs.edges]
-    adj = {}
-    for eid, e in enumerate(rcs.edges):
-        adj.setdefault(e.tail, []).append(eid)
-    for d in rcs.demands:
-        stack = [(d.source, (), 0)]
-        while stack:
-            v, edges, length = stack.pop()
-            if v == d.target and edges:
-                walk = Walk(edges)
-                if is_routing_feasible(walk, d, rcs):
-                    touched = {d.source} | {arc_heads[eid] for eid in edges}
-                    if not (touched & wanted):
-                        return False
-            if len(edges) >= cap:
-                continue
-            for eid in adj.get(v, ()):
-                nlen = length + rcs.edges[eid].length
-                if nlen > d.ctrl[0]:
-                    continue
-                stack.append((rcs.edges[eid].head, edges + (eid,), nlen))
-    return True
-
-
 @dataclass(frozen=True)
 class RcsReductionMap:
     """Coordinate bookkeeping: packing coords come from avoid groups, covering

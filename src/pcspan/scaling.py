@@ -95,22 +95,3 @@ def scaled_walk_resource(walk: Walk, scaled: ScaledInstance) -> ResourceVector:
     total_units = sum(scaled.units[eid] for eid in walk.edges)
     rest = walk_resource(walk, scaled.base).entries[1:]
     return ResourceVector((total_units * scaled.delta,) + tuple(rest))
-
-
-def check_scaling_claims(
-    instance: PcsInstance, scaled: ScaledInstance, walks
-) -> list:
-    """Exact per-walk checks: RES <= ScaledRes componentwise, and the total
-    rounding slack stays below theta * Bdgt_min.  Returns violations."""
-    numbers = condition_numbers(instance)
-    violations = []
-    for walk in walks:
-        if len(walk) >= scaled.hop_bound_value:
-            raise ContractError("scaling claims only cover walks shorter than the hop bound")
-        res = walk_resource(walk, instance)
-        sres = scaled_walk_resource(walk, scaled)
-        if not res.dominated_by(sres):
-            violations.append((walk, "scaled consumption fails to dominate"))
-        if sres[0] > res[0] + scaled.theta * numbers.bdgt_min:
-            violations.append((walk, "rounding slack exceeds theta * Bdgt_min"))
-    return violations

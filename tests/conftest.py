@@ -2,7 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from pcspan.config import DEFAULT_CONFIG, SolverConfig
 from pcspan.model import Demand, Edge, PcsInstance, ResourceVector
+from pcspan.oracle import brute_force_min_density_junction, brute_force_opt
+from pcspan.product import (
+    build_product_graph,
+    connectable_relation_pairs,
+    states_reachable_from_root_right,
+    states_reaching_root_left,
+)
+from pcspan.rcsp import through_root_witness
 from pcspan.reductions import (
     AVOID,
     MUST_VISIT,
@@ -11,6 +20,7 @@ from pcspan.reductions import (
     RcsGroup,
     RcsInstance,
 )
+from pcspan.scaling import ScaledInstance
 
 
 def fr(x) -> Fraction:
@@ -87,3 +97,51 @@ def double_loop_pcs(double_loop_rcs) -> PcsInstance:
 
     instance, _ = rcs_to_pcs(double_loop_rcs)
     return instance
+
+
+def equivalence_check(problem, root: int, config: SolverConfig = DEFAULT_CONFIG) -> dict:
+    """Compare product-graph relation-pair connectivity against the oracle's
+    through-root feasibility on the two-copy intersection graph.
+
+    In the scaled regime the oracle runs on the scaled graph with the same
+    theta relaxation the relation uses.
+    """
+    pg = build_product_graph(problem, config)
+    pairs = connectable_relation_pairs(
+        pg, states_reaching_root_left(pg, root), states_reachable_from_root_right(pg, root)
+    )
+    if isinstance(problem, ScaledInstance):
+        oracle_instance = problem.as_instance()
+        theta = problem.theta
+    else:
+        oracle_instance = problem
+        theta = None
+    report = {"root": root, "demands": [], "mismatches": 0}
+    for di, d in enumerate(oracle_instance.demands):
+        product_ok = bool(pairs[di])
+        witness = through_root_witness(oracle_instance, d, root, theta=theta, config=config)
+        oracle_ok = witness is not None
+        report["demands"].append({"demand": di, "product": product_ok, "oracle": oracle_ok})
+        if product_ok != oracle_ok:
+            report["mismatches"] += 1
+    return report
+
+
+def density_lemma_check(instance: PcsInstance, config: SolverConfig = DEFAULT_CONFIG) -> dict:
+    """Exact witness for the sqrt(k) density bound on brute-forceable
+    instances: min junction density <= OPT / sqrt(k), compared exactly via
+    density^2 * k <= OPT^2."""
+    opt_cost, opt_edges = brute_force_opt(instance, config)
+    root, density, edges, members = brute_force_min_density_junction(instance, config)
+    k = len(instance.demands)
+    holds = density * density * k <= opt_cost * opt_cost
+    return {
+        "opt": opt_cost,
+        "opt_edges": sorted(opt_edges),
+        "min_density": density,
+        "density_root": root,
+        "density_edges": sorted(edges),
+        "density_members": members,
+        "k": k,
+        "holds": holds,
+    }

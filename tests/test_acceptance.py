@@ -15,10 +15,10 @@ import pytest
 from pcspan.config import SolverConfig
 from pcspan.density_lp import prune
 from pcspan.generate import gen_hopset, gen_pcs, gen_rcs
-from pcspan.greedy import density_lemma_check, solve_pcs
+from pcspan.greedy import solve_pcs
 from pcspan.model import Demand, ResourceVector, Walk, is_theta_feasible, theta_relaxed_bound
 from pcspan.oracle import brute_force_opt, enumerate_feasible_walks
-from pcspan.product import build_product_graph, equivalence_check, relation_holds
+from pcspan.product import build_product_graph, relation_holds
 from pcspan.rcsp import feasible_witness
 from pcspan.reductions import (
     is_routing_feasible,
@@ -32,7 +32,7 @@ from pcspan.reductions import (
 from pcspan.scaling import round_lengths_to_delta, scale_instance
 from pcspan.cli import main as cli_main
 
-from conftest import make_instance
+from conftest import density_lemma_check, equivalence_check, make_instance
 
 # criterion 6 medians recorded on the frozen suite before the main build;
 # any median above BASELINE_MEDIAN * 1.1 is a regression

@@ -1,5 +1,7 @@
 import json
+from dataclasses import replace
 
+from pcspan import cli
 from pcspan import io as pio
 from pcspan.cli import main
 from pcspan.generate import gen_pcs
@@ -108,6 +110,17 @@ def test_verify_failure_exits_4(tri_instance, tmp_path):
     broken["witnesses"] = {"0": [2]}
     report_path.write_text(json.dumps(broken))
     assert run(["--mode", "verify", str(inst_path), "--report", str(report_path)]) == 4
+
+
+def test_path_cap_exits_5(tmp_path, monkeypatch):
+    inst = gen_pcs(n=8, k=4, m=1, tau=1, regime="integer", seed=1, budget_slack=1)
+    inst_path = tmp_path / "paths.json"
+    pio.write_json(str(inst_path), pio.pcs_to_dict(inst))
+    make_config = cli.make_config
+    monkeypatch.setattr(
+        cli, "make_config", lambda args: replace(make_config(args), max_paths_per_terminal=1)
+    )
+    assert run(["--mode", "pcs-int", str(inst_path)]) == 5
 
 
 def test_junction_mode(tri_instance, tmp_path):

@@ -2,12 +2,12 @@ from fractions import Fraction
 
 from pcspan.config import SolverConfig
 from pcspan.generate import gen_pcs
-from pcspan.greedy import density_lemma_check, solve_pcs
+from pcspan.greedy import solve_pcs
 from pcspan.model import is_feasible
 from pcspan.oracle import brute_force_opt
 from pcspan.rcsp import feasible_witness
 
-from conftest import make_instance
+from conftest import density_lemma_check, make_instance
 
 
 def test_single_demand_single_iteration(tri_instance):

@@ -6,11 +6,11 @@ from pcspan.config import SolverConfig
 from pcspan.errors import ContractError, EssentialityViolationError, InternalInvariantError
 from pcspan.generate import gen_pcs
 from pcspan.junction import essential_set_mode, min_density_junction_tree
-from pcspan.model import is_feasible, is_theta_feasible
+from pcspan.model import Walk, is_feasible, is_theta_feasible
 from pcspan.oracle import brute_force_min_density_junction
 from pcspan.product import build_product_graph
 from pcspan.rcsp import through_root_witness
-from pcspan.reductions import rcs_to_pcs
+from pcspan.reductions import is_routing_feasible, rcs_to_pcs
 
 from conftest import make_instance
 
@@ -129,6 +129,34 @@ def test_root_enumeration_completeness(tri_instance):
     assert full.density == best.density
 
 
+def essential_set_is_valid(rcs, vertices, cap: int = 12) -> bool:
+    """Desk-scale premise check for essential-set solving: every demand's
+    every routing-feasible walk (up to the cap) touches the vertex set."""
+    wanted = set(vertices)
+    arc_heads = [e.head for e in rcs.edges]
+    adj = {}
+    for eid, e in enumerate(rcs.edges):
+        adj.setdefault(e.tail, []).append(eid)
+    for d in rcs.demands:
+        stack = [(d.source, (), 0)]
+        while stack:
+            v, edges, length = stack.pop()
+            if v == d.target and edges:
+                walk = Walk(edges)
+                if is_routing_feasible(walk, d, rcs):
+                    touched = {d.source} | {arc_heads[eid] for eid in edges}
+                    if not (touched & wanted):
+                        return False
+            if len(edges) >= cap:
+                continue
+            for eid in adj.get(v, ()):
+                nlen = length + rcs.edges[eid].length
+                if nlen > d.ctrl[0]:
+                    continue
+                stack.append((rcs.edges[eid].head, edges + (eid,), nlen))
+    return True
+
+
 def test_essential_set_premise_checker():
     from pcspan.reductions import (
         MUST_VISIT,
@@ -136,7 +164,6 @@ def test_essential_set_premise_checker():
         RcsEdge,
         RcsGroup,
         RcsInstance,
-        essential_set_is_valid,
     )
 
     rcs = RcsInstance(
@@ -155,8 +182,6 @@ def test_essential_set_premise_checker():
 
 def test_essential_set_single_root(double_loop_rcs):
     # every routing-feasible (a, e) walk passes c = vertex 2
-    from pcspan.reductions import essential_set_is_valid
-
     assert essential_set_is_valid(double_loop_rcs, {2})
     report = essential_set_mode(double_loop_rcs, {2})
     assert report.verified

@@ -5,12 +5,13 @@ import pytest
 
 from pcspan.config import SolverConfig
 from pcspan.errors import ContractError, ResourceLimitError
-from pcspan.generate import gen_pcs
+from pcspan.generate import gen_pcs, gen_rcs
 from pcspan.model import Walk, is_feasible, walk_resource
 from pcspan.product import (
+    ProductEdge,
+    ProductGraph,
     build_product_graph,
     connectable_relation_pairs,
-    equivalence_check,
     layer_bounds,
     relation_holds,
     states_reachable_from_root_right,
@@ -18,9 +19,10 @@ from pcspan.product import (
     step_label,
 )
 from pcspan.rcsp import config_count
-from pcspan.scaling import scale_instance
+from pcspan.reductions import rcs_to_pcs
+from pcspan.scaling import ScaledInstance, scale_instance
 
-from conftest import make_instance
+from conftest import equivalence_check, make_instance
 
 
 def test_layer_bounds_integer_regime(tri_instance):
@@ -90,8 +92,124 @@ def _analytic_state_edge_count(instance):
 
 
 def test_analytic_edge_count_matches(tri_instance):
-    pg = build_product_graph(tri_instance)
-    assert len(pg.edges) == _analytic_state_edge_count(tri_instance)
+    full = _full_product_graph(tri_instance)
+    assert len(full.edges) == _analytic_state_edge_count(tri_instance)
+    _keys, edges, _adj = _restricted_view(full)
+    assert len(build_product_graph(tri_instance).edges) == len(edges)
+
+
+def _full_product_graph(problem) -> ProductGraph:
+    """Reference build: every valid label at every vertex, every edge stepped
+    from every label (the graph before restriction to reached states)."""
+    scaled = isinstance(problem, ScaledInstance)
+    instance = problem.base if scaled else problem
+    bounds = layer_bounds(problem)
+    labels = list(product(*(range(lo, hi + 1) for lo, hi in zip(bounds.lower, bounds.upper))))
+    vertex_keys = tuple(
+        ("S", side, v, lab) for side in ("L", "R") for v in range(instance.n) for lab in labels
+    )
+    vertex_ids = {key: vid for vid, key in enumerate(vertex_keys)}
+    best = {}
+    for eid, e in enumerate(instance.edges):
+        units = problem.units[eid] if scaled else int(e.res[0])
+        for lab in labels:
+            nxt = step_label(instance, bounds, lab, eid, units)
+            if nxt is None:
+                continue
+            pairs = (
+                (("S", "R", e.tail, lab), ("S", "R", e.head, nxt)),
+                (("S", "L", e.tail, nxt), ("S", "L", e.head, lab)),
+            )
+            for tail_key, head_key in pairs:
+                tv, hv = vertex_ids[tail_key], vertex_ids[head_key]
+                cur = best.get((tv, hv))
+                if cur is None or (e.cost, eid) < cur:
+                    best[(tv, hv)] = (e.cost, eid)
+    edges = tuple(ProductEdge(tv, hv, cost, eid) for (tv, hv), (cost, eid) in sorted(best.items()))
+    out_adj = [[] for _ in vertex_keys]
+    in_adj = [[] for _ in vertex_keys]
+    for idx, pe in enumerate(edges):
+        out_adj[pe.tail].append(idx)
+        in_adj[pe.head].append(idx)
+    return ProductGraph(
+        problem=problem,
+        bounds=bounds,
+        labels=tuple(labels),
+        vertex_ids=vertex_ids,
+        vertex_keys=vertex_keys,
+        edges=edges,
+        out_adj=tuple(tuple(a) for a in out_adj),
+        in_adj=tuple(tuple(a) for a in in_adj),
+    )
+
+
+def _root_sets(pg, root):
+    return states_reaching_root_left(pg, root), states_reachable_from_root_right(pg, root)
+
+
+def _restricted_view(pg, keep=None):
+    """(vertex keys, edges, adjacency) of ``pg`` restricted to ``keep`` (by
+    default every state on some root's L or R side), all in key terms."""
+    if keep is None:
+        keep = set()
+        for root in range(pg.instance.n):
+            left, right = _root_sets(pg, root)
+            keep |= left | right
+
+    def edge(idx):
+        pe = pg.edges[idx]
+        return (pg.vertex_keys[pe.tail], pg.vertex_keys[pe.head], pe.cost, pe.base_edge)
+
+    def inside(idx):
+        return pg.edges[idx].tail in keep and pg.edges[idx].head in keep
+
+    keys = [key for vid, key in enumerate(pg.vertex_keys) if vid in keep]
+    edges = [edge(idx) for idx in range(len(pg.edges)) if inside(idx)]
+    adj = {
+        pg.vertex_keys[vid]: (
+            [edge(idx) for idx in pg.out_adj[vid] if inside(idx)],
+            [edge(idx) for idx in pg.in_adj[vid] if inside(idx)],
+        )
+        for vid in sorted(keep)
+    }
+    return keys, edges, adj
+
+
+def _reference_problems(tri_instance):
+    yield tri_instance
+    # parallel duplicates: the cheapest is neither the first nor the last
+    yield make_instance(
+        n=3,
+        edges=[(0, 1, c, (1, 0)) for c in (7, 2, 5, 2)] + [(1, 2, 1, (1, 1))],
+        demands=[(0, 2, (3, 1))],
+        tau=1,
+        packing=1,
+        covering=0,
+    )
+    for seed in (3, 8, 21):
+        yield gen_pcs(n=5, k=2, m=2, tau=1, regime="integer", seed=seed)
+    scaled = scale_instance(
+        gen_pcs(n=4, k=1, m=1, tau=1, regime="rational-negative", seed=205), Fraction(1, 2)
+    )
+    assert min(scaled.units) < 0
+    yield scaled
+    rcs = gen_rcs(n=5, k=2, must_visit=1, avoid=1, seed=3003, max_group_size=3)
+    yield rcs_to_pcs(rcs)[0]
+
+
+def test_build_is_the_full_graph_restricted_to_root_reachable_states(tri_instance):
+    for problem in _reference_problems(tri_instance):
+        full = _full_product_graph(problem)
+        pg = build_product_graph(problem)
+        keys, edges, adj = _restricted_view(full)
+        assert list(pg.vertex_keys) == keys
+        assert _restricted_view(pg, set(range(len(pg.vertex_keys)))) == (keys, edges, adj)
+        assert pg.labels == full.labels
+        assert len(pg.vertex_keys) < len(full.vertex_keys)
+        for root in range(pg.instance.n):
+            assert connectable_relation_pairs(pg, *_root_sets(pg, root)) == (
+                connectable_relation_pairs(full, *_root_sets(full, root))
+            )
 
 
 def test_memory_guard():
@@ -112,7 +230,7 @@ def test_memory_guard_counts_states_only(tri_instance):
     states = 2 * tri_instance.n * layer_bounds(tri_instance).label_count()
     assert states == 36
     pg = build_product_graph(tri_instance, SolverConfig(max_product_vertices=states))
-    assert len(pg.vertex_keys) == states
+    assert len(pg.vertex_keys) <= states
     with pytest.raises(ResourceLimitError):
         build_product_graph(tri_instance, SolverConfig(max_product_vertices=states - 1))
 

@@ -4,17 +4,34 @@ import pytest
 
 from pcspan.errors import ContractError
 from pcspan.generate import gen_pcs
-from pcspan.model import Walk, is_theta_feasible, walk_resource
+from pcspan.model import Walk, condition_numbers, is_theta_feasible, walk_resource
 from pcspan.oracle import enumerate_feasible_walks
 from pcspan.rcsp import feasible_witness
 from pcspan.scaling import (
-    check_scaling_claims,
+    ScaledInstance,
     compute_delta,
     scale_instance,
     scaled_walk_resource,
 )
 
 from conftest import make_instance
+
+
+def check_scaling_claims(instance, scaled: ScaledInstance, walks) -> list:
+    """Exact per-walk checks: RES <= ScaledRes componentwise, and the total
+    rounding slack stays below theta * Bdgt_min.  Returns violations."""
+    numbers = condition_numbers(instance)
+    violations = []
+    for walk in walks:
+        if len(walk) >= scaled.hop_bound_value:
+            raise ContractError("scaling claims only cover walks shorter than the hop bound")
+        res = walk_resource(walk, instance)
+        sres = scaled_walk_resource(walk, scaled)
+        if not res.dominated_by(sres):
+            violations.append((walk, "scaled consumption fails to dominate"))
+        if sres[0] > res[0] + scaled.theta * numbers.bdgt_min:
+            violations.append((walk, "rounding slack exceeds theta * Bdgt_min"))
+    return violations
 
 
 def chain_instance(budget0, lengths, tau=0):

@@ -55,4 +55,4 @@ def test_traced_solve_reaches_the_product_hooks(tracer_module):
     # root resolves something) the two useful-state searches
     assert calls["product.reach"] >= 3 * calls["junction.root"]
     assert tr.counts["product.reached"] > 0
-    assert tr.counts["product.vertices"] == tr.counts["product.states"]
+    assert tr.counts["product.vertices"] <= tr.counts["product.states"]
