@@ -1,16 +1,23 @@
-"""Linear-program solving: HiGHS finds an optimal basis, Fractions certify it.
+"""Linear-program solving: HiGHS solves in floats, integers certify.
 
-`solve_highs` runs scipy's bundled HiGHS and returns only its optimal basis.
-`solve_exact` solves that basis's primal and dual systems in exact rationals
-and checks primal feasibility, dual feasibility and complementary slackness
-exactly (Applegate, Cook, Dash & Espinoza, "Exact solutions to linear
-programming problems", 2007), so downstream pruning never consumes an
-uncertified float.
+`solve_highs` runs scipy's bundled HiGHS and returns its optimal basis with
+its float primal values and row duals.  `solve_exact` reconstructs the basic
+primal values and the tight-row duals as small-denominator rationals
+(continued fractions, as in Gleixner, Steffy & Wolter, "Iterative refinement
+for linear programming", INFORMS JoC 2016) and certifies primal feasibility,
+dual feasibility and complementary slackness exactly in integer arithmetic
+(Applegate, Cook, Dash & Espinoza, "Exact solutions to linear programming
+problems", 2007).  Only when that certificate fails does it solve the basis's
+primal and dual systems by `Fraction` elimination, and it puts that result
+through the same check, so downstream pruning never consumes an uncertified
+float.
 """
 
 from __future__ import annotations
 
 import heapq
+import logging
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -18,6 +25,13 @@ from itertools import accumulate
 from scipy.optimize._highspy import _core as highs
 
 from .errors import InternalInvariantError
+
+log = logging.getLogger("pcspan.lpsolve")
+
+# largest denominator rational reconstruction tries for a HiGHS value
+RECONSTRUCT_LIMIT = 10**6
+
+_ZERO = Fraction(0)
 
 
 @dataclass
@@ -45,30 +59,25 @@ class LpSolution:
     objective: Fraction
 
 
-def _row_value(row: dict, values) -> Fraction:
-    return sum((c * values[j] for j, c in row.items() if values[j]), Fraction(0))
-
-
-def residuals(lp: LinearProgram, values) -> tuple:
-    """(max |eq residual|, max positive ub violation), exact arithmetic."""
-    eq = max((abs(_row_value(row, values) - rhs) for row, rhs in lp.eq_rows), default=0)
-    ub = max((_row_value(row, values) - rhs for row, rhs in lp.ub_rows), default=0)
-    return Fraction(eq), Fraction(max(ub, -min(values, default=0), 0))
-
-
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """The exact optimum at the optimal basis HiGHS reports."""
-    return solve_exact(lp, solve_highs(lp))
+    basis, guess = solve_highs(lp)
+    return solve_exact(lp, basis, guess)
 
 
 def solve_highs(lp: LinearProgram) -> tuple:
-    """(basic columns, tight rows) of HiGHS's optimal basis; rows are
-    numbered eq rows first, then ub rows."""
+    """((basic columns, tight rows), (column values, row duals)) of HiGHS's
+    optimal solution; rows are numbered eq rows first, then ub rows, and the
+    values are floats."""
     rows = lp.eq_rows + lp.ub_rows
     columns = [[] for _ in range(lp.num_vars)]
+    # v.numerator / v.denominator is float(v) without the numbers dispatch
     for i, (row, _rhs) in enumerate(rows):
         for j, v in row.items():
-            columns[j].append((i, float(v)))
+            columns[j].append((i, v.numerator / v.denominator))
+    cost = [0.0] * lp.num_vars
+    for j, c in lp.objective.items():
+        cost[j] = c.numerator / c.denominator
     model = highs.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = lp.num_vars
     model.num_row_ = model.a_matrix_.num_row_ = len(rows)
@@ -77,11 +86,12 @@ def solve_highs(lp: LinearProgram) -> tuple:
     model.a_matrix_.index_ = [i for col in columns for i, _v in col]
     model.a_matrix_.value_ = [v for col in columns for _i, v in col]
     inf = highs.kHighsInf
-    model.col_cost_ = [float(lp.objective.get(j, 0)) for j in range(lp.num_vars)]
+    model.col_cost_ = cost
     model.col_lower_ = [0.0] * lp.num_vars
     model.col_upper_ = [inf] * lp.num_vars
-    model.row_lower_ = [float(b) for _row, b in lp.eq_rows] + [-inf] * len(lp.ub_rows)
-    model.row_upper_ = [float(b) for _row, b in rows]
+    upper = [b.numerator / b.denominator for _row, b in rows]
+    model.row_lower_ = upper[: len(lp.eq_rows)] + [-inf] * len(lp.ub_rows)
+    model.row_upper_ = upper
     solver = highs._Highs()
     solver.setOptionValue("output_flag", False)
     solver.passModel(model)
@@ -90,50 +100,143 @@ def solve_highs(lp: LinearProgram) -> tuple:
     if status != highs.HighsModelStatus.kOptimal:
         raise InternalInvariantError(f"LP solve failed: {solver.modelStatusToString(status)}")
     basis = solver.getBasis()
+    solution = solver.getSolution()
+    # getBasis and getSolution return copies.  Freeing HiGHS's model and
+    # factorization before any Python list is built keeps the benchmark's
+    # peak RSS on pcs-int flat; left to the destructor, it rose by about 1 MB.
+    solver.clear()
     basic = highs.HighsBasisStatus.kBasic
     return (
-        [j for j, s in enumerate(basis.col_status) if s == basic],
-        [i for i, s in enumerate(basis.row_status) if s != basic],
+        (
+            [j for j, s in enumerate(basis.col_status) if s == basic],
+            [i for i, s in enumerate(basis.row_status) if s != basic],
+        ),
+        (solution.col_value, solution.row_dual),
     )
 
 
-def solve_exact(lp: LinearProgram, basis: tuple) -> LpSolution:
-    """Exact primal and dual solutions at `basis`, certified optimal."""
+def solve_exact(lp: LinearProgram, basis: tuple, guess: tuple | None = None) -> LpSolution:
+    """The exact solution at `basis`, certified optimal.
+
+    `guess` is HiGHS's (column values, row duals); its basic values and
+    tight-row duals are reconstructed as rationals and certified.  Without
+    a guess, or when its certificate fails, the basis's primal and dual
+    systems are solved by elimination and certified the same way.
+    """
     basic, tight = basis
-    rows = lp.eq_rows + lp.ub_rows
-    coef = {i: {j: Fraction(v) for j, v in rows[i][0].items()} for i in tight}
-    basic_set = set(basic)
-    primal = _solve_square(
-        [{j: v for j, v in coef[i].items() if j in basic_set} for i in tight],
-        [rows[i][1] for i in tight],
-        basic,
+    if guess is None:
+        failed = "no float solution given"
+    else:
+        col_value, row_dual = guess
+        primal = {j: _reconstruct(col_value[j]) for j in basic}
+        dual = {i: _reconstruct(row_dual[i]) for i in tight}
+        try:
+            _certify(lp, basis, primal, dual)
+        except InternalInvariantError as exc:
+            failed = str(exc)
+        else:
+            return _solution(lp, primal)
+    log.debug(
+        "LP with %d rows and %d columns: %s; solving the basis by elimination",
+        len(lp.eq_rows) + len(lp.ub_rows),
+        lp.num_vars,
+        failed,
     )
-    values = [Fraction(0)] * lp.num_vars
+    primal, dual = _eliminate(lp, basic, tight)
+    _certify(lp, basis, primal, dual)
+    return _solution(lp, primal)
+
+
+def _reconstruct(v: float) -> Fraction:
+    """The rational a float solution value stands for: the nearest integer
+    within 1e-9, else the best approximation with denominator at most
+    RECONSTRUCT_LIMIT (a continued-fraction convergent)."""
+    r = round(v)
+    if abs(v - r) <= 1e-9:
+        return Fraction(r) if r else _ZERO
+    return Fraction(v).limit_denominator(RECONSTRUCT_LIMIT)
+
+
+def _solution(lp: LinearProgram, primal: dict) -> LpSolution:
+    values = [_ZERO] * lp.num_vars
+    objective = _ZERO
     for j, v in primal.items():
         values[j] = v
-    if residuals(lp, values) != (0, 0):
-        raise InternalInvariantError("LP basis solution is not primal feasible")
+        if v and j in lp.objective:
+            objective += lp.objective[j] * v
+    return LpSolution(values=values, objective=objective)
+
+
+def _certify(lp: LinearProgram, basis: tuple, primal: dict, dual: dict) -> None:
+    """Raise InternalInvariantError unless `primal` (basic column -> value,
+    every other column 0) and `dual` (tight row -> value, every other row 0)
+    prove each other optimal.
+
+    The primal is scaled by the lcm of its denominators, and the reduced
+    costs by the lcm of the dual and objective denominators, so with integer
+    constraint coefficients every sum below is over integers.  A pass means
+    primal feasibility, dual feasibility and complementary slackness: the
+    primal is nonzero only on basic columns, whose reduced costs are 0, and
+    the dual only on tight rows, which hold with equality.
+    """
+    basic, tight = basis
+    num_eq = len(lp.eq_rows)
+    rows = lp.eq_rows + lp.ub_rows
+    scale = math.lcm(*(v.denominator for v in primal.values()))
+    x = {j: v.numerator * (scale // v.denominator) for j, v in primal.items() if v}
+    if any(v < 0 for v in x.values()):
+        raise InternalInvariantError("LP solution is not primal feasible: a value is negative")
+    tight = set(tight)
+    for i, (row, rhs) in enumerate(rows):
+        lhs = 0
+        for j, a in row.items():
+            if j in x:
+                lhs += a * x[j]
+        lhs *= rhs.denominator
+        bound = rhs.numerator * scale
+        if i < num_eq or i in tight:
+            if lhs != bound:
+                raise InternalInvariantError(
+                    "LP solution is not primal feasible: an equality or tight row is not met"
+                )
+        elif lhs > bound:
+            raise InternalInvariantError("LP solution is not primal feasible: a <= row is violated")
+    dscale = math.lcm(
+        *(y.denominator for y in dual.values()),
+        *(c.denominator for c in lp.objective.values()),
+    )
+    y = {i: v.numerator * (dscale // v.denominator) for i, v in dual.items() if v}
+    if any(v > 0 for i, v in y.items() if i >= num_eq):
+        raise InternalInvariantError("LP solution has a positive dual on a <= row")
+    reduced = {j: c.numerator * (dscale // c.denominator) for j, c in lp.objective.items()}
+    for i, v in y.items():
+        for j, a in rows[i][0].items():
+            reduced[j] = reduced.get(j, 0) - v * a
+    if any(r < 0 for r in reduced.values()):
+        raise InternalInvariantError("LP solution has a negative reduced cost")
+    if any(reduced.get(j) for j in basic):
+        raise InternalInvariantError("LP solution has a nonzero reduced cost on a basic column")
+
+
+def _eliminate(lp: LinearProgram, basic: list, tight: list) -> tuple:
+    """(primal, dual) at the basis: B x = b over the tight rows and
+    B^T y = c over the basic columns, solved in Fractions."""
+    rows = lp.eq_rows + lp.ub_rows
+    basic_set = set(basic)
+    coef = {
+        i: {j: Fraction(v) for j, v in rows[i][0].items() if j in basic_set} for i in tight
+    }
+    primal = _solve_square([coef[i] for i in tight], [rows[i][1] for i in tight], basic)
     transposed = {j: {} for j in basic}
     for i in tight:
         for j, v in coef[i].items():
-            if j in basic_set:
-                transposed[j][i] = v
+            transposed[j][i] = v
     dual = _solve_square(
         [transposed[j] for j in basic],
         [Fraction(lp.objective.get(j, 0)) for j in basic],
         tight,
     )
-    num_eq = len(lp.eq_rows)
-    if any(y > 0 for i, y in dual.items() if i >= num_eq):
-        raise InternalInvariantError("LP basis has a positive dual on a <= row")
-    reduced = {j: Fraction(c) for j, c in lp.objective.items()}
-    for i, y in dual.items():
-        if y:
-            for j, v in coef[i].items():
-                reduced[j] = reduced.get(j, Fraction(0)) - y * v
-    if any(r < 0 for r in reduced.values()):
-        raise InternalInvariantError("LP basis has a negative reduced cost")
-    return LpSolution(values=values, objective=_row_value(lp.objective, values))
+    return primal, dual
 
 
 def _solve_square(rows: list, rhs: list, unknowns: list) -> dict:

@@ -19,8 +19,9 @@ sides compute the same reachability relation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import ContractError, ResourceLimitError
@@ -124,6 +125,17 @@ class ProductGraph:
     edges: tuple  # ProductEdge
     out_adj: tuple
     in_adj: tuple
+    # (side, v) -> the contiguous run of its state ids, in label order
+    runs: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # vertex_keys is sorted by (side, v, label)
+        self.runs = {}
+        start = 0
+        for owner, group in groupby(self.vertex_keys, key=lambda key: key[1:3]):
+            stop = start + sum(1 for _ in group)
+            self.runs[owner] = range(start, stop)
+            start = stop
 
     @property
     def instance(self) -> PcsInstance:
@@ -264,14 +276,14 @@ def connectable_relation_pairs(pg: ProductGraph, reach_left: set, reach_right: s
     for di, d in enumerate(instance.demands):
         box = pg.budget_units(di)
         src_ok = [
-            lab
-            for lab in pg.labels
-            if pg.vertex_ids.get(("S", "L", d.source, lab)) in reach_left
+            pg.vertex_keys[vid][3]
+            for vid in pg.runs.get(("L", d.source), ())
+            if vid in reach_left
         ]
         snk_ok = [
-            lab
-            for lab in pg.labels
-            if pg.vertex_ids.get(("S", "R", d.target, lab)) in reach_right
+            pg.vertex_keys[vid][3]
+            for vid in pg.runs.get(("R", d.target), ())
+            if vid in reach_right
         ]
         pairs = [
             (i_lab, j_lab)

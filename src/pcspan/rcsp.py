@@ -287,9 +287,24 @@ def hop_bound(instance: PcsInstance, config: SolverConfig = DEFAULT_CONFIG) -> i
 
 
 def validate_demands(instance: PcsInstance, config: SolverConfig = DEFAULT_CONFIG):
-    """Reject instances with an infeasible demand (problem undefined)."""
+    """Reject instances with an infeasible demand (problem undefined).
+
+    Demands sharing a source share one table; a demand is feasible iff its
+    target holds a state within budget (the tables are cumulative, so the
+    last one decides).
+    """
+    lengths_from = {}
     for d in instance.demands:
-        if feasible_witness(instance, d, config=config) is None:
+        lengths = lengths_from.get(d.source)
+        if lengths is None:
+            lengths = shortest_lengths_from(instance, d.source, config=config).lengths
+            lengths_from[d.source] = lengths
+        if not any(
+            v == d.target
+            and length <= d.budget[0]
+            and config_feasible(instance, cfg, d.budget)
+            for (v, cfg), length in lengths.items()
+        ):
             raise InfeasibleDemandError(
                 f"demand ({d.source},{d.target}) admits no feasible walk"
             )

@@ -1,3 +1,4 @@
+import logging
 import random
 from fractions import Fraction
 
@@ -8,12 +9,25 @@ from pcspan.errors import InternalInvariantError
 from pcspan.generate import gen_pcs
 from pcspan.junction import build_label_cover
 from pcspan.lpsolve import (
+    RECONSTRUCT_LIMIT,
     LinearProgram,
     LpSolution,
-    residuals,
+    _certify,
     solve_exact,
+    solve_highs,
     solve_lp,
 )
+
+
+def _row_value(row: dict, values) -> Fraction:
+    return sum((c * values[j] for j, c in row.items() if values[j]), Fraction(0))
+
+
+def residuals(lp: LinearProgram, values) -> tuple:
+    """(max |eq residual|, max positive ub violation), exact arithmetic."""
+    eq = max((abs(_row_value(row, values) - rhs) for row, rhs in lp.eq_rows), default=0)
+    ub = max((_row_value(row, values) - rhs for row, rhs in lp.ub_rows), default=0)
+    return Fraction(eq), Fraction(max(ub, -min(values, default=0), 0))
 
 
 def reference_simplex(lp: LinearProgram) -> LpSolution:
@@ -217,6 +231,99 @@ def test_exact_rejects_a_basis_it_cannot_certify():
         solve_exact(lp, ([0, 1], [0, 1]))
     with pytest.raises(InternalInvariantError, match="not square"):
         solve_exact(lp, ([0], [0, 1]))
+
+
+def _fallbacks(caplog) -> list:
+    return [r for r in caplog.records if "elimination" in r.getMessage()]
+
+
+def test_highs_solution_is_certified_without_elimination(caplog):
+    caplog.set_level(logging.DEBUG, logger="pcspan.lpsolve")
+    inst = gen_pcs(n=6, k=3, m=1, tau=1, regime="integer", seed=8, budget_slack=1)
+    lp = build_lp(build_label_cover(inst, 0)).lp
+    basis, guess = solve_highs(lp)
+    assert solve_exact(lp, basis, guess) == solve_exact(lp, basis)
+    assert len(_fallbacks(caplog)) == 1  # only the call without a guess
+    assert "no float solution" in _fallbacks(caplog)[0].getMessage()
+
+
+def test_denominator_above_the_limit_falls_back_to_elimination(caplog):
+    caplog.set_level(logging.DEBUG, logger="pcspan.lpsolve")
+    big = 1000003
+    assert big > RECONSTRUCT_LIMIT
+    lp = LinearProgram(num_vars=2, objective={1: 1})
+    lp.add_eq({0: big, 1: 1}, 1)  # column 1 is a costly slack
+    sol = solve_lp(lp)
+    assert sol.values == [Fraction(1, big), Fraction(0)]
+    [record] = _fallbacks(caplog)
+    assert "1 rows and 2 columns" in record.getMessage()
+    assert "not primal feasible" in record.getMessage()
+    assert solve_exact(lp, ([0], [0])).values == sol.values
+
+
+def test_corrupted_guess_falls_back_to_the_same_values(caplog):
+    caplog.set_level(logging.DEBUG, logger="pcspan.lpsolve")
+    rng = random.Random(7)
+    for _ in range(10):
+        lp = _random_lp(rng)
+        basis, (col_value, row_dual) = solve_highs(lp)
+        expected = solve_exact(lp, basis, (col_value, row_dual))
+        assert not _fallbacks(caplog)
+        corrupted = list(col_value)
+        corrupted[basis[0][0]] += 1 / 7
+        assert solve_exact(lp, basis, (corrupted, row_dual)) == expected
+        assert len(_fallbacks(caplog)) == 1
+        caplog.clear()
+
+
+def _one_condition_violations():
+    """(lp, basis, primal, dual, message): certificates that break exactly
+    one `_certify` condition, the one the message names."""
+    lp = LinearProgram(num_vars=2, objective={})
+    lp.add_eq({0: 1, 1: 1}, 0)
+    yield lp, ([0, 1], [0]), {0: -1, 1: 1}, {0: 0}, "value is negative"
+
+    lp = LinearProgram(num_vars=1, objective={})
+    lp.add_eq({0: 1}, 1)
+    yield lp, ([0], [0]), {0: Fraction(1, 2)}, {0: 0}, "equality or tight"
+
+    lp = LinearProgram(num_vars=1, objective={})
+    lp.add_ub({0: 1}, 1)
+    yield lp, ([0], [0]), {0: Fraction(1, 2)}, {0: 0}, "equality or tight"
+
+    lp = LinearProgram(num_vars=1, objective={})
+    lp.add_eq({0: 1}, 2)
+    lp.add_ub({0: 1}, 1)
+    yield lp, ([0], [0]), {0: 2}, {0: 0}, "<= row is violated"
+
+    lp = LinearProgram(num_vars=1, objective={})
+    lp.add_eq({0: 1}, 1)
+    lp.add_ub({0: 1}, 1)
+    yield lp, ([0], [0, 1]), {0: 1}, {0: -1, 1: 1}, "positive dual"
+
+    lp = LinearProgram(num_vars=2, objective={0: -1})
+    lp.add_eq({0: 1, 1: 1}, 1)
+    yield lp, ([1], [0]), {1: 1}, {0: 0}, "negative reduced cost"
+
+    lp = LinearProgram(num_vars=1, objective={0: Fraction(3, 2)})
+    lp.add_eq({0: 2}, 1)
+    yield lp, ([0], [0]), {0: Fraction(1, 2)}, {0: 0}, "basic column"
+
+
+def test_certificate_rejects_each_violated_condition():
+    for lp, basis, primal, dual, message in _one_condition_violations():
+        primal = {j: Fraction(v) for j, v in primal.items()}
+        dual = {i: Fraction(y) for i, y in dual.items()}
+        with pytest.raises(InternalInvariantError, match=message):
+            _certify(lp, basis, primal, dual)
+
+
+def test_certificate_accepts_an_optimum_with_fractional_values():
+    lp = LinearProgram(num_vars=2, objective={0: Fraction(3, 2), 1: 1})
+    lp.add_eq({0: 2, 1: 1}, 1)
+    lp.add_ub({0: 1}, 1)
+    _certify(lp, ([0], [0]), {0: Fraction(1, 2)}, {0: Fraction(3, 4)})
+    assert solve_lp(lp).values == [Fraction(1, 2), Fraction(0)]
 
 
 def test_residuals_exact():

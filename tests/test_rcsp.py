@@ -210,6 +210,32 @@ def test_validate_demands_rejects_infeasible():
         validate_demands(inst)
 
 
+def test_validate_demands_agrees_with_the_witness_search():
+    # tightened copies of generated instances, many of them infeasible
+    infeasible = 0
+    for seed in range(4):
+        inst = gen_pcs(n=5, k=3, m=2, tau=1, regime="integer", seed=seed, packing=1)
+        tightest = (0,) * inst.packing + (-inst.tau,) * inst.covering
+        for di, d in enumerate(inst.demands):
+            for b0 in sorted({d.budget[0], d.budget[0] - 1, d.budget[0] - 2, Fraction(0)}):
+                for res in (d.budget.entries[1:], tightest):
+                    demands = list(inst.demands)
+                    demands[di] = Demand(d.source, d.target, ResourceVector((b0, *res)))
+                    case = replace(inst, demands=demands)
+                    first = next(
+                        (e for e in case.demands if feasible_witness(case, e) is None), None
+                    )
+                    if first is None:
+                        validate_demands(case)
+                        continue
+                    infeasible += 1
+                    message = f"demand ({first.source},{first.target}) admits no feasible walk"
+                    with pytest.raises(InfeasibleDemandError) as exc:
+                        validate_demands(case)
+                    assert str(exc.value) == message
+    assert infeasible >= 10
+
+
 def test_oracle_agrees_with_enumeration_on_random_instances():
     config = SolverConfig(enum_cap=6)
     for seed in range(12):
