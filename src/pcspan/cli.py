@@ -12,7 +12,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import io as pio
 from .config import SolverConfig
@@ -56,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--max-product-vertices", type=int, default=10**7)
     parser.add_argument("--rounding-retries", type=int, default=64)
-    parser.add_argument("--workers", type=int, default=1, help="bench concurrency")
     parser.add_argument("--out", help="output path (report, instance, or summary dir)")
     parser.add_argument("--report", help="report file for --mode verify")
     # generation parameters
@@ -88,7 +86,7 @@ def cmd_solve(args, config: SolverConfig) -> int:
         instance = pio.pcs_from_dict(obj)
         if args.mode == "pcs-int" and not instance.is_integer_regime():
             raise ParseError("pcs-int needs positive integer lengths; use pcs-theta")
-        validate_demands(instance, config)
+        validate_demands(instance)
         report = solve_pcs(instance, "integer" if args.mode == "pcs-int" else "theta", config)
         payload = pio.report_to_dict(report)
         theta = config.theta if args.mode == "pcs-theta" else None
@@ -116,7 +114,7 @@ def cmd_solve(args, config: SolverConfig) -> int:
     if instance is not None:
         written = pio.load_json(out)
         edge_ids = [int(e) for e in written["edges"]]
-        results = verify_solution(instance, edge_ids, theta=theta, config=config)
+        results = verify_solution(instance, edge_ids, theta=theta)
         if not all(entry["feasible"] for entry in results.values()):
             raise InternalInvariantError("emitted report fails verification from disk")
     if not report.verified:
@@ -127,7 +125,7 @@ def cmd_solve(args, config: SolverConfig) -> int:
 def cmd_junction(args, config: SolverConfig) -> int:
     obj = pio.load_json(args.instance)
     instance = pio.pcs_from_dict(obj)
-    validate_demands(instance, config)
+    validate_demands(instance)
     mode = "integer" if instance.is_integer_regime() else "theta"
     tree = min_density_junction_tree(instance, mode, config)
     payload = {
@@ -150,7 +148,7 @@ def cmd_verify(args, config: SolverConfig) -> int:
     report = pio.load_json(args.report)
     theta = None if report.get("theta") is None else parse_rational(report["theta"])
     edge_ids = [int(e) for e in report.get("edges", [])]
-    results = verify_solution(instance, edge_ids, theta=theta, config=config)
+    results = verify_solution(instance, edge_ids, theta=theta)
     ok = all(entry["feasible"] for entry in results.values())
     for di, d in enumerate(instance.demands):
         wits = report.get("witnesses", {}).get(str(di))
@@ -172,7 +170,7 @@ def cmd_gen(args, config: SolverConfig) -> int:
         instance = gen_pcs(
             n=args.n, k=args.k, m=args.m, tau=args.tau, regime=args.regime, seed=args.seed
         )
-        validate_demands(instance, config)
+        validate_demands(instance)
         pio.write_json(out, pio.pcs_to_dict(instance))
     elif args.kind == "rcs":
         rcs = gen_rcs(n=args.n, k=args.k, must_visit=max(1, args.m // 2), avoid=args.m - max(1, args.m // 2), seed=args.seed)
@@ -190,7 +188,7 @@ def _bench_one(path: str, config: SolverConfig) -> dict:
     started = time.perf_counter()
     try:
         instance = pio.pcs_from_dict(pio.load_json(path))
-        validate_demands(instance, config)
+        validate_demands(instance)
         mode = "integer" if instance.is_integer_regime() else "theta"
         report = solve_pcs(instance, mode, config)
         entry["_runtime"] = time.perf_counter() - started  # the oracle is not timed
@@ -221,12 +219,7 @@ def cmd_bench(args, config: SolverConfig) -> int:
     paths = sorted(
         os.path.join(suite, f) for f in os.listdir(suite) if f.endswith(".json")
     )
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            entries = list(pool.map(lambda p: _bench_one(p, config), paths))
-    else:
-        entries = [_bench_one(p, config) for p in paths]
-    entries.sort(key=lambda e: e["instance"])
+    entries = [_bench_one(p, config) for p in paths]
     outdir = args.out or suite
     os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, "bench_summary.csv")

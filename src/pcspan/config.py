@@ -17,12 +17,8 @@ class SolverConfig:
     max_product_vertices: int = 10**7
     # randomized rounding retries before partial acceptance / fallback
     rounding_retries: int = 64
-    # hop cap = hop_cap_factor * n^2 states per resource configuration
-    hop_cap_factor: int = 2
-    # brute-force enumeration caps
+    # brute-force walk enumeration cap (edges per walk)
     enum_cap: int = 12
-    catalog_limit: int = 10**5
-    combination_limit: int = 10**6
     # layered-path enumeration guard (per attachment state)
     max_paths_per_terminal: int = 20000
 

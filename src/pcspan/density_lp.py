@@ -1,12 +1,13 @@
-"""Density LP on the joined layered graph, representative pruning, bucketing,
+"""Density LP over one root's label cover, representative pruning, bucketing,
 randomized rounding, and junction-tree assembly.
 
 The LP realizes the label-cover relaxation: y mass over relation pairs
 (normalized to 1), z dominance per terminal, and per-terminal flow support to
-the root expressed in path form over the (h+1)-level halves.  Flow systems are
-deduplicated by attachment state: terminals sharing a product state share one
-flow of value max-z, which is LP-equivalent to per-terminal systems because
-flows are independent (capacities are not shared between terminals).
+the root expressed in path form over chains of exactly h closure steps (the
+paths of the (h+1)-level layered graph).  Flow systems are deduplicated by
+attachment state: terminals sharing a product state share one flow of value
+max-z, which is LP-equivalent to per-terminal systems because flows are
+independent (capacities are not shared between terminals).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class LabelCoverLp:
     """LP (objective: sum of w_r(e) * x_e) with semantic variable keys."""
 
     lp: LinearProgram
-    var_index: dict  # key -> column
     keys: tuple  # column -> key
     bundle: object  # the RootedLabelCover this LP was built from
     paths_up: dict  # state vid -> list of vid chains (state .. root)
@@ -43,7 +43,6 @@ class LpValues:
 
     y: dict  # (demand, I, J) -> Fraction, summing to exactly 1
     z: dict  # (demand, end, label) -> Fraction
-    x: dict  # edge key -> Fraction
     flow: dict  # (side, state, path_idx) -> Fraction
     objective: Fraction
 
@@ -60,9 +59,8 @@ def _down_edge_keys(h: int, chain) -> list:
 
 def build_lp(bundle, config: SolverConfig = DEFAULT_CONFIG) -> LabelCoverLp:
     """LP (normalization, z-dominance, path-form flow support, capacities)."""
-    joined = bundle.joined
-    h = joined.h
-    relations = joined.relations
+    h = bundle.h
+    relations = bundle.relations
     if not any(relations.values()):
         raise ContractError("no candidate relation pairs: root resolves nothing")
 
@@ -78,18 +76,15 @@ def build_lp(bundle, config: SolverConfig = DEFAULT_CONFIG) -> LabelCoverLp:
         return idx
 
     # enumerate per-attachment-state root paths once per side
+    cap = config.max_paths_per_terminal
     paths_up = {}
-    for (di, lab), vid in sorted(joined.src_attach.items()):
+    for (di, lab), vid in sorted(bundle.src_attach.items()):
         if vid not in paths_up:
-            paths_up[vid] = enumerate_root_paths(
-                joined.up, vid, config.max_paths_per_terminal
-            )
+            paths_up[vid] = enumerate_root_paths(bundle.up, vid, bundle.root_left, h, cap)
     paths_down = {}
-    for (di, lab), vid in sorted(joined.snk_attach.items()):
+    for (di, lab), vid in sorted(bundle.snk_attach.items()):
         if vid not in paths_down:
-            paths_down[vid] = enumerate_root_paths(
-                joined.down, vid, config.max_paths_per_terminal
-            )
+            paths_down[vid] = enumerate_root_paths(bundle.down, bundle.root_right, vid, h, cap)
 
     eq_rows = []
     ub_rows = []
@@ -118,11 +113,11 @@ def build_lp(bundle, config: SolverConfig = DEFAULT_CONFIG) -> LabelCoverLp:
             ub_rows.append((row, Fraction(0)))
 
     # terminal z feeds the shared flow of its attachment state
-    for (di, lab), vid in sorted(joined.src_attach.items()):
+    for (di, lab), vid in sorted(bundle.src_attach.items()):
         ub_rows.append(
             ({var(("z", di, "src", lab)): 1, var(("Z", "up", vid)): -1}, Fraction(0))
         )
-    for (di, lab), vid in sorted(joined.snk_attach.items()):
+    for (di, lab), vid in sorted(bundle.snk_attach.items()):
         ub_rows.append(
             ({var(("z", di, "snk", lab)): 1, var(("Z", "down", vid)): -1}, Fraction(0))
         )
@@ -153,10 +148,8 @@ def build_lp(bundle, config: SolverConfig = DEFAULT_CONFIG) -> LabelCoverLp:
         if key[0] != "x":
             continue
         ekey = key[1]
-        if ekey[0] == "up":
-            cost = joined.up.edge_cost(ekey[2], ekey[3])
-        else:
-            cost = joined.down.edge_cost(ekey[2], ekey[3])
+        closure = bundle.up if ekey[0] == "up" else bundle.down
+        cost = closure.cost(ekey[2], ekey[3])
         if cost is None:
             raise InternalInvariantError("x variable on a missing closure edge")
         if cost != 0:
@@ -169,7 +162,6 @@ def build_lp(bundle, config: SolverConfig = DEFAULT_CONFIG) -> LabelCoverLp:
         lp.add_ub(row, rhs)
     return LabelCoverLp(
         lp=lp,
-        var_index=var_index,
         keys=tuple(keys),
         bundle=bundle,
         paths_up=paths_up,
@@ -182,7 +174,6 @@ def solve_lp(cover: LabelCoverLp) -> LpValues:
     sol = _solve_lp_backend(cover.lp)
     y = {}
     z = {}
-    x = {}
     flow = {}
     for idx, key in enumerate(cover.keys):
         val = sol.values[idx]
@@ -190,13 +181,11 @@ def solve_lp(cover: LabelCoverLp) -> LpValues:
             y[key[1:]] = val
         elif key[0] == "z":
             z[key[1:]] = val
-        elif key[0] == "x":
-            x[key[1]] = val
         elif key[0] == "g":
             flow[key[1:]] = val
     if sum(y.values(), Fraction(0)) != 1:
         raise InternalInvariantError("LP relation mass is not exactly 1")
-    return LpValues(y=y, z=z, x=x, flow=flow, objective=sol.objective)
+    return LpValues(y=y, z=z, flow=flow, objective=sol.objective)
 
 
 def sort_representatives(reps, c: int) -> list:
@@ -236,11 +225,9 @@ class PrunedSets:
     src_alive: tuple  # labels
     snk_alive: tuple
     gamma: Fraction
-    medians: dict  # (end, c) -> value; end in {"src", "snk"}
     src_mass: Fraction  # sum of full-relation y mass over surviving sources
     snk_mass: Fraction
     used_fallback: bool
-    mass_bound_met: bool
 
 
 def prune(relation_pairs, y_masses, budget_units, dim: int) -> PrunedSets:
@@ -268,15 +255,12 @@ def prune(relation_pairs, y_masses, budget_units, dim: int) -> PrunedSets:
 
     src_alive = sort_representatives(src_mass, 0)
     snk_alive = sort_representatives(snk_mass, 0)
-    medians = {}
     for c in range(dim):
         lam = gamma / 2 ** (c + 1)
         src_alive = sort_representatives(src_alive, c)
         snk_alive = sort_representatives(snk_alive, c)
         mu_src = median_consumption(src_mass, src_alive, lam, c)
         mu_snk = median_consumption(snk_mass, snk_alive, lam, c)
-        medians[("src", c)] = mu_src
-        medians[("snk", c)] = mu_snk
         src_alive = [lab for lab in src_alive if lab[c] <= mu_src]
         snk_alive = [lab for lab in snk_alive if lab[c] <= mu_snk]
 
@@ -293,11 +277,9 @@ def prune(relation_pairs, y_masses, budget_units, dim: int) -> PrunedSets:
             src_alive=tuple(src_alive),
             snk_alive=tuple(snk_alive),
             gamma=gamma,
-            medians=medians,
             src_mass=s_mass,
             snk_mass=t_mass,
             used_fallback=False,
-            mass_bound_met=True,
         )
     box = _best_threshold_box(src_mass, snk_mass, budget_units, dim)
     src_alive = [lab for lab in sorted(src_mass) if _dominated(lab, box[0])]
@@ -308,11 +290,9 @@ def prune(relation_pairs, y_masses, budget_units, dim: int) -> PrunedSets:
         src_alive=tuple(src_alive),
         snk_alive=tuple(snk_alive),
         gamma=gamma,
-        medians=medians,
         src_mass=s_mass,
         snk_mass=t_mass,
         used_fallback=True,
-        mass_bound_met=s_mass >= bound and t_mass >= bound,
     )
 
 
@@ -363,7 +343,6 @@ def _best_threshold_box(src_mass, snk_mass, budget_units, dim):
 class BucketChoice:
     i_star: int
     demands: tuple  # demand indices in D_{i*}
-    gammas: dict  # demand -> gamma
     bucket_mass: Fraction
     scale: Fraction  # 2^(m+1) * 2^(i*+1)
 
@@ -400,7 +379,6 @@ def bucket_and_scale(gammas: dict, dim: int) -> BucketChoice:
     return BucketChoice(
         i_star=i_star,
         demands=tuple(buckets[i_star]),
-        gammas=dict(gammas),
         bucket_mass=mass,
         scale=scale,
     )
@@ -411,8 +389,6 @@ class RoundedSelection:
     connected: tuple  # demand indices that connected
     up_chains: dict  # demand -> vid chain used on the source side
     down_chains: dict  # demand -> chain on the sink side
-    src_label: dict  # demand -> surviving source label whose state was routed
-    snk_label: dict
     rounds_used: int
 
 
@@ -446,29 +422,21 @@ def gst_round(
     attachment states.  Rounds repeat until at least half the bucket connects
     or the retry cap triggers partial acceptance of the best round.
     """
-    joined = cover.bundle.joined
+    bundle = cover.bundle
     targets = bucket.demands
     best = None
     for round_no in range(1, config.rounding_retries + 1):
         up_chains = {}
         down_chains = {}
-        src_label = {}
-        snk_label = {}
         connected = []
         for di in targets:
             ps = pruned[di]
             # weights per (state, path): scaled flow, restricted to states
             # that carry a surviving terminal
-            src_states = {}
-            for lab in ps.src_alive:
-                vid = joined.src_attach.get((di, lab))
-                if vid is not None:
-                    src_states.setdefault(vid, []).append(lab)
-            snk_states = {}
-            for lab in ps.snk_alive:
-                vid = joined.snk_attach.get((di, lab))
-                if vid is not None:
-                    snk_states.setdefault(vid, []).append(lab)
+            src_states = {bundle.src_attach.get((di, lab)) for lab in ps.src_alive}
+            snk_states = {bundle.snk_attach.get((di, lab)) for lab in ps.snk_alive}
+            src_states.discard(None)
+            snk_states.discard(None)
             up_pick = _sample_side(
                 rng, values, cover.paths_up, src_states, "up", bucket.scale
             )
@@ -477,17 +445,13 @@ def gst_round(
             )
             if up_pick is None or down_pick is None:
                 continue
-            up_chains[di] = up_pick[1]
-            down_chains[di] = down_pick[1]
-            src_label[di] = min(src_states[up_pick[0]])
-            snk_label[di] = min(snk_states[down_pick[0]])
+            up_chains[di] = up_pick
+            down_chains[di] = down_pick
             connected.append(di)
         result = RoundedSelection(
             connected=tuple(connected),
             up_chains=up_chains,
             down_chains=down_chains,
-            src_label=src_label,
-            snk_label=snk_label,
             rounds_used=round_no,
         )
         if best is None or len(result.connected) > len(best.connected):
@@ -505,27 +469,25 @@ def _sample_side(rng, values, paths, states, side, scale):
         for p_idx, chain in enumerate(paths.get(vid, ())):
             w = values.flow.get((side, vid, p_idx), Fraction(0))
             if w > 0:
-                weighted.append(((vid, chain), min(Fraction(1), scale * w)))
-    pick = _sample(rng, weighted)
-    return pick
+                weighted.append((chain, min(Fraction(1), scale * w)))
+    return _sample(rng, weighted)
 
 
-def assemble_junction_tree(cover: LabelCoverLp, rounded: RoundedSelection, config: SolverConfig = DEFAULT_CONFIG):
-    """Expand sampled layered chains to base edges, oracle-verify every
+def assemble_junction_tree(cover: LabelCoverLp, rounded: RoundedSelection):
+    """Expand sampled closure chains to base edges, oracle-verify every
     claimed demand through the root, and report the density."""
     from .junction import JunctionTree
     from .rcsp import through_root_witness
     from .scaling import ScaledInstance
 
     bundle = cover.bundle
-    joined = bundle.joined
     pg = bundle.pg
     product_edge_ids = set()
     for di in rounded.connected:
         for u, v in zip(rounded.up_chains[di], rounded.up_chains[di][1:]):
-            product_edge_ids.update(joined.up.recover(u, v))
+            product_edge_ids.update(bundle.up.path(u, v))
         for u, v in zip(rounded.down_chains[di], rounded.down_chains[di][1:]):
-            product_edge_ids.update(joined.down.recover(u, v))
+            product_edge_ids.update(bundle.down.path(u, v))
     base_edges = {pg.edges[pidx].base_edge for pidx in product_edge_ids}
     instance = bundle.instance
     cost = instance.total_cost(base_edges)
@@ -534,12 +496,7 @@ def assemble_junction_tree(cover: LabelCoverLp, rounded: RoundedSelection, confi
     resolved = {}
     for di in rounded.connected:
         witness = through_root_witness(
-            base,
-            base.demands[di],
-            bundle.root,
-            theta=theta,
-            edge_subset=base_edges,
-            config=config,
+            base, base.demands[di], bundle.root, theta=theta, edge_subset=base_edges
         )
         if witness is None:
             raise InternalInvariantError(
@@ -559,75 +516,65 @@ def assemble_junction_tree(cover: LabelCoverLp, rounded: RoundedSelection, confi
     )
 
 
-def _cheapest_pair_chains(joined, di):
+def _cheapest_pair_chains(bundle, di):
     """The cheapest relation-compatible terminal-root-terminal chains for one
     demand, or None when no pair connects."""
     best = None
-    for (i_lab, j_lab) in joined.relations[di]:
-        svid = joined.src_attach.get((di, i_lab))
-        tvid = joined.snk_attach.get((di, j_lab))
+    for (i_lab, j_lab) in bundle.relations[di]:
+        svid = bundle.src_attach.get((di, i_lab))
+        tvid = bundle.snk_attach.get((di, j_lab))
         if svid is None or tvid is None:
             continue
-        c_up = joined.up.closure.cost(svid, joined.up.root)
-        c_down = joined.down.closure.cost(joined.down.root, tvid)
+        c_up = bundle.up.cost(svid, bundle.root_left)
+        c_down = bundle.down.cost(bundle.root_right, tvid)
         if c_up is None or c_down is None:
             continue
         key = (c_up + c_down, i_lab, j_lab)
         if best is None or key < best[0]:
-            h = joined.h
-            up_chain = (svid,) + (joined.up.root,) * h
-            down_chain = (joined.down.root,) * h + (tvid,)
-            best = (key, up_chain, down_chain, i_lab, j_lab)
+            up_chain = (svid,) + (bundle.root_left,) * bundle.h
+            down_chain = (bundle.root_right,) * bundle.h + (tvid,)
+            best = (key, up_chain, down_chain)
     return best
 
 
-def _selection_from_pairs(joined, targets) -> RoundedSelection:
+def _selection_from_pairs(bundle, targets) -> RoundedSelection:
     up_chains = {}
     down_chains = {}
-    src_label = {}
-    snk_label = {}
     connected = []
     for di in targets:
-        best = _cheapest_pair_chains(joined, di)
+        best = _cheapest_pair_chains(bundle, di)
         if best is None:
             continue
-        _key, up_chain, down_chain, i_lab, j_lab = best
-        up_chains[di] = up_chain
-        down_chains[di] = down_chain
-        src_label[di] = i_lab
-        snk_label[di] = j_lab
+        _key, up_chains[di], down_chains[di] = best
         connected.append(di)
     return RoundedSelection(
         connected=tuple(connected),
         up_chains=up_chains,
         down_chains=down_chains,
-        src_label=src_label,
-        snk_label=snk_label,
         rounds_used=0,
     )
 
 
-def fallback_tree(cover: LabelCoverLp, values: LpValues, config: SolverConfig = DEFAULT_CONFIG):
+def fallback_tree(cover: LabelCoverLp, values: LpValues):
     """Cheapest relation-compatible terminal-root-terminal path for the
     highest-gamma demand; always a valid (possibly high-density) tree."""
-    joined = cover.bundle.joined
     gammas = {}
     for (di, i_lab, j_lab), w in values.y.items():
         gammas[di] = gammas.get(di, Fraction(0)) + w
     target = max(sorted(gammas), key=lambda di: (gammas[di], -di))
-    rounded = _selection_from_pairs(joined, [target])
+    rounded = _selection_from_pairs(cover.bundle, [target])
     if not rounded.connected:
         raise InternalInvariantError("fallback found no connectable relation pair")
-    return assemble_junction_tree(cover, rounded, config)
+    return assemble_junction_tree(cover, rounded)
 
 
-def union_pair_tree(cover: LabelCoverLp, config: SolverConfig = DEFAULT_CONFIG):
+def union_pair_tree(cover: LabelCoverLp):
     """Union of every connectable demand's cheapest pair path: one tree
     resolving them all.  Often ties the rounded tree on density while
     resolving more demands (useful on shared-hub instances)."""
-    joined = cover.bundle.joined
-    targets = [di for di in sorted(joined.relations) if joined.relations[di]]
-    rounded = _selection_from_pairs(joined, targets)
+    relations = cover.bundle.relations
+    targets = [di for di in sorted(relations) if relations[di]]
+    rounded = _selection_from_pairs(cover.bundle, targets)
     if not rounded.connected:
         raise InternalInvariantError("no connectable relation pair for any demand")
-    return assemble_junction_tree(cover, rounded, config)
+    return assemble_junction_tree(cover, rounded)

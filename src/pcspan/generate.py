@@ -12,7 +12,15 @@ from fractions import Fraction
 
 from .errors import PcspanError
 from .layered import build_closure
-from .model import Demand, Edge, PcsInstance, ResourceVector, Walk, walk_resource
+from .model import (
+    Demand,
+    Edge,
+    PcsInstance,
+    ResourceVector,
+    Walk,
+    has_negative_cycle,
+    walk_resource,
+)
 from .reductions import (
     AVOID,
     MUST_VISIT,
@@ -42,19 +50,6 @@ def _random_length(rng: random.Random, regime: str) -> Fraction:
             return Fraction(-rng.randint(1, 3), rng.randint(1, 2))
         return Fraction(rng.randint(1, 9), rng.randint(1, 3))
     raise GenerationError(f"unknown regime {regime!r}")
-
-
-def _has_negative_cycle(n: int, arcs) -> bool:
-    dist = [Fraction(0)] * n
-    for _ in range(n):
-        changed = False
-        for (u, v, length) in arcs:
-            if dist[u] + length < dist[v]:
-                dist[v] = dist[u] + length
-                changed = True
-        if not changed:
-            return False
-    return any(dist[u] + length < dist[v] for (u, v, length) in arcs)
 
 
 def _random_walk(rng: random.Random, arcs, source, target, max_len):
@@ -106,7 +101,7 @@ def gen_pcs(
                 if u != v and (u, v) not in [(a, b) for a, b in arcs] and rng.random() < extra_edge_prob:
                     arcs.append((u, v))
         lengths = [_random_length(rng, regime) for _ in arcs]
-        if regime == "rational-negative" and _has_negative_cycle(
+        if regime == "rational-negative" and has_negative_cycle(
             n, [(u, v, l) for (u, v), l in zip(arcs, lengths)]
         ):
             continue

@@ -38,28 +38,16 @@ class SolveReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _reprice(instance: PcsInstance, free_edges) -> PcsInstance:
-    if not free_edges:
-        return instance
-    free = set(free_edges)
+def _residual(instance: PcsInstance, free_edges, demand_indices) -> PcsInstance:
+    """The instance with `free_edges` repriced to zero and only the demands
+    `demand_indices` left."""
     edges = tuple(
-        Edge(e.tail, e.head, Fraction(0) if eid in free else e.cost, e.res)
+        Edge(e.tail, e.head, Fraction(0), e.res) if eid in free_edges else e
         for eid, e in enumerate(instance.edges)
     )
     return PcsInstance(
         n=instance.n,
         edges=edges,
-        demands=instance.demands,
-        tau=instance.tau,
-        packing=instance.packing,
-        covering=instance.covering,
-    )
-
-
-def _with_demands(instance: PcsInstance, demand_indices) -> PcsInstance:
-    return PcsInstance(
-        n=instance.n,
-        edges=instance.edges,
         demands=tuple(instance.demands[i] for i in demand_indices),
         tau=instance.tau,
         packing=instance.packing,
@@ -85,7 +73,7 @@ def greedy_density_loop(
     round_no = 0
     while remaining:
         round_no += 1
-        residual = _with_demands(_reprice(instance, selected), remaining)
+        residual = _residual(instance, selected, remaining)
         rng = random.Random(config.seed * 1_000_003 + round_no)
         tree = min_density_junction_tree(residual, mode, config, rng, roots)
         resolved_orig = tuple(sorted(remaining[i] for i in tree.resolved))
@@ -106,9 +94,7 @@ def greedy_density_loop(
     witnesses = {}
     verified = True
     for di, d in enumerate(instance.demands):
-        w = feasible_witness(
-            instance, d, theta=theta, edge_subset=sorted(selected), config=config
-        )
+        w = feasible_witness(instance, d, theta=theta, edge_subset=sorted(selected))
         if w is None:
             verified = False
         else:

@@ -1,8 +1,8 @@
 """Minimum-density resource-constrained junction trees.
 
 For each candidate root: product graph -> useful-state pruning -> metric
-closures -> layered halves -> label-cover LP -> representative pruning ->
-bucketing -> randomized rounding -> assembly.  The product graph does not
+closures -> label-cover LP over their h-step root chains -> representative
+pruning -> bucketing -> randomized rounding -> assembly.  The product graph does not
 depend on the root, so it is built once per search and shared.  The best
 (lowest-density) tree across roots wins, with deterministic tie-breaking
 toward smaller root ids.
@@ -31,7 +31,7 @@ from .errors import (
     InternalInvariantError,
     RoundingFailureError,
 )
-from .layered import build_closure, build_layered, join_halves
+from .layered import CostClosure, build_closure
 from .model import PcsInstance
 from .product import (
     build_product_graph,
@@ -62,12 +62,24 @@ class JunctionTree:
 
 @dataclass
 class RootedLabelCover:
-    """Everything the density LP needs for one root."""
+    """Everything the density LP needs for one root.
+
+    The up closure covers the L states that reach the root's L copy, the down
+    closure the R states its R copy reaches.  A demand's relation labels map
+    to the states where its walk starts (up) and ends (down).
+    """
 
     problem: object  # PcsInstance or ScaledInstance
     root: int
     pg: object
-    joined: object
+    h: int
+    root_left: int  # product vid of the root's L copy
+    root_right: int
+    up: CostClosure
+    down: CostClosure
+    src_attach: dict  # (demand_idx, label) -> L state vid
+    snk_attach: dict  # (demand_idx, label) -> R state vid
+    relations: dict  # demand_idx -> list of (I, J) label pairs
 
     @property
     def instance(self) -> PcsInstance:
@@ -113,13 +125,19 @@ def build_label_cover(
             pe = pg.edges[idx]
             yield idx, pe.head, pe.cost
 
-    closure_left = build_closure(useful_left, out_edges)
-    closure_right = build_closure(useful_right, out_edges)
-    h = config.height
-    up = build_layered(closure_left, useful_left, root_left, h, "up")
-    down = build_layered(closure_right, useful_right, root_right, h, "down")
-    joined = join_halves(up, down, src_states, snk_states, relations)
-    return RootedLabelCover(problem=problem, root=root, pg=pg, joined=joined)
+    return RootedLabelCover(
+        problem=problem,
+        root=root,
+        pg=pg,
+        h=config.height,
+        root_left=root_left,
+        root_right=root_right,
+        up=build_closure(useful_left, out_edges),
+        down=build_closure(useful_right, out_edges),
+        src_attach=src_states,
+        snk_attach=snk_states,
+        relations=relations,
+    )
 
 
 # the useful-state searches keep module-level names of their own so that
@@ -146,7 +164,7 @@ def junction_tree_for_root(
     values = solve_lp(cover)
     pruned = {}
     gammas = {}
-    for di, pairs in sorted(bundle.joined.relations.items()):
+    for di, pairs in sorted(bundle.relations.items()):
         if not pairs:
             continue
         masses = {
@@ -162,11 +180,11 @@ def junction_tree_for_root(
         bucket = bucket_and_scale(gammas, bundle.instance.dim)
         try:
             rounded = gst_round(cover, values, pruned, bucket, rng, config)
-            candidates.append(assemble_junction_tree(cover, rounded, config))
+            candidates.append(assemble_junction_tree(cover, rounded))
         except RoundingFailureError:
             pass
-    candidates.append(fallback_tree(cover, values, config))
-    candidates.append(union_pair_tree(cover, config))
+    candidates.append(fallback_tree(cover, values))
+    candidates.append(union_pair_tree(cover))
     best = min(candidates, key=_tree_order)
     return best
 
@@ -195,7 +213,7 @@ def min_density_junction_tree(
     if mode == "integer":
         problem = instance
     elif mode == "theta":
-        problem = scale_instance(instance, config.theta, config)
+        problem = scale_instance(instance, config.theta)
     else:
         raise ContractError(f"unknown mode {mode!r}")
     if rng is None:

@@ -1,10 +1,13 @@
-"""Height reduction: (h+1)-level layered graphs over a cost metric closure.
+"""Height reduction over a cost metric closure.
 
-Each level holds one copy of the source graph's vertices; edges run only
-between consecutive levels and cost exactly the minimum-cost path between
-their endpoints (so shallower trees embed via the zero-cost diagonal).  The
-recovery map expands a layered edge back to the closure path that realizes
-its cost, never inflating total cost.
+The layered graph of the height reduction has h+1 copies of the source
+graph's vertices, with edges only between consecutive levels that cost
+exactly the minimum-cost path between their endpoints (so shallower trees
+embed via the zero-cost diagonal).  The solver never builds the layers: a
+root path through them is a chain of exactly h closure steps, which
+`enumerate_root_paths` lists directly over the closure.  `CostClosure.path`
+expands a closure step back to the source-graph edges that realize its
+cost, never inflating total cost.
 """
 
 from __future__ import annotations
@@ -18,23 +21,30 @@ from .errors import ContractError, ResourceLimitError
 
 @dataclass
 class CostClosure:
-    """All-pairs min-cost table with path reconstruction.
+    """All-pairs min-cost table with on-demand path reconstruction.
 
-    `dist[u][v]` is the exact minimum cost; `paths[u][v]` the realizing edge
-    reference sequence (empty for u == v).
+    `dist[u][v]` is the exact minimum cost; `parent[u][v]` is the
+    `(previous vertex, edge reference)` that reaches v on the cheapest path
+    from u found by u's Dijkstra.
     """
 
     dist: dict
-    paths: dict
+    parent: dict
 
     def cost(self, u, v):
         return self.dist.get(u, {}).get(v)
 
     def path(self, u, v):
-        entry = self.paths.get(u, {}).get(v)
-        if entry is None and self.cost(u, v) is None:
+        """The edge references of the cheapest u -> v path (empty for u == v)."""
+        if self.cost(u, v) is None:
             raise ContractError(f"no closure path from {u} to {v}")
-        return list(entry)
+        parent = self.parent[u]
+        seq = []
+        while v != u:
+            v, ref = parent[v]
+            seq.append(ref)
+        seq.reverse()
+        return seq
 
 
 def build_closure(vertices, out_edges) -> CostClosure:
@@ -45,7 +55,7 @@ def build_closure(vertices, out_edges) -> CostClosure:
     """
     vset = set(vertices)
     dist = {}
-    paths = {}
+    parents = {}
     for src in sorted(vset):
         d = {src: Fraction(0)}
         parent = {}
@@ -68,103 +78,16 @@ def build_closure(vertices, out_edges) -> CostClosure:
                     parent[head] = (u, ref)
                     heapq.heappush(heap, (cand, head))
         dist[src] = d
-        p = {src: ()}
-        for v in sorted(done):
-            if v == src:
-                continue
-            seq = []
-            cur = v
-            while cur != src:
-                prev, ref = parent[cur]
-                seq.append(ref)
-                cur = prev
-            p[v] = tuple(reversed(seq))
-        paths[src] = p
-    return CostClosure(dist=dist, paths=paths)
+        parents[src] = parent
+    return CostClosure(dist=dist, parent=parents)
 
 
-@dataclass
-class LayeredGraph:
-    """One half of the joined graph; direction 'up' runs terminals (level h)
-    toward the root (level 0), 'down' runs root (level 0) to terminals."""
-
-    closure: CostClosure
-    vertices: tuple  # source-graph vertex ids, one copy per level
-    root: object
-    h: int
-    direction: str  # "up" | "down"
-
-    def __post_init__(self):
-        if self.h < 1:
-            raise ContractError("height must be >= 1")
-        if self.direction not in ("up", "down"):
-            raise ContractError("direction must be 'up' or 'down'")
-        if self.root not in set(self.vertices):
-            raise ContractError("root missing from layered vertex set")
-
-    def edge_cost(self, u, v):
-        """Cost of any (u@level, v@level±1) edge; None when no closure path."""
-        return self.closure.cost(u, v)
-
-    def closure_successors(self, vid):
-        """Vertices reachable by one closure step (edge direction)."""
-        return sorted(v for v, c in self.closure.dist.get(vid, {}).items())
-
-    def recover(self, u, v):
-        """Source-graph edge refs realizing a layered edge's cost."""
-        return self.closure.path(u, v)
-
-
-def build_layered(closure: CostClosure, vertices, root, h: int, direction: str) -> LayeredGraph:
-    return LayeredGraph(
-        closure=closure, vertices=tuple(sorted(set(vertices))), root=root, h=h, direction=direction
-    )
-
-
-@dataclass
-class JoinedGraph:
-    """T_r: the up half feeding the down half through a zero-cost bridge.
-
-    A demand's relation labels map to the states where its walk starts (at
-    level h of the up half) and ends (at level h of the down half).
-    """
-
-    up: LayeredGraph
-    down: LayeredGraph
-    src_attach: dict  # (demand_idx, label) -> up-half state vid
-    snk_attach: dict  # (demand_idx, label) -> down-half state vid
-    relations: dict  # demand_idx -> list of (I, J) label pairs
-
-    @property
-    def h(self) -> int:
-        return self.up.h
-
-
-def join_halves(up: LayeredGraph, down: LayeredGraph, src_attach, snk_attach, relations) -> JoinedGraph:
-    if up.direction != "up" or down.direction != "down":
-        raise ContractError("join expects an up half and a down half")
-    if up.h != down.h:
-        raise ContractError("halves must share the height")
-    return JoinedGraph(
-        up=up,
-        down=down,
-        src_attach=dict(src_attach),
-        snk_attach=dict(snk_attach),
-        relations={di: list(pairs) for di, pairs in relations.items()},
-    )
-
-
-def enumerate_root_paths(half: LayeredGraph, state_vid, cap: int):
-    """All level-respecting chains of exactly h closure steps linking a
-    level-h state with the root copy at level 0 (repeats allowed via the
-    zero-cost diagonal).  Sequences follow edge direction: up-half chains run
-    state -> root, down-half chains run root -> state.  Raises
-    ResourceLimitError past the cap."""
-    if half.direction == "up":
-        start, goal = state_vid, half.root
-    else:
-        start, goal = half.root, state_vid
-    if half.closure.cost(start, goal) is None:
+def enumerate_root_paths(closure: CostClosure, start, goal, h: int, cap: int):
+    """All chains of exactly h closure steps from `start` to `goal`, i.e. the
+    level-respecting paths of the layered graph (repeats allowed via the
+    zero-cost diagonal).  Up-half chains run state -> root, down-half chains
+    root -> state.  Raises ResourceLimitError past the cap."""
+    if closure.cost(start, goal) is None:
         return []
     paths = []
 
@@ -178,13 +101,12 @@ def enumerate_root_paths(half: LayeredGraph, state_vid, cap: int):
                         f"path enumeration exceeded cap {cap}; lower h or shrink the instance"
                     )
             return
-        for nxt in half.closure_successors(cur):
+        for nxt in sorted(closure.dist.get(cur, {})):
             if remaining == 1 and nxt != goal:
                 continue
-            if remaining > 1 and half.closure.cost(nxt, goal) is None:
+            if remaining > 1 and closure.cost(nxt, goal) is None:
                 continue
             extend(prefix + [nxt], remaining - 1)
 
-    extend([start], half.h)
+    extend([start], h)
     return paths
-

@@ -64,6 +64,20 @@ class Edge:
     res: ResourceVector
 
 
+def has_negative_cycle(n: int, arcs) -> bool:
+    """Bellman-Ford from a virtual source over (tail, head, length) arcs."""
+    dist = [Fraction(0)] * n
+    for _ in range(n):
+        changed = False
+        for (u, v, length) in arcs:
+            if dist[u] + length < dist[v]:
+                dist[v] = dist[u] + length
+                changed = True
+        if not changed:
+            return False
+    return any(dist[u] + length < dist[v] for (u, v, length) in arcs)
+
+
 @dataclass(frozen=True)
 class PcsInstance:
     """Directed graph with edge costs, resource vectors, and budgeted demands.
@@ -129,7 +143,8 @@ class PcsInstance:
             if not (0 <= d.source < self.n and 0 <= d.target < self.n):
                 raise ParseError("demand endpoint out of range")
             self._check_vector(d.budget, f"budget of demand ({d.source},{d.target})")
-        self._check_no_negative_length_cycle()
+        if has_negative_cycle(self.n, [(e.tail, e.head, e.res[0]) for e in self.edges]):
+            raise ParseError("instance has a negative-length cycle")
         adj_out = [[] for _ in range(self.n)]
         for eid, e in enumerate(self.edges):
             adj_out[e.tail].append(eid)
@@ -146,22 +161,6 @@ class PcsInstance:
             v = vec[i]
             if not isinstance(v, int) or not (-self.tau <= v <= 0):
                 raise ParseError(f"{what}: covering entry {i} = {v!r} not in [-{self.tau}, 0]")
-
-    def _check_no_negative_length_cycle(self):
-        # Bellman-Ford from a virtual source over lengths.
-        dist = [Fraction(0)] * self.n
-        for _ in range(self.n):
-            changed = False
-            for e in self.edges:
-                cand = dist[e.tail] + e.res[0]
-                if cand < dist[e.head]:
-                    dist[e.head] = cand
-                    changed = True
-            if not changed:
-                return
-        for e in self.edges:
-            if dist[e.tail] + e.res[0] < dist[e.head]:
-                raise ParseError("instance has a negative-length cycle")
 
     def is_integer_regime(self) -> bool:
         """True when every length is a positive integer (no scaling needed)."""

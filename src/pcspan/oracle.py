@@ -13,6 +13,10 @@ from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import ScaleError
 from .model import Demand, PcsInstance, ResourceVector, Walk
 
+# walks one catalog may hold, and (demand -> walk) combinations one search may try
+CATALOG_LIMIT = 10**5
+COMBINATION_LIMIT = 10**6
+
 
 @dataclass(frozen=True)
 class WalkCatalog:
@@ -94,7 +98,7 @@ def enumerate_feasible_walks(
         demand.target,
         demand.budget,
         cap,
-        config.catalog_limit,
+        CATALOG_LIMIT,
         prune_length,
     )
     if demand.source != demand.target:
@@ -128,8 +132,8 @@ def brute_force_opt(
         if not cs:
             raise ScaleError("a demand has no feasible walk within the enumeration cap")
         total *= len(cs)
-        if total > config.combination_limit:
-            raise ScaleError(f"catalog product exceeds {config.combination_limit}")
+        if total > COMBINATION_LIMIT:
+            raise ScaleError(f"catalog product exceeds {COMBINATION_LIMIT}")
     best_cost = None
     best_edges = None
     order = sorted(range(len(choice_sets)), key=lambda i: len(choice_sets[i]))
@@ -182,12 +186,12 @@ def through_root_candidates(
     if cap is None:
         cap = config.enum_cap
     firsts = _half_walks(
-        instance, demand.source, root, demand.budget, cap, config.catalog_limit
+        instance, demand.source, root, demand.budget, cap, CATALOG_LIMIT
     )
     seconds = _half_walks(
-        instance, root, demand.target, demand.budget, cap, config.catalog_limit
+        instance, root, demand.target, demand.budget, cap, CATALOG_LIMIT
     )
-    if len(firsts) * max(1, len(seconds)) > config.combination_limit:
+    if len(firsts) * max(1, len(seconds)) > COMBINATION_LIMIT:
         raise ScaleError("half-walk pairing exceeds combination limit")
     out = {}
     for e1, r1 in firsts:
@@ -240,7 +244,7 @@ def brute_force_min_density_junction(
         def search(idx, union, members):
             nonlocal best, explored
             explored += 1
-            if explored > config.combination_limit:
+            if explored > COMBINATION_LIMIT:
                 raise ScaleError("junction brute force exceeds combination limit")
             cost = instance.total_cost(union)
             if members:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import (
     ContractError,
     InfeasibleDemandError,
@@ -75,10 +74,14 @@ def config_feasible(instance: PcsInstance, cfg: tuple, budget: ResourceVector) -
     return all(cfg[i - 1] <= budget[i] for i in range(1, instance.dim))
 
 
-def default_hop_cap(instance: PcsInstance, config: SolverConfig = DEFAULT_CONFIG) -> int:
+# the hop cap is at least HOP_CAP_FACTOR * n^2
+HOP_CAP_FACTOR = 2
+
+
+def default_hop_cap(instance: PcsInstance) -> int:
     # large enough for DP convergence (optimal walks never repeat a state)
     return max(
-        config.hop_cap_factor * instance.n * instance.n,
+        HOP_CAP_FACTOR * instance.n * instance.n,
         instance.n * config_count(instance),
     )
 
@@ -168,7 +171,6 @@ def shortest_lengths_from(
     source: int,
     max_hops: int | None = None,
     edge_subset=None,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> LabelTable:
     """Hop-bounded relaxation over (vertex, config) states.
 
@@ -176,7 +178,7 @@ def shortest_lengths_from(
     unreachable states are absent.
     """
     if max_hops is None:
-        max_hops = default_hop_cap(instance, config)
+        max_hops = default_hop_cap(instance)
     arcs, _ = _successors(instance, instance.edges, _allowed_edges(instance, edge_subset))
     tables = _relax(arcs, (source, zero_config(instance)), max_hops)
     return LabelTable(source=source, by_hops=tuple(tables), lengths=dict(tables[-1]))
@@ -241,7 +243,6 @@ def feasible_witness(
     theta=None,
     edge_subset=None,
     max_hops: int | None = None,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> Walk | None:
     """A feasible (or theta-feasible) walk for the demand, or None.
 
@@ -250,15 +251,15 @@ def feasible_witness(
     smallest optimal edge sequence for it.
     """
     if max_hops is None:
-        max_hops = default_hop_cap(instance, config)
+        max_hops = default_hop_cap(instance)
     edge_ids = _allowed_edges(instance, edge_subset)
     walk = _witness(instance, instance.edges, edge_ids, demand, theta, max_hops)
     return None if walk is None else Walk(walk)
 
 
-def hop_bound(instance: PcsInstance, config: SolverConfig = DEFAULT_CONFIG) -> int:
+def hop_bound(instance: PcsInstance) -> int:
     """Smallest H such that every demand has a feasible walk with < H edges."""
-    cap = default_hop_cap(instance, config)
+    cap = default_hop_cap(instance)
     worst = 0
     # demands sharing a source reuse one DP table
     by_source = {}
@@ -286,7 +287,7 @@ def hop_bound(instance: PcsInstance, config: SolverConfig = DEFAULT_CONFIG) -> i
     return worst + 1
 
 
-def validate_demands(instance: PcsInstance, config: SolverConfig = DEFAULT_CONFIG):
+def validate_demands(instance: PcsInstance):
     """Reject instances with an infeasible demand (problem undefined).
 
     Demands sharing a source share one table; a demand is feasible iff its
@@ -297,7 +298,7 @@ def validate_demands(instance: PcsInstance, config: SolverConfig = DEFAULT_CONFI
     for d in instance.demands:
         lengths = lengths_from.get(d.source)
         if lengths is None:
-            lengths = shortest_lengths_from(instance, d.source, config=config).lengths
+            lengths = shortest_lengths_from(instance, d.source).lengths
             lengths_from[d.source] = lengths
         if not any(
             v == d.target
@@ -314,7 +315,6 @@ def verify_solution(
     instance: PcsInstance,
     subgraph,
     theta=None,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> dict:
     """Per-demand feasibility within the subgraph (theta relaxes entry 0)."""
     edge_ids = sorted(set(subgraph))
@@ -323,9 +323,7 @@ def verify_solution(
             raise ContractError(f"subgraph edge id {eid} outside instance")
     report = {}
     for idx, d in enumerate(instance.demands):
-        witness = feasible_witness(
-            instance, d, theta=theta, edge_subset=edge_ids, config=config
-        )
+        witness = feasible_witness(instance, d, theta=theta, edge_subset=edge_ids)
         report[idx] = {"feasible": witness is not None, "witness": witness}
     return report
 
@@ -337,7 +335,6 @@ def through_root_witness(
     theta=None,
     edge_subset=None,
     max_hops: int | None = None,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> Walk | None:
     """A feasible (or theta-feasible) s ~> root ~> t walk, or None.
 
@@ -357,7 +354,7 @@ def through_root_witness(
     ]
     glued_ids = list(edge_ids) + [count + eid for eid in edge_ids]
     if max_hops is None:
-        max_hops = 2 * default_hop_cap(instance, config)
+        max_hops = 2 * default_hop_cap(instance)
     gdemand = Demand(demand.source, minus(demand.target), demand.budget)
     walk = _witness(instance, glued, glued_ids, gdemand, theta, max_hops)
     return None if walk is None else Walk(tuple(gid % count for gid in walk))

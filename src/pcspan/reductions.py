@@ -273,7 +273,7 @@ def rcs_to_pcs(rcs: RcsInstance) -> tuple:
 def solve_rcs(rcs: RcsInstance, config: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
     """Reduce, solve, and re-verify every demand in routing terms."""
     instance, _mapping = rcs_to_pcs(rcs)
-    validate_demands(instance, config)
+    validate_demands(instance)
     report = solve_pcs(instance, "integer", config)
     for di, d in enumerate(rcs.demands):
         witness = report.witnesses.get(di)
@@ -386,7 +386,7 @@ def solve_hopset(hs: HopsetInstance, config: SolverConfig = DEFAULT_CONFIG) -> d
     edges stay available for free in verification.
     """
     instance, closure = hopset_to_pcs(hs)
-    validate_demands(instance, config)
+    validate_demands(instance)
     report = solve_pcs(instance, "integer", config)
     added = tuple(
         (closure.edges[eid].tail, closure.edges[eid].head, closure.edges[eid].weight)

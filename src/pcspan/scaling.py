@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import ContractError
 from .model import (
     Edge,
@@ -59,13 +58,11 @@ def _delta_for(instance: PcsInstance, theta: Fraction, hop: int) -> Fraction:
     return theta * numbers.bdgt_min / hop
 
 
-def compute_delta(
-    instance: PcsInstance, theta, config: SolverConfig = DEFAULT_CONFIG
-) -> Fraction:
+def compute_delta(instance: PcsInstance, theta) -> Fraction:
     theta = Fraction(theta)
     if theta <= 0:
         raise ContractError("theta must be positive")
-    return _delta_for(instance, theta, hop_bound(instance, config))
+    return _delta_for(instance, theta, hop_bound(instance))
 
 
 def round_lengths_to_delta(lengths, delta: Fraction) -> tuple:
@@ -73,13 +70,11 @@ def round_lengths_to_delta(lengths, delta: Fraction) -> tuple:
     return tuple(math.ceil(Fraction(length) / delta) for length in lengths)
 
 
-def scale_instance(
-    instance: PcsInstance, theta, config: SolverConfig = DEFAULT_CONFIG
-) -> ScaledInstance:
+def scale_instance(instance: PcsInstance, theta) -> ScaledInstance:
     theta = Fraction(theta)
     if theta <= 0:
         raise ContractError("theta must be positive")
-    hop = hop_bound(instance, config)
+    hop = hop_bound(instance)
     delta = _delta_for(instance, theta, hop)
     units = round_lengths_to_delta((e.res[0] for e in instance.edges), delta)
     return ScaledInstance(

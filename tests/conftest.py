@@ -119,7 +119,7 @@ def equivalence_check(problem, root: int, config: SolverConfig = DEFAULT_CONFIG)
     report = {"root": root, "demands": [], "mismatches": 0}
     for di, d in enumerate(oracle_instance.demands):
         product_ok = bool(pairs[di])
-        witness = through_root_witness(oracle_instance, d, root, theta=theta, config=config)
+        witness = through_root_witness(oracle_instance, d, root, theta=theta)
         oracle_ok = witness is not None
         report["demands"].append({"demand": di, "product": product_ok, "oracle": oracle_ok})
         if product_ok != oracle_ok:

@@ -141,7 +141,7 @@ def test_bench_summary_deterministic(tmp_path):
     out1 = tmp_path / "out1"
     out2 = tmp_path / "out2"
     assert run(["--mode", "bench", str(suite), "--out", str(out1)]) == 0
-    assert run(["--mode", "bench", str(suite), "--out", str(out2), "--workers", "2"]) == 0
+    assert run(["--mode", "bench", str(suite), "--out", str(out2)]) == 0
     s1 = (out1 / "bench_summary.json").read_bytes()
     s2 = (out2 / "bench_summary.json").read_bytes()
     assert s1 == s2

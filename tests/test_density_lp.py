@@ -240,8 +240,8 @@ def test_gst_round_integral_solution_returns_path(tri_instance):
     gammas = {0: Fraction(1)}
     pruned = {
         0: prune(
-            cover.bundle.joined.relations[0],
-            {pair: values.y[(0,) + tuple(pair)] for pair in map(tuple, cover.bundle.joined.relations[0])},
+            cover.bundle.relations[0],
+            {pair: values.y[(0,) + tuple(pair)] for pair in map(tuple, cover.bundle.relations[0])},
             cover.bundle.pg.budget_units(0),
             tri_instance.dim,
         )
@@ -278,7 +278,7 @@ def test_gst_round_monte_carlo_connects_bucket():
     for (di, i_lab, j_lab), w in values.y.items():
         gammas[di] = gammas.get(di, Fraction(0)) + w
     pruned = {}
-    for di, pairs in bundle.joined.relations.items():
+    for di, pairs in bundle.relations.items():
         masses = {
             tuple(p): values.y[(di,) + tuple(p)] for p in pairs
         }
@@ -320,7 +320,7 @@ def test_assemble_two_demands_sharing_edges_halves_density():
             bundle.pg.budget_units(di),
             inst.dim,
         )
-        for di, pairs in bundle.joined.relations.items()
+        for di, pairs in bundle.relations.items()
         if sum(values.y.get((di,) + tuple(p), Fraction(0)) for p in pairs) > 0
     }
     bucket = bucket_and_scale(gammas, inst.dim)

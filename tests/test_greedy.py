@@ -56,6 +56,16 @@ def test_residual_strictly_decreases_and_no_double_count():
         assert report.cost == inst.total_cost(report.edges)
 
 
+def test_marginal_costs_charge_each_edge_once():
+    # later rounds see the edges already selected at zero cost, so the
+    # rounds' marginal costs add up to the cost of the union
+    for seed in (1, 2, 6):
+        inst = gen_pcs(n=5, k=3, m=1, tau=1, regime="integer", seed=seed)
+        report = solve_pcs(inst, "integer")
+        assert len(report.iterations) > 1
+        assert sum(it.marginal_cost for it in report.iterations) == report.cost
+
+
 def test_output_verifies_every_demand():
     for seed in (1, 5):
         inst = gen_pcs(n=5, k=2, m=2, tau=1, regime="integer", seed=seed)
