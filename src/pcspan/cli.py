@@ -246,11 +246,17 @@ def cmd_bench(args, config: SolverConfig) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("PCSPAN_LOG", "WARNING").upper())
+    level = os.environ.get("PCSPAN_LOG", "WARNING")
+    # checked here because basicConfig ignores `level` once the root logger
+    # has handlers
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(f"error: PCSPAN_LOG={level!r} is not a logging level name", file=sys.stderr)
+        return EXIT_PARSE
+    logging.basicConfig(level=level.upper())
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = make_config(args)
     try:
+        config = make_config(args)
         if args.mode in ("pcs-int", "pcs-theta", "rcs", "hopset"):
             return cmd_solve(args, config)
         if args.mode == "junction":

@@ -4,6 +4,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import ParseError
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -22,10 +24,16 @@ class SolverConfig:
     # layered-path enumeration guard (per attachment state)
     max_paths_per_terminal: int = 20000
 
+    def __post_init__(self):
+        if self.epsilon <= 0:
+            raise ParseError("epsilon must be positive")
+        if self.theta <= 0:
+            raise ParseError("theta must be positive")
+        if self.rounding_retries < 1:
+            raise ParseError("rounding retries must be at least 1")
+
     @property
     def height(self) -> int:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         return max(1, math.ceil(1 / Fraction(self.epsilon)))
 
 

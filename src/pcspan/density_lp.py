@@ -64,17 +64,6 @@ def build_lp(bundle, config: SolverConfig = DEFAULT_CONFIG) -> LabelCoverLp:
     if not any(relations.values()):
         raise ContractError("no candidate relation pairs: root resolves nothing")
 
-    var_index = {}
-    keys = []
-
-    def var(key):
-        idx = var_index.get(key)
-        if idx is None:
-            idx = len(keys)
-            var_index[key] = idx
-            keys.append(key)
-        return idx
-
     # enumerate per-attachment-state root paths once per side
     cap = config.max_paths_per_terminal
     paths_up = {}
@@ -86,80 +75,92 @@ def build_lp(bundle, config: SolverConfig = DEFAULT_CONFIG) -> LabelCoverLp:
         if vid not in paths_down:
             paths_down[vid] = enumerate_root_paths(bundle.down, bundle.root_right, vid, h, cap)
 
-    eq_rows = []
-    ub_rows = []
+    # eq rows: normalization, then one flow row per attachment state; the
+    # ub rows are numbered after them, so every row gets its index at once
+    num_eq = 1 + len(paths_up) + len(paths_down)
+    var_index = {}
+    keys = []
+    columns = []
+    objective = {}
 
-    norm_row = {}
+    def var(key):
+        idx = var_index.get(key)
+        if idx is None:
+            idx = var_index[key] = len(keys)
+            keys.append(key)
+            columns.append([])
+        return idx
+
+    def put(key, row, coefficient):
+        columns[var(key)].append((row, coefficient))
+
     for di in sorted(relations):
         for (i_lab, j_lab) in relations[di]:
-            norm_row[var(("y", di, i_lab, j_lab))] = 1
-    eq_rows.append((norm_row, Fraction(1)))
+            put(("y", di, i_lab, j_lab), 0, 1)
 
     # z dominance per terminal (both sides)
+    ub = num_eq
     for di in sorted(relations):
-        pairs = relations[di]
-        by_src = {}
-        by_snk = {}
-        for (i_lab, j_lab) in pairs:
-            by_src.setdefault(i_lab, []).append(j_lab)
-            by_snk.setdefault(j_lab, []).append(i_lab)
-        for i_lab in sorted(by_src):
-            row = {var(("y", di, i_lab, j_lab)): 1 for j_lab in by_src[i_lab]}
-            row[var(("z", di, "src", i_lab))] = -1
-            ub_rows.append((row, Fraction(0)))
-        for j_lab in sorted(by_snk):
-            row = {var(("y", di, i_lab, j_lab)): 1 for i_lab in by_snk[j_lab]}
-            row[var(("z", di, "snk", j_lab))] = -1
-            ub_rows.append((row, Fraction(0)))
+        by_end = {"src": {}, "snk": {}}
+        for (i_lab, j_lab) in relations[di]:
+            y = ("y", di, i_lab, j_lab)
+            by_end["src"].setdefault(i_lab, []).append(y)
+            by_end["snk"].setdefault(j_lab, []).append(y)
+        for end, by_label in by_end.items():
+            for lab in sorted(by_label):
+                for y in by_label[lab]:
+                    put(y, ub, 1)
+                put(("z", di, end, lab), ub, -1)
+                ub += 1
 
     # terminal z feeds the shared flow of its attachment state
-    for (di, lab), vid in sorted(bundle.src_attach.items()):
-        ub_rows.append(
-            ({var(("z", di, "src", lab)): 1, var(("Z", "up", vid)): -1}, Fraction(0))
-        )
-    for (di, lab), vid in sorted(bundle.snk_attach.items()):
-        ub_rows.append(
-            ({var(("z", di, "snk", lab)): 1, var(("Z", "down", vid)): -1}, Fraction(0))
-        )
+    for end, side, attach in (
+        ("src", "up", bundle.src_attach),
+        ("snk", "down", bundle.snk_attach),
+    ):
+        for (di, lab), vid in sorted(attach.items()):
+            put(("z", di, end, lab), ub, 1)
+            put(("Z", side, vid), ub, -1)
+            ub += 1
 
     # path-form flow support: sum of path vars equals the state's flow value,
     # and per-edge totals stay under the capacity x_e (per flow system)
-    for side, paths, keyfn in (
-        ("up", paths_up, _up_edge_keys),
-        ("down", paths_down, _down_edge_keys),
+    eq = 1
+    for side, paths, keyfn, closure in (
+        ("up", paths_up, _up_edge_keys, bundle.up),
+        ("down", paths_down, _down_edge_keys, bundle.down),
     ):
         for vid in sorted(paths):
-            chains = paths[vid]
-            row = {var(("Z", side, vid)): -1}
+            put(("Z", side, vid), eq, -1)
             per_edge = {}
-            for p_idx, chain in enumerate(chains):
+            for p_idx, chain in enumerate(paths[vid]):
                 g = var(("g", side, vid, p_idx))
-                row[g] = 1
+                columns[g].append((eq, 1))
                 for ekey in keyfn(h, chain):
                     per_edge.setdefault(ekey, []).append(g)
-            eq_rows.append((row, Fraction(0)))
+            eq += 1
             for ekey in sorted(per_edge):
-                cap_row = {g: 1 for g in per_edge[ekey]}
-                cap_row[var(("x", ekey))] = -1
-                ub_rows.append((cap_row, Fraction(0)))
+                for g in per_edge[ekey]:
+                    columns[g].append((ub, 1))
+                x = ("x", ekey)
+                if x not in var_index:
+                    cost = closure.cost(ekey[2], ekey[3])
+                    if cost is None:
+                        raise InternalInvariantError("x variable on a missing closure edge")
+                    if cost != 0:
+                        objective[len(keys)] = cost
+                put(x, ub, -1)
+                ub += 1
 
-    objective = {}
-    for key, idx in var_index.items():
-        if key[0] != "x":
-            continue
-        ekey = key[1]
-        closure = bundle.up if ekey[0] == "up" else bundle.down
-        cost = closure.cost(ekey[2], ekey[3])
-        if cost is None:
-            raise InternalInvariantError("x variable on a missing closure edge")
-        if cost != 0:
-            objective[idx] = cost
-
-    lp = LinearProgram(num_vars=len(keys), objective=objective)
-    for row, rhs in eq_rows:
-        lp.add_eq(row, rhs)
-    for row, rhs in ub_rows:
-        lp.add_ub(row, rhs)
+    # a Z column meets its feed row (ub) before its flow row (eq)
+    for column in columns:
+        column.sort()
+    lp = LinearProgram(
+        columns=columns,
+        objective=objective,
+        eq_rows=[1] + [0] * (num_eq - 1),
+        ub_rows=[0] * (ub - num_eq),
+    )
     return LabelCoverLp(
         lp=lp,
         keys=tuple(keys),

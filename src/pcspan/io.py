@@ -234,6 +234,8 @@ def load_json(path: str) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def write_json(path: str, obj: dict):

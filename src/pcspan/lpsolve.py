@@ -1,13 +1,16 @@
 """Linear-program solving: HiGHS solves in floats, integers certify.
 
-`solve_highs` runs scipy's bundled HiGHS and returns its optimal basis with
-its float primal values and row duals.  `solve_exact` reconstructs the basic
-primal values and the tight-row duals as small-denominator rationals
+An LP is one column-wise integer matrix, the CSC input HiGHS takes (Huangfu
+& Hall, Math. Prog. Comp. 2018); every density-LP coefficient is +1 or -1.
+`solve_highs` hands it to HiGHS untransposed and returns the optimal basis
+with its float primal values and row duals.  `solve_exact` reconstructs the
+basic primal values and the tight-row duals as small-denominator rationals
 (continued fractions, as in Gleixner, Steffy & Wolter, "Iterative refinement
 for linear programming", INFORMS JoC 2016) and certifies primal feasibility,
 dual feasibility and complementary slackness exactly in integer arithmetic
 (Applegate, Cook, Dash & Espinoza, "Exact solutions to linear programming
-problems", 2007).  Only when that certificate fails does it solve the basis's
+problems", 2007), with row activities and reduced costs read off the same
+columns.  Only when that certificate fails does it solve the basis's
 primal and dual systems by `Fraction` elimination, and it puts that result
 through the same check, so downstream pruning never consumes an uncertified
 float.
@@ -18,7 +21,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -36,21 +39,21 @@ _ZERO = Fraction(0)
 
 @dataclass
 class LinearProgram:
-    """min c.x  s.t.  A_eq x = b_eq, A_ub x <= b_ub, x >= 0.
+    """min c.x  s.t.  A x = b on the eq rows, A x <= b on the ub rows, x >= 0.
 
-    Rows are sparse dicts var_index -> coefficient (ints/Fractions).
+    `columns[j]` lists column j's (row, int coefficient) pairs by ascending
+    row; the eq rows are numbered first.  `eq_rows` and `ub_rows` hold the
+    right-hand sides (ints or Fractions), `objective` the nonzero costs.
     """
 
-    num_vars: int
+    columns: list
     objective: dict
-    eq_rows: list = field(default_factory=list)  # (row dict, rhs)
-    ub_rows: list = field(default_factory=list)  # (row dict, rhs)
+    eq_rows: list
+    ub_rows: list
 
-    def add_eq(self, row: dict, rhs):
-        self.eq_rows.append((dict(row), Fraction(rhs)))
-
-    def add_ub(self, row: dict, rhs):
-        self.ub_rows.append((dict(row), Fraction(rhs)))
+    @property
+    def num_vars(self) -> int:
+        return len(self.columns)
 
 
 @dataclass
@@ -68,28 +71,21 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 def solve_highs(lp: LinearProgram) -> tuple:
     """((basic columns, tight rows), (column values, row duals)) of HiGHS's
     optimal solution; rows are numbered eq rows first, then ub rows, and the
-    values are floats."""
-    rows = lp.eq_rows + lp.ub_rows
-    columns = [[] for _ in range(lp.num_vars)]
-    # v.numerator / v.denominator is float(v) without the numbers dispatch
-    for i, (row, _rhs) in enumerate(rows):
-        for j, v in row.items():
-            columns[j].append((i, v.numerator / v.denominator))
-    cost = [0.0] * lp.num_vars
-    for j, c in lp.objective.items():
-        cost[j] = c.numerator / c.denominator
+    values are floats.  `lp.columns` is passed to HiGHS as it stands."""
+    columns = lp.columns
     model = highs.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = lp.num_vars
-    model.num_row_ = model.a_matrix_.num_row_ = len(rows)
+    model.num_row_ = model.a_matrix_.num_row_ = len(lp.eq_rows) + len(lp.ub_rows)
     model.a_matrix_.format_ = highs.MatrixFormat.kColwise
     model.a_matrix_.start_ = [0, *accumulate(len(col) for col in columns)]
-    model.a_matrix_.index_ = [i for col in columns for i, _v in col]
-    model.a_matrix_.value_ = [v for col in columns for _i, v in col]
+    model.a_matrix_.index_ = [i for col in columns for i, _a in col]
+    # HiGHS converts the int coefficients to doubles itself
+    model.a_matrix_.value_ = [a for col in columns for _i, a in col]
     inf = highs.kHighsInf
-    model.col_cost_ = cost
+    model.col_cost_ = [float(lp.objective.get(j, 0)) for j in range(lp.num_vars)]
     model.col_lower_ = [0.0] * lp.num_vars
     model.col_upper_ = [inf] * lp.num_vars
-    upper = [b.numerator / b.denominator for _row, b in rows]
+    upper = [float(b) for b in lp.eq_rows + lp.ub_rows]
     model.row_lower_ = upper[: len(lp.eq_rows)] + [-inf] * len(lp.ub_rows)
     model.row_upper_ = upper
     solver = highs._Highs()
@@ -173,27 +169,29 @@ def _certify(lp: LinearProgram, basis: tuple, primal: dict, dual: dict) -> None:
     prove each other optimal.
 
     The primal is scaled by the lcm of its denominators, and the reduced
-    costs by the lcm of the dual and objective denominators, so with integer
-    constraint coefficients every sum below is over integers.  A pass means
+    costs by the lcm of the dual and objective denominators, so with the
+    int constraint coefficients every sum below is over integers.  Row
+    activities come from scattering the nonzero basic columns, reduced costs
+    from one pass over the columns.  A pass means
     primal feasibility, dual feasibility and complementary slackness: the
     primal is nonzero only on basic columns, whose reduced costs are 0, and
     the dual only on tight rows, which hold with equality.
     """
     basic, tight = basis
     num_eq = len(lp.eq_rows)
-    rows = lp.eq_rows + lp.ub_rows
+    bounds = lp.eq_rows + lp.ub_rows
     scale = math.lcm(*(v.denominator for v in primal.values()))
     x = {j: v.numerator * (scale // v.denominator) for j, v in primal.items() if v}
     if any(v < 0 for v in x.values()):
         raise InternalInvariantError("LP solution is not primal feasible: a value is negative")
+    activity = [0] * len(bounds)
+    for j, v in x.items():
+        for i, a in lp.columns[j]:
+            activity[i] += a * v
     tight = set(tight)
-    for i, (row, rhs) in enumerate(rows):
-        lhs = 0
-        for j, a in row.items():
-            if j in x:
-                lhs += a * x[j]
-        lhs *= rhs.denominator
-        bound = rhs.numerator * scale
+    for i, (lhs, b) in enumerate(zip(activity, bounds)):
+        lhs *= b.denominator
+        bound = b.numerator * scale
         if i < num_eq or i in tight:
             if lhs != bound:
                 raise InternalInvariantError(
@@ -208,31 +206,30 @@ def _certify(lp: LinearProgram, basis: tuple, primal: dict, dual: dict) -> None:
     y = {i: v.numerator * (dscale // v.denominator) for i, v in dual.items() if v}
     if any(v > 0 for i, v in y.items() if i >= num_eq):
         raise InternalInvariantError("LP solution has a positive dual on a <= row")
-    reduced = {j: c.numerator * (dscale // c.denominator) for j, c in lp.objective.items()}
-    for i, v in y.items():
-        for j, a in rows[i][0].items():
-            reduced[j] = reduced.get(j, 0) - v * a
-    if any(r < 0 for r in reduced.values()):
+    cost = {j: c.numerator * (dscale // c.denominator) for j, c in lp.objective.items()}
+    reduced = [
+        cost.get(j, 0) - sum(a * y[i] for i, a in column if i in y)
+        for j, column in enumerate(lp.columns)
+    ]
+    if any(r < 0 for r in reduced):
         raise InternalInvariantError("LP solution has a negative reduced cost")
-    if any(reduced.get(j) for j in basic):
+    if any(reduced[j] for j in basic):
         raise InternalInvariantError("LP solution has a nonzero reduced cost on a basic column")
 
 
 def _eliminate(lp: LinearProgram, basic: list, tight: list) -> tuple:
     """(primal, dual) at the basis: B x = b over the tight rows and
-    B^T y = c over the basic columns, solved in Fractions."""
-    rows = lp.eq_rows + lp.ub_rows
-    basic_set = set(basic)
-    coef = {
-        i: {j: Fraction(v) for j, v in rows[i][0].items() if j in basic_set} for i in tight
-    }
-    primal = _solve_square([coef[i] for i in tight], [rows[i][1] for i in tight], basic)
-    transposed = {j: {} for j in basic}
-    for i in tight:
-        for j, v in coef[i].items():
-            transposed[j][i] = v
+    B^T y = c over the basic columns, solved in Fractions (an int / int
+    quotient would be a float)."""
+    rhs = lp.eq_rows + lp.ub_rows
+    coef = {i: {} for i in tight}  # the basis matrix B, row-wise
+    for j in basic:
+        for i, a in lp.columns[j]:
+            if i in coef:
+                coef[i][j] = Fraction(a)
+    primal = _solve_square([coef[i] for i in tight], [Fraction(rhs[i]) for i in tight], basic)
     dual = _solve_square(
-        [transposed[j] for j in basic],
+        [{i: Fraction(a) for i, a in lp.columns[j] if i in coef} for j in basic],
         [Fraction(lp.objective.get(j, 0)) for j in basic],
         tight,
     )

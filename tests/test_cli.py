@@ -1,6 +1,8 @@
 import json
 from dataclasses import replace
 
+import pytest
+
 from pcspan import cli
 from pcspan import io as pio
 from pcspan.cli import main
@@ -65,6 +67,39 @@ def test_malformed_rational_exits_2(tmp_path):
         "demands": [],
     }))
     assert run(["--mode", "pcs-int", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["--epsilon", "abc"],
+        ["--epsilon", "0"],
+        ["--rounding-retries", "0"],
+        ["--theta", "-1"],
+    ],
+    ids=["epsilon-abc", "epsilon-0", "retries-0", "theta-negative"],
+)
+def test_solver_option_out_of_range_exits_2(tri_instance, tmp_path, option):
+    inst_path = tmp_path / "tri.json"
+    pio.write_json(str(inst_path), pio.pcs_to_dict(tri_instance))
+    assert run(["--mode", "pcs-theta", str(inst_path), "--out", str(tmp_path / "r.json"), *option]) == 2
+
+
+def test_unreadable_instance_or_report_exits_2(tri_instance, tmp_path, capsys):
+    assert run(["--mode", "pcs-int", str(tmp_path / "missing.json")]) == 2
+    assert run(["--mode", "pcs-int", str(tmp_path)]) == 2
+    inst_path = tmp_path / "tri.json"
+    pio.write_json(str(inst_path), pio.pcs_to_dict(tri_instance))
+    assert run(["--mode", "verify", str(inst_path), "--report", str(tmp_path)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_unknown_log_level_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PCSPAN_LOG", "verbose")
+    out = tmp_path / "g.json"
+    assert run(["--mode", "gen", "--kind", "pcs", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_infeasible_demand_exits_3(tmp_path):

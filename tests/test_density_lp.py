@@ -18,6 +18,7 @@ from pcspan.density_lp import (
     assemble_junction_tree,
 )
 from pcspan.errors import ContractError, InternalInvariantError
+from pcspan.generate import gen_pcs
 from pcspan.junction import build_label_cover
 from pcspan.model import is_feasible
 from pcspan.oracle import brute_force_min_density_junction
@@ -86,6 +87,24 @@ def test_tri_lp_value_matches_min_density(tri_instance):
     values = solve_lp(cover)
     _root, density, _edges, _members = brute_force_min_density_junction(tri_instance)
     assert values.objective == density == 2
+
+
+def test_density_lp_is_a_column_wise_plus_minus_one_matrix():
+    inst = gen_pcs(n=6, k=3, m=1, tau=1, regime="integer", seed=8, budget_slack=1)
+    bundles = [build_label_cover(inst, root) for root in range(3)]
+    covers = [build_lp(b) for b in bundles if b is not None]
+    assert covers
+    for cover in covers:
+        lp = cover.lp
+        num_rows = len(lp.eq_rows) + len(lp.ub_rows)
+        for column in lp.columns:
+            rows = [i for i, _a in column]
+            assert all(a < b for a, b in zip(rows, rows[1:]))
+            assert 0 <= rows[0] and rows[-1] < num_rows
+            assert all(type(a) is int and a in (1, -1) for _i, a in column)
+        assert lp.eq_rows == [1] + [0] * (len(lp.eq_rows) - 1)
+        assert all(b == 0 for b in lp.ub_rows)
+        assert len(lp.eq_rows) == 1 + len(cover.paths_up) + len(cover.paths_down)
 
 
 def test_sort_representatives_examples():

@@ -74,3 +74,10 @@ def test_report_dict_shape(tri_instance):
     assert obj["iterations"][0]["resolved"] == [0]
     dumped = pio.dumps(obj)
     assert dumped == pio.dumps(json.loads(dumped))  # canonical form
+
+
+def test_load_json_turns_an_unreadable_file_into_a_parse_error(tmp_path):
+    with pytest.raises(ParseError, match="cannot read"):
+        pio.load_json(str(tmp_path / "missing.json"))
+    with pytest.raises(ParseError, match="cannot read"):
+        pio.load_json(str(tmp_path))

@@ -19,14 +19,30 @@ from pcspan.lpsolve import (
 )
 
 
-def _row_value(row: dict, values) -> Fraction:
-    return sum((c * values[j] for j, c in row.items() if values[j]), Fraction(0))
+def make_lp(num_vars: int, objective: dict, eq=(), ub=()) -> LinearProgram:
+    """A LinearProgram from rows: `eq` and `ub` list (row, rhs) pairs, a row
+    mapping a column to its coefficient; rhs may be fractional."""
+    columns = [[] for _ in range(num_vars)]
+    for i, (row, _rhs) in enumerate([*eq, *ub]):
+        for j, a in row.items():
+            columns[j].append((i, a))
+    return LinearProgram(
+        columns=columns,
+        objective=dict(objective),
+        eq_rows=[rhs for _row, rhs in eq],
+        ub_rows=[rhs for _row, rhs in ub],
+    )
 
 
 def residuals(lp: LinearProgram, values) -> tuple:
     """(max |eq residual|, max positive ub violation), exact arithmetic."""
-    eq = max((abs(_row_value(row, values) - rhs) for row, rhs in lp.eq_rows), default=0)
-    ub = max((_row_value(row, values) - rhs for row, rhs in lp.ub_rows), default=0)
+    activity = [Fraction(0)] * (len(lp.eq_rows) + len(lp.ub_rows))
+    for j, column in enumerate(lp.columns):
+        for i, a in column:
+            activity[i] += a * values[j]
+    num_eq = len(lp.eq_rows)
+    eq = max((abs(activity[i] - b) for i, b in enumerate(lp.eq_rows)), default=0)
+    ub = max((activity[num_eq + i] - b for i, b in enumerate(lp.ub_rows)), default=0)
     return Fraction(eq), Fraction(max(ub, -min(values, default=0), 0))
 
 
@@ -34,23 +50,17 @@ def reference_simplex(lp: LinearProgram) -> LpSolution:
     """Dense two-phase primal simplex over Fractions with Bland's rule: the
     independent reference the basis-certified solver is checked against."""
     n = lp.num_vars
-    rows = []
-    rhs = []
+    num_eq = len(lp.eq_rows)
     slack_count = len(lp.ub_rows)
     total = n + slack_count
-    for i, (row, b) in enumerate(lp.ub_rows):
-        dense = [Fraction(0)] * total
-        for j, v in row.items():
-            dense[j] = Fraction(v)
-        dense[n + i] = Fraction(1)
-        rows.append(dense)
-        rhs.append(Fraction(b))
-    for row, b in lp.eq_rows:
-        dense = [Fraction(0)] * total
-        for j, v in row.items():
-            dense[j] = Fraction(v)
-        rows.append(dense)
-        rhs.append(Fraction(b))
+    # eq rows first, then ub rows with one slack column each
+    rows = [[Fraction(0)] * total for _ in range(num_eq + slack_count)]
+    for j, column in enumerate(lp.columns):
+        for i, a in column:
+            rows[i][j] = Fraction(a)
+    for i in range(slack_count):
+        rows[num_eq + i][n + i] = Fraction(1)
+    rhs = [Fraction(b) for b in lp.eq_rows + lp.ub_rows]
     # normalize to nonnegative rhs
     for i in range(len(rows)):
         if rhs[i] < 0:
@@ -147,25 +157,21 @@ def assert_exact_optimum(lp: LinearProgram) -> LpSolution:
 
 
 def test_exact_forced_assignment():
-    lp = LinearProgram(num_vars=2, objective={0: 1, 1: 3})
-    lp.add_eq({0: 1, 1: 1}, 1)
+    lp = make_lp(2, {0: 1, 1: 3}, eq=[({0: 1, 1: 1}, 1)])
     sol = assert_exact_optimum(lp)
     assert sol.values == [Fraction(1), Fraction(0)]
     assert sol.objective == 1
 
 
 def test_integer_coefficients_give_exact_fractions():
-    lp = LinearProgram(num_vars=1, objective={0: 1})
-    lp.add_eq({0: 3}, 1)
+    lp = make_lp(1, {0: 1}, eq=[({0: 3}, 1)])
     sol = assert_exact_optimum(lp)
     assert sol.values == [Fraction(1, 3)]
     assert type(sol.values[0]) is Fraction
 
 
 def test_exact_detects_infeasibility():
-    lp = LinearProgram(num_vars=1, objective={0: 1})
-    lp.add_eq({0: 1}, 1)
-    lp.add_ub({0: 1}, Fraction(1, 2))
+    lp = make_lp(1, {0: 1}, eq=[({0: 1}, 1)], ub=[({0: 1}, Fraction(1, 2))])
     with pytest.raises(InternalInvariantError):
         solve_lp(lp)
     with pytest.raises(InternalInvariantError):
@@ -173,8 +179,7 @@ def test_exact_detects_infeasibility():
 
 
 def test_exact_unbounded():
-    lp = LinearProgram(num_vars=2, objective={0: -1})
-    lp.add_ub({1: 1}, 1)
+    lp = make_lp(2, {0: -1}, ub=[({1: 1}, 1)])
     with pytest.raises(InternalInvariantError):
         solve_lp(lp)
     with pytest.raises(InternalInvariantError):
@@ -182,25 +187,21 @@ def test_exact_unbounded():
 
 
 def test_duplicate_zero_cost_columns_do_not_change_objective():
-    lp1 = LinearProgram(num_vars=2, objective={0: 2})
-    lp1.add_eq({0: 1, 1: 1}, 1)
-    lp2 = LinearProgram(num_vars=3, objective={0: 2})
-    lp2.add_eq({0: 1, 1: 1, 2: 1}, 1)
+    lp1 = make_lp(2, {0: 2}, eq=[({0: 1, 1: 1}, 1)])
+    lp2 = make_lp(3, {0: 2}, eq=[({0: 1, 1: 1, 2: 1}, 1)])
     assert assert_exact_optimum(lp1).objective == assert_exact_optimum(lp2).objective == 0
 
 
 def _random_lp(rng: random.Random) -> LinearProgram:
     nv = rng.randint(2, 7)
-    lp = LinearProgram(
-        num_vars=nv, objective={j: Fraction(rng.randint(0, 6)) for j in range(nv)}
-    )
-    lp.add_eq({j: 1 for j in range(nv)}, 1)
+    objective = {j: Fraction(rng.randint(0, 6)) for j in range(nv)}
+    ub = []
     for _ in range(rng.randint(1, 4)):
         support = rng.sample(range(nv), k=min(nv, rng.randint(1, 3)))
-        row = {j: Fraction(rng.randint(1, 3)) for j in support}
+        row = {j: rng.randint(1, 3) for j in support}
         # rhs at least the max coefficient keeps the simplex point feasible
-        lp.add_ub(row, Fraction(rng.randint(3, 7)))
-    return lp
+        ub.append((row, Fraction(rng.randint(3, 7))))
+    return make_lp(nv, objective, eq=[({j: 1 for j in range(nv)}, 1)], ub=ub)
 
 
 def test_dual_solver_cross_check_random():
@@ -217,16 +218,14 @@ def test_density_lp_above_48_rows_matches_reference():
 
 
 def test_exact_rejects_a_basis_it_cannot_certify():
-    lp = LinearProgram(num_vars=2, objective={0: 1, 1: Fraction(3, 2)})
-    lp.add_eq({0: 1, 1: 1}, 1)
+    objective = {0: 1, 1: Fraction(3, 2)}
+    eq = [({0: 1, 1: 1}, 1)]
     with pytest.raises(InternalInvariantError, match="reduced cost"):
-        solve_exact(lp, ([1], [0]))
-    lp.add_ub({0: 1}, Fraction(1, 2))
+        solve_exact(make_lp(2, objective, eq), ([1], [0]))
+    lp = make_lp(2, objective, eq, ub=[({0: 1}, Fraction(1, 2))])
     with pytest.raises(InternalInvariantError, match="primal feasible"):
         solve_exact(lp, ([0], [0]))
-    lp = LinearProgram(num_vars=2, objective={0: -1})
-    lp.add_eq({0: 1, 1: 1}, 1)
-    lp.add_ub({1: 1}, Fraction(1, 2))
+    lp = make_lp(2, {0: -1}, eq, ub=[({1: 1}, Fraction(1, 2))])
     with pytest.raises(InternalInvariantError, match="positive dual"):
         solve_exact(lp, ([0, 1], [0, 1]))
     with pytest.raises(InternalInvariantError, match="not square"):
@@ -251,8 +250,7 @@ def test_denominator_above_the_limit_falls_back_to_elimination(caplog):
     caplog.set_level(logging.DEBUG, logger="pcspan.lpsolve")
     big = 1000003
     assert big > RECONSTRUCT_LIMIT
-    lp = LinearProgram(num_vars=2, objective={1: 1})
-    lp.add_eq({0: big, 1: 1}, 1)  # column 1 is a costly slack
+    lp = make_lp(2, {1: 1}, eq=[({0: big, 1: 1}, 1)])  # column 1 is a costly slack
     sol = solve_lp(lp)
     assert sol.values == [Fraction(1, big), Fraction(0)]
     [record] = _fallbacks(caplog)
@@ -279,34 +277,25 @@ def test_corrupted_guess_falls_back_to_the_same_values(caplog):
 def _one_condition_violations():
     """(lp, basis, primal, dual, message): certificates that break exactly
     one `_certify` condition, the one the message names."""
-    lp = LinearProgram(num_vars=2, objective={})
-    lp.add_eq({0: 1, 1: 1}, 0)
+    lp = make_lp(2, {}, eq=[({0: 1, 1: 1}, 0)])
     yield lp, ([0, 1], [0]), {0: -1, 1: 1}, {0: 0}, "value is negative"
 
-    lp = LinearProgram(num_vars=1, objective={})
-    lp.add_eq({0: 1}, 1)
+    lp = make_lp(1, {}, eq=[({0: 1}, 1)])
     yield lp, ([0], [0]), {0: Fraction(1, 2)}, {0: 0}, "equality or tight"
 
-    lp = LinearProgram(num_vars=1, objective={})
-    lp.add_ub({0: 1}, 1)
+    lp = make_lp(1, {}, ub=[({0: 1}, 1)])
     yield lp, ([0], [0]), {0: Fraction(1, 2)}, {0: 0}, "equality or tight"
 
-    lp = LinearProgram(num_vars=1, objective={})
-    lp.add_eq({0: 1}, 2)
-    lp.add_ub({0: 1}, 1)
+    lp = make_lp(1, {}, eq=[({0: 1}, 2)], ub=[({0: 1}, 1)])
     yield lp, ([0], [0]), {0: 2}, {0: 0}, "<= row is violated"
 
-    lp = LinearProgram(num_vars=1, objective={})
-    lp.add_eq({0: 1}, 1)
-    lp.add_ub({0: 1}, 1)
+    lp = make_lp(1, {}, eq=[({0: 1}, 1)], ub=[({0: 1}, 1)])
     yield lp, ([0], [0, 1]), {0: 1}, {0: -1, 1: 1}, "positive dual"
 
-    lp = LinearProgram(num_vars=2, objective={0: -1})
-    lp.add_eq({0: 1, 1: 1}, 1)
+    lp = make_lp(2, {0: -1}, eq=[({0: 1, 1: 1}, 1)])
     yield lp, ([1], [0]), {1: 1}, {0: 0}, "negative reduced cost"
 
-    lp = LinearProgram(num_vars=1, objective={0: Fraction(3, 2)})
-    lp.add_eq({0: 2}, 1)
+    lp = make_lp(1, {0: Fraction(3, 2)}, eq=[({0: 2}, 1)])
     yield lp, ([0], [0]), {0: Fraction(1, 2)}, {0: 0}, "basic column"
 
 
@@ -319,49 +308,14 @@ def test_certificate_rejects_each_violated_condition():
 
 
 def test_certificate_accepts_an_optimum_with_fractional_values():
-    lp = LinearProgram(num_vars=2, objective={0: Fraction(3, 2), 1: 1})
-    lp.add_eq({0: 2, 1: 1}, 1)
-    lp.add_ub({0: 1}, 1)
+    lp = make_lp(2, {0: Fraction(3, 2), 1: 1}, eq=[({0: 2, 1: 1}, 1)], ub=[({0: 1}, 1)])
     _certify(lp, ([0], [0]), {0: Fraction(1, 2)}, {0: Fraction(3, 4)})
     assert solve_lp(lp).values == [Fraction(1, 2), Fraction(0)]
 
 
 def test_residuals_exact():
-    lp = LinearProgram(num_vars=2, objective={})
-    lp.add_eq({0: 1, 1: 1}, 1)
-    lp.add_ub({0: 2}, 1)
+    lp = make_lp(2, {}, eq=[({0: 1, 1: 1}, 1)], ub=[({0: 2}, 1)])
     eq, ub = residuals(lp, [Fraction(1, 2), Fraction(1, 2)])
     assert eq == 0 and ub == 0
     eq, ub = residuals(lp, [Fraction(1), Fraction(0)])
     assert eq == 0 and ub == 1
-
-
-def to_lp_text(lp: LinearProgram, names) -> str:
-    """CPLEX-LP-format export for differential testing with external solvers."""
-
-    def term(j, v):
-        v = Fraction(v)
-        sign = "+" if v >= 0 else "-"
-        mag = abs(v)
-        coef = f"{mag.numerator}" if mag.denominator == 1 else f"{float(mag):.12g}"
-        return f"{sign} {coef} {names[j]}"
-
-    def row_text(row):
-        return " ".join(term(j, v) for j, v in sorted(row.items()))
-
-    lines = ["Minimize", " obj: " + row_text(lp.objective), "Subject To"]
-    lines += [f" e{i}: {row_text(row)} = {float(b):.12g}" for i, (row, b) in enumerate(lp.eq_rows)]
-    lines += [f" u{i}: {row_text(row)} <= {float(b):.12g}" for i, (row, b) in enumerate(lp.ub_rows)]
-    lines.append("Bounds")
-    lines += [f" 0 <= {names[j]}" for j in range(lp.num_vars)]
-    lines.append("End")
-    return "\n".join(lines) + "\n"
-
-
-def test_lp_text_export():
-    lp = LinearProgram(num_vars=2, objective={0: 1, 1: Fraction(1, 2)})
-    lp.add_eq({0: 1, 1: 1}, 1)
-    lp.add_ub({1: 1}, Fraction(1, 3))
-    text = to_lp_text(lp, ["a", "b"])
-    assert "Minimize" in text and "Subject To" in text and "End" in text
-    assert "a" in text and "b" in text

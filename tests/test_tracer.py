@@ -56,3 +56,6 @@ def test_traced_solve_reaches_the_product_hooks(tracer_module):
     assert calls["product.reach"] >= 3 * calls["junction.root"]
     assert tr.counts["product.reached"] > 0
     assert tr.counts["product.vertices"] <= tr.counts["product.states"]
+    # these read LinearProgram's eq_rows, ub_rows and num_vars
+    assert tr.counts["density_lp.lp_rows"] > 0
+    assert tr.counts["density_lp.lp_cols"] > 0
