@@ -9,6 +9,11 @@ all 80 reports in order, then the summed cost of each set:
 - `solve_pcs` theta on rational-negative `gen_pcs(n=4, k=2, m=1, tau=1)`,
   seeds 6000-6009.
 
+It then prints a second SHA-256, over the `--mode junction` payloads
+(`junction_to_dict`: root, edges, cost, density, resolved walks) of
+`min_density_junction_tree` on the instances of the pcs-integer and
+pcs-theta sets, in the same order.
+
 Run it before and after a change: an equal digest means byte-identical
 reports.  Usage: `PYTHONPATH=src python3 scripts/report_digest.py`.
 """
@@ -19,7 +24,8 @@ from fractions import Fraction
 
 from pcspan.generate import gen_pcs, gen_rcs
 from pcspan.greedy import solve_pcs
-from pcspan.io import report_to_dict
+from pcspan.io import junction_to_dict, report_to_dict
+from pcspan.junction import min_density_junction_tree
 from pcspan.reductions import solve_rcs
 
 
@@ -32,25 +38,33 @@ def rcs_reports():
         )
 
 
-def integer_reports():
+def integer_instances():
     for seed in range(5000, 5020):
-        yield solve_pcs(gen_pcs(n=5, k=2, m=2, tau=1, seed=seed), "integer")
+        yield gen_pcs(n=5, k=2, m=2, tau=1, seed=seed)
 
 
-def theta_reports():
+def theta_instances():
     for seed in range(6000, 6010):
-        inst = gen_pcs(n=4, k=2, m=1, tau=1, regime="rational-negative", seed=seed)
-        yield solve_pcs(inst, "theta")
+        yield gen_pcs(n=4, k=2, m=1, tau=1, regime="rational-negative", seed=seed)
+
+
+PCS_SETS = (
+    ("pcs-integer", "integer", integer_instances),
+    ("pcs-theta", "theta", theta_instances),
+)
+
+
+def pcs_reports(mode, instances):
+    for inst in instances():
+        yield solve_pcs(inst, mode)
 
 
 def main():
     digest = hashlib.sha256()
     costs = []
-    for name, reports in (
-        ("rcs", rcs_reports()),
-        ("pcs-integer", integer_reports()),
-        ("pcs-theta", theta_reports()),
-    ):
+    sets = [("rcs", rcs_reports())]
+    sets += [(name, pcs_reports(mode, instances)) for name, mode, instances in PCS_SETS]
+    for name, reports in sets:
         total = Fraction(0)
         for report in reports:
             digest.update(json.dumps(report_to_dict(report), sort_keys=True).encode())
@@ -59,6 +73,12 @@ def main():
     print(digest.hexdigest())
     for name, total in costs:
         print(f"{name}: {total}")
+    junction = hashlib.sha256()
+    for _name, mode, instances in PCS_SETS:
+        for inst in instances():
+            tree = min_density_junction_tree(inst, mode)
+            junction.update(json.dumps(junction_to_dict(tree, mode), sort_keys=True).encode())
+    print(f"junction: {junction.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -79,8 +79,6 @@ def make_config(args) -> SolverConfig:
 
 
 def cmd_solve(args, config: SolverConfig) -> int:
-    if not args.instance:
-        raise ParseError("solve modes need an instance file")
     obj = pio.load_json(args.instance)
     if args.mode in ("pcs-int", "pcs-theta"):
         instance = pio.pcs_from_dict(obj)
@@ -123,21 +121,12 @@ def cmd_solve(args, config: SolverConfig) -> int:
 
 
 def cmd_junction(args, config: SolverConfig) -> int:
-    obj = pio.load_json(args.instance)
-    instance = pio.pcs_from_dict(obj)
+    instance = pio.pcs_from_dict(pio.load_json(args.instance))
     validate_demands(instance)
     mode = "integer" if instance.is_integer_regime() else "theta"
     tree = min_density_junction_tree(instance, mode, config)
-    payload = {
-        "root": tree.root,
-        "edges": sorted(tree.edges),
-        "cost": format_rational(tree.cost),
-        "density": format_rational(tree.density),
-        "resolved": {str(di): list(w.edges) for di, w in sorted(tree.resolved.items())},
-        "mode": mode,
-    }
     out = args.out or (args.instance + ".junction.json")
-    pio.write_json(out, payload)
+    pio.write_json(out, pio.junction_to_dict(tree, mode))
     return EXIT_OK
 
 
@@ -257,6 +246,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = make_config(args)
+        if args.mode not in ("gen", "bench") and not args.instance:
+            raise ParseError(f"--mode {args.mode} needs an instance file")
         if args.mode in ("pcs-int", "pcs-theta", "rcs", "hopset"):
             return cmd_solve(args, config)
         if args.mode == "junction":

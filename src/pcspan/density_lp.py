@@ -23,7 +23,9 @@ from .errors import (
 )
 from .layered import enumerate_root_paths
 from .lpsolve import LinearProgram, solve_lp as _solve_lp_backend
+from .model import Walk, is_feasible, is_theta_feasible
 from .product import relation_holds
+from .scaling import ScaledInstance
 
 
 @dataclass
@@ -310,7 +312,6 @@ def _best_threshold_box(src_mass, snk_mass, budget_units, dim):
         vals |= {budget_units[c] - lab[c] for lab in snk_mass}
         candidates.append(sorted(vals))
     best = None
-    total_src = sum(src_mass.values(), Fraction(0))
 
     def rec(c, caps):
         nonlocal best
@@ -475,45 +476,47 @@ def _sample_side(rng, values, paths, states, side, scale):
 
 
 def assemble_junction_tree(cover: LabelCoverLp, rounded: RoundedSelection):
-    """Expand sampled closure chains to base edges, oracle-verify every
-    claimed demand through the root, and report the density."""
+    """Expand each claimed demand's sampled chains into its s ~> root ~> t
+    walk, check that walk against the demand's budget, and report the
+    density of the union of the walks."""
     from .junction import JunctionTree
-    from .rcsp import through_root_witness
-    from .scaling import ScaledInstance
 
+    if not rounded.connected:
+        raise InternalInvariantError("assembly needs at least one connected demand")
     bundle = cover.bundle
     pg = bundle.pg
-    product_edge_ids = set()
-    for di in rounded.connected:
-        for u, v in zip(rounded.up_chains[di], rounded.up_chains[di][1:]):
-            product_edge_ids.update(bundle.up.path(u, v))
-        for u, v in zip(rounded.down_chains[di], rounded.down_chains[di][1:]):
-            product_edge_ids.update(bundle.down.path(u, v))
-    base_edges = {pg.edges[pidx].base_edge for pidx in product_edge_ids}
-    instance = bundle.instance
-    cost = instance.total_cost(base_edges)
-    theta = bundle.problem.theta if isinstance(bundle.problem, ScaledInstance) else None
-    base = bundle.problem.base if isinstance(bundle.problem, ScaledInstance) else instance
+    instance = pg.instance
+    theta = pg.problem.theta if isinstance(pg.problem, ScaledInstance) else None
     resolved = {}
     for di in rounded.connected:
-        witness = through_root_witness(
-            base, base.demands[di], bundle.root, theta=theta, edge_subset=base_edges
+        # product edges point the way their base edges do on both sides, so
+        # the up chain (s .. root) then the down chain (root .. t) is in order
+        walk = Walk(
+            _base_edges(pg, bundle.up, rounded.up_chains[di])
+            + _base_edges(pg, bundle.down, rounded.down_chains[di])
         )
-        if witness is None:
-            raise InternalInvariantError(
-                f"rounded demand {di} fails oracle verification inside the tree"
-            )
-        resolved[di] = witness
-    if not resolved:
-        raise ContractError("assembly needs at least one connected demand")
-    density = cost / len(resolved)
+        demand = instance.demands[di]
+        if theta is None:
+            ok = is_feasible(walk, demand, instance)
+        else:
+            ok = is_theta_feasible(walk, demand, instance, theta)
+        if not ok:
+            raise InternalInvariantError(f"the assembled walk of demand {di} fails its budget")
+        resolved[di] = walk
+    edges = frozenset(eid for walk in resolved.values() for eid in walk.edges)
+    cost = instance.total_cost(edges)
     return JunctionTree(
         root=bundle.root,
-        edges=frozenset(base_edges),
-        resolved=dict(resolved),
+        edges=edges,
+        resolved=resolved,
         cost=cost,
-        density=density,
-        theta=theta,
+        density=cost / len(resolved),
+    )
+
+
+def _base_edges(pg, closure, chain) -> tuple:
+    return tuple(
+        pg.edges[pidx].base_edge for u, v in zip(chain, chain[1:]) for pidx in closure.path(u, v)
     )
 
 
@@ -563,10 +566,7 @@ def fallback_tree(cover: LabelCoverLp, values: LpValues):
     for (di, i_lab, j_lab), w in values.y.items():
         gammas[di] = gammas.get(di, Fraction(0)) + w
     target = max(sorted(gammas), key=lambda di: (gammas[di], -di))
-    rounded = _selection_from_pairs(cover.bundle, [target])
-    if not rounded.connected:
-        raise InternalInvariantError("fallback found no connectable relation pair")
-    return assemble_junction_tree(cover, rounded)
+    return assemble_junction_tree(cover, _selection_from_pairs(cover.bundle, [target]))
 
 
 def union_pair_tree(cover: LabelCoverLp):
@@ -575,7 +575,4 @@ def union_pair_tree(cover: LabelCoverLp):
     resolving more demands (useful on shared-hub instances)."""
     relations = cover.bundle.relations
     targets = [di for di in sorted(relations) if relations[di]]
-    rounded = _selection_from_pairs(cover.bundle, targets)
-    if not rounded.connected:
-        raise InternalInvariantError("no connectable relation pair for any demand")
-    return assemble_junction_tree(cover, rounded)
+    return assemble_junction_tree(cover, _selection_from_pairs(cover.bundle, targets))

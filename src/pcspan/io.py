@@ -30,10 +30,24 @@ def _require(cond, msg):
         raise ParseError(msg)
 
 
-def _int_field(obj, key):
-    v = obj.get(key)
-    _require(isinstance(v, int) and not isinstance(v, bool), f"field {key!r} must be an integer")
+def _int(v, what):
+    _require(isinstance(v, int) and not isinstance(v, bool), f"{what} must be an integer")
     return v
+
+
+def _field(obj, key, default=None):
+    _require(isinstance(obj, dict), "an instance and each of its entries must be a JSON object")
+    return obj.get(key, default)
+
+
+def _int_field(obj, key):
+    return _int(_field(obj, key), f"field {key!r}")
+
+
+def _int_list(obj, key, default=None):
+    v = _field(obj, key, default)
+    _require(isinstance(v, list), f"field {key!r} must be a list")
+    return [_int(x, f"each entry of {key!r}") for x in v]
 
 
 def pcs_to_dict(instance: PcsInstance) -> dict:
@@ -66,15 +80,11 @@ def pcs_to_dict(instance: PcsInstance) -> dict:
 def _vector_from_json(raw, dim) -> ResourceVector:
     _require(isinstance(raw, list), "resource vector must be a list")
     _require(len(raw) == dim, f"resource vector needs {dim} entries, got {len(raw)}")
-    entries = [parse_rational(raw[0])]
-    for v in raw[1:]:
-        _require(isinstance(v, int) and not isinstance(v, bool), "resource entries 1..m must be integers")
-        entries.append(v)
-    return ResourceVector(tuple(entries))
+    rest = [_int(v, "each resource entry 1..m") for v in raw[1:]]
+    return ResourceVector((parse_rational(raw[0]), *rest))
 
 
 def pcs_from_dict(obj: dict) -> PcsInstance:
-    _require(isinstance(obj, dict), "instance must be a JSON object")
     n = _int_field(obj, "n")
     tau = _int_field(obj, "tau")
     packing = _int_field(obj, "packing")
@@ -139,9 +149,9 @@ def rcs_from_dict(obj: dict) -> RcsInstance:
     n = _int_field(obj, "n")
     groups = []
     for raw in obj.get("groups", []):
-        kind = raw.get("kind")
+        kind = _field(raw, "kind")
         _require(kind in (MUST_VISIT, AVOID), f"group kind must be {MUST_VISIT!r} or {AVOID!r}")
-        groups.append(RcsGroup(kind=kind, members=frozenset(raw.get("members", []))))
+        groups.append(RcsGroup(kind=kind, members=frozenset(_int_list(raw, "members", []))))
     edges = []
     for raw in obj.get("edges", []):
         edges.append(
@@ -154,10 +164,8 @@ def rcs_from_dict(obj: dict) -> RcsInstance:
         )
     demands = []
     for raw in obj.get("demands", []):
-        ctrl = raw.get("ctrl")
-        _require(isinstance(ctrl, list), "ctrl must be a list")
         demands.append(
-            RcsDemand(_int_field(raw, "s"), _int_field(raw, "t"), tuple(ctrl))
+            RcsDemand(_int_field(raw, "s"), _int_field(raw, "t"), tuple(_int_list(raw, "ctrl")))
         )
     return RcsInstance(n=n, edges=tuple(edges), groups=tuple(groups), demands=tuple(demands))
 
@@ -190,7 +198,7 @@ def hopset_from_dict(obj: dict) -> HopsetInstance:
                 _int_field(raw, "s"),
                 _int_field(raw, "t"),
                 _int_field(raw, "dist"),
-                raw.get("beta"),
+                None if raw.get("beta") is None else _int_field(raw, "beta"),
             )
         )
     return HopsetInstance(n=n, edges=tuple(edges), demands=tuple(demands), beta=beta)
@@ -221,6 +229,17 @@ def report_to_dict(report: SolveReport) -> dict:
         "diagnostics": {
             k: report.diagnostics[k] for k in sorted(report.diagnostics)
         },
+    }
+
+
+def junction_to_dict(tree, mode: str) -> dict:
+    return {
+        "root": tree.root,
+        "edges": sorted(tree.edges),
+        "cost": format_rational(tree.cost),
+        "density": format_rational(tree.density),
+        "resolved": {str(di): list(w.edges) for di, w in sorted(tree.resolved.items())},
+        "mode": mode,
     }
 
 

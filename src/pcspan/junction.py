@@ -40,20 +40,19 @@ from .product import (
     states_reachable_from_root_right,
     states_reaching_root_left,
 )
-from .scaling import ScaledInstance, scale_instance
+from .scaling import scale_instance
 
 
 @dataclass(frozen=True)
 class JunctionTree:
-    """Root, base-graph edge set, oracle-verified resolved demands (with
-    witness walks through the root), cost, and density."""
+    """Root, base-graph edge set (the union of the resolved walks), resolved
+    demands with their checked s ~> root ~> t walks, cost, and density."""
 
     root: int
     edges: frozenset
     resolved: dict  # demand index -> witness Walk
     cost: Fraction
     density: Fraction
-    theta: Fraction | None
 
     def __post_init__(self):
         if not self.resolved:
@@ -69,7 +68,6 @@ class RootedLabelCover:
     to the states where its walk starts (up) and ends (down).
     """
 
-    problem: object  # PcsInstance or ScaledInstance
     root: int
     pg: object
     h: int
@@ -80,10 +78,6 @@ class RootedLabelCover:
     src_attach: dict  # (demand_idx, label) -> L state vid
     snk_attach: dict  # (demand_idx, label) -> R state vid
     relations: dict  # demand_idx -> list of (I, J) label pairs
-
-    @property
-    def instance(self) -> PcsInstance:
-        return self.problem.base if isinstance(self.problem, ScaledInstance) else self.problem
 
 
 def build_label_cover(
@@ -126,7 +120,6 @@ def build_label_cover(
             yield idx, pe.head, pe.cost
 
     return RootedLabelCover(
-        problem=problem,
         root=root,
         pg=pg,
         h=config.height,
@@ -174,10 +167,10 @@ def junction_tree_for_root(
         gamma = sum(masses.values(), Fraction(0))
         gammas[di] = gamma
         if gamma > 0:
-            pruned[di] = prune(pairs, masses, bundle.pg.budget_units(di), bundle.instance.dim)
+            pruned[di] = prune(pairs, masses, bundle.pg.budget_units(di), bundle.pg.instance.dim)
     candidates = []
     if pruned:
-        bucket = bucket_and_scale(gammas, bundle.instance.dim)
+        bucket = bucket_and_scale(gammas, bundle.pg.instance.dim)
         try:
             rounded = gst_round(cover, values, pruned, bucket, rng, config)
             candidates.append(assemble_junction_tree(cover, rounded))
@@ -185,8 +178,7 @@ def junction_tree_for_root(
             pass
     candidates.append(fallback_tree(cover, values))
     candidates.append(union_pair_tree(cover))
-    best = min(candidates, key=_tree_order)
-    return best
+    return min(candidates, key=_tree_order)
 
 
 def _tree_order(tree: JunctionTree):

@@ -94,6 +94,56 @@ def test_unreadable_instance_or_report_exits_2(tri_instance, tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--mode", "junction"], ["--mode", "verify", "--report", "x.json"]],
+    ids=["junction", "verify"],
+)
+def test_missing_instance_path_exits_2(args, capsys):
+    assert run(args) == 2
+    assert "needs an instance file" in capsys.readouterr().err
+
+
+RCS_OK = {
+    "n": 2, "m": 1,
+    "edges": [{"u": 0, "v": 1, "cost": 1, "len": 1}],
+    "groups": [{"kind": "must_visit", "members": [1]}],
+    "demands": [{"s": 0, "t": 1, "ctrl": [2, 1]}],
+}
+HOPSET_OK = {
+    "n": 2, "beta": 2,
+    "edges": [{"u": 0, "v": 1, "len": 1}],
+    "demands": [{"s": 0, "t": 1, "dist": 1, "beta": 1}],
+}
+PCS_OK = {
+    "n": 2, "m": 1, "tau": 1, "packing": 1, "covering": 0,
+    "edges": [{"u": 0, "v": 1, "cost": 1, "res": [1, 0]}],
+    "demands": [{"s": 0, "t": 1, "budget": [1, 1]}],
+}
+
+
+@pytest.mark.parametrize(
+    "mode, payload",
+    [
+        ("rcs", [RCS_OK]),
+        ("hopset", [HOPSET_OK]),
+        ("pcs-int", {**PCS_OK, "edges": [[0, 1]]}),
+        ("rcs", {**RCS_OK, "edges": [[0, 1]]}),
+        ("rcs", {**RCS_OK, "groups": [{"kind": "must_visit", "members": ["1"]}]}),
+        ("rcs", {**RCS_OK, "demands": [{"s": 0, "t": 1, "ctrl": ["2", 1]}]}),
+        ("hopset", {**HOPSET_OK, "demands": [{"s": 0, "t": 1, "dist": 1, "beta": "1"}]}),
+    ],
+    ids=[
+        "rcs-top-level-list", "hopset-top-level-list", "pcs-edge-list", "rcs-edge-list",
+        "rcs-member-string", "rcs-ctrl-string", "hopset-beta-string",
+    ],
+)
+def test_malformed_instance_exits_2(tmp_path, mode, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert run(["--mode", mode, str(bad), "--out", str(tmp_path / "r.json")]) == 2
+
+
 def test_unknown_log_level_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PCSPAN_LOG", "verbose")
     out = tmp_path / "g.json"

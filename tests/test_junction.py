@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from pcspan.config import SolverConfig
+from pcspan.density_lp import RoundedSelection, assemble_junction_tree, build_lp
 from pcspan.errors import ContractError, EssentialityViolationError, InternalInvariantError
 from pcspan.generate import gen_pcs
-from pcspan.junction import essential_set_mode, min_density_junction_tree
+from pcspan.junction import build_label_cover, essential_set_mode, min_density_junction_tree
 from pcspan.model import Walk, is_feasible, is_theta_feasible
 from pcspan.oracle import brute_force_min_density_junction
 from pcspan.product import build_product_graph
@@ -55,6 +56,65 @@ def test_every_resolved_demand_verifies_through_root(tri_instance):
             tri_instance, tri_instance.demands[di], tree.root, edge_subset=tree.edges
         )
         assert w is not None
+
+
+@pytest.mark.parametrize(
+    "mode, instances",
+    [
+        ("integer", [gen_pcs(n=5, k=2, m=2, tau=1, seed=seed) for seed in range(5000, 5006)]),
+        ("integer", [gen_pcs(n=6, k=3, m=1, tau=1, seed=seed) for seed in range(100, 104)]),
+        (
+            "theta",
+            [
+                gen_pcs(n=4, k=2, m=1, tau=1, regime="rational-negative", seed=seed)
+                for seed in range(6000, 6006)
+            ],
+        ),
+    ],
+    ids=["integer-m2", "integer-k3", "theta"],
+)
+def test_assembled_walks_run_through_the_root_inside_the_tree(mode, instances):
+    theta = SolverConfig().theta
+    for inst in instances:
+        tree = min_density_junction_tree(inst, mode)
+        for di, walk in tree.resolved.items():
+            d = inst.demands[di]
+            edges = [inst.edges[eid] for eid in walk.edges]
+            assert (edges[0].tail, edges[-1].head) == (d.source, d.target)
+            assert tree.root in {edges[0].tail} | {e.head for e in edges}
+            if mode == "integer":
+                assert is_feasible(walk, d, inst)
+            else:
+                assert is_theta_feasible(walk, d, inst, theta)
+            assert set(walk.edges) <= tree.edges
+        assert set().union(*(w.edges for w in tree.resolved.values())) == tree.edges
+
+
+def test_assembly_rejects_a_claimed_demand_whose_walk_breaks_its_budget():
+    # demand 0 may take 0 -> 1 -> 2 (length 2, one packing unit); demand 1
+    # has no packing budget, so only the direct edge 0 -> 2 serves it
+    inst = make_instance(
+        n=3,
+        edges=[(0, 1, 1, (1, 1)), (1, 2, 1, (1, 0)), (0, 2, 1, (3, 0))],
+        demands=[(0, 2, (2, 1)), (0, 2, (3, 0))],
+        tau=1,
+        packing=1,
+        covering=0,
+    )
+    bundle = build_label_cover(inst, 0)
+    cover = build_lp(bundle)
+    via_1 = bundle.pg.vertex_ids[("S", "R", 2, (2, 1))]
+    up = (bundle.root_left,) * (bundle.h + 1)
+    down = (bundle.root_right,) * bundle.h + (via_1,)
+
+    def claim(di):
+        return RoundedSelection(
+            connected=(di,), up_chains={di: up}, down_chains={di: down}, rounds_used=1
+        )
+
+    assert assemble_junction_tree(cover, claim(0)).resolved == {0: Walk((0, 1))}
+    with pytest.raises(InternalInvariantError):
+        assemble_junction_tree(cover, claim(1))
 
 
 def test_density_within_polylog_of_oracle_minimum():
