@@ -12,16 +12,21 @@ all 80 reports in order, then the summed cost of each set:
 It then prints a second SHA-256, over the `--mode junction` payloads
 (`junction_to_dict`: root, edges, cost, density, resolved walks) of
 `min_density_junction_tree` on the instances of the pcs-integer and
-pcs-theta sets, in the same order.
+pcs-theta sets, in the same order, and a third, over the HiGHS model
+arrays (`start_`, `index_`, `value_`, `col_cost_`, `row_lower_`,
+`row_upper_`) of every LP the 80 solves build, in build order.
 
 Run it before and after a change: an equal digest means byte-identical
-reports.  Usage: `PYTHONPATH=src python3 scripts/report_digest.py`.
+reports, and an equal model digest means HiGHS was given byte-identical
+models.  Usage: `PYTHONPATH=src python3 scripts/report_digest.py`.
 """
 
 import hashlib
 import json
+from array import array
 from fractions import Fraction
 
+import pcspan.lpsolve
 from pcspan.generate import gen_pcs, gen_rcs
 from pcspan.greedy import solve_pcs
 from pcspan.io import junction_to_dict, report_to_dict
@@ -59,17 +64,46 @@ def pcs_reports(mode, instances):
         yield solve_pcs(inst, mode)
 
 
+def hash_models(digest):
+    """Wrap `lpsolve.highs_model` so that every model it builds is fed to
+    `digest`; returns the original to put back."""
+    original = pcspan.lpsolve.highs_model
+
+    def hashed(lp):
+        model = original(lp)
+        matrix = model.a_matrix_
+        for code, values in (
+            ("q", matrix.start_),
+            ("q", matrix.index_),
+            ("d", matrix.value_),
+            ("d", model.col_cost_),
+            ("d", model.row_lower_),
+            ("d", model.row_upper_),
+        ):
+            data = array(code, values).tobytes()
+            digest.update(len(data).to_bytes(8, "little") + data)
+        return model
+
+    pcspan.lpsolve.highs_model = hashed
+    return original
+
+
 def main():
     digest = hashlib.sha256()
+    models = hashlib.sha256()
     costs = []
     sets = [("rcs", rcs_reports())]
     sets += [(name, pcs_reports(mode, instances)) for name, mode, instances in PCS_SETS]
-    for name, reports in sets:
-        total = Fraction(0)
-        for report in reports:
-            digest.update(json.dumps(report_to_dict(report), sort_keys=True).encode())
-            total += report.cost
-        costs.append((name, total))
+    original = hash_models(models)
+    try:
+        for name, reports in sets:
+            total = Fraction(0)
+            for report in reports:
+                digest.update(json.dumps(report_to_dict(report), sort_keys=True).encode())
+                total += report.cost
+            costs.append((name, total))
+    finally:
+        pcspan.lpsolve.highs_model = original
     print(digest.hexdigest())
     for name, total in costs:
         print(f"{name}: {total}")
@@ -79,6 +113,7 @@ def main():
             tree = min_density_junction_tree(inst, mode)
             junction.update(json.dumps(junction_to_dict(tree, mode), sort_keys=True).encode())
     print(f"junction: {junction.hexdigest()}")
+    print(f"models: {models.hexdigest()}")
 
 
 if __name__ == "__main__":

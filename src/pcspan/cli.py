@@ -26,7 +26,7 @@ from .errors import (
 from .generate import gen_hopset, gen_pcs, gen_rcs
 from .greedy import solve_pcs
 from .junction import min_density_junction_tree
-from .model import Walk, is_feasible, is_theta_feasible
+from .model import is_feasible, is_theta_feasible
 from .oracle import brute_force_opt
 from .rational import format_rational, parse_rational
 from .rcsp import validate_demands, verify_solution
@@ -134,17 +134,14 @@ def cmd_verify(args, config: SolverConfig) -> int:
     if not args.report:
         raise ParseError("--mode verify needs --report")
     instance = pio.pcs_from_dict(pio.load_json(args.instance))
-    report = pio.load_json(args.report)
-    theta = None if report.get("theta") is None else parse_rational(report["theta"])
-    edge_ids = [int(e) for e in report.get("edges", [])]
+    theta, edge_ids, witnesses = pio.report_claims(pio.load_json(args.report), instance)
     results = verify_solution(instance, edge_ids, theta=theta)
     ok = all(entry["feasible"] for entry in results.values())
     for di, d in enumerate(instance.demands):
-        wits = report.get("witnesses", {}).get(str(di))
-        if wits is None:
+        walk = witnesses.get(di)
+        if walk is None:
             ok = False
             continue
-        walk = Walk(tuple(int(e) for e in wits))
         if theta is None:
             ok = ok and is_feasible(walk, d, instance)
         else:

@@ -162,6 +162,7 @@ def build_lp(bundle, config: SolverConfig = DEFAULT_CONFIG) -> LabelCoverLp:
         objective=objective,
         eq_rows=[1] + [0] * (num_eq - 1),
         ub_rows=[0] * (ub - num_eq),
+        cost_scale=bundle.pg.cost_scale,
     )
     return LabelCoverLp(
         lp=lp,

@@ -10,7 +10,7 @@ import json
 
 from .errors import ParseError
 from .greedy import SolveReport
-from .model import Demand, Edge, PcsInstance, ResourceVector
+from .model import Demand, Edge, PcsInstance, ResourceVector, Walk
 from .rational import format_rational, parse_rational
 from .reductions import (
     AVOID,
@@ -230,6 +230,35 @@ def report_to_dict(report: SolveReport) -> dict:
             k: report.diagnostics[k] for k in sorted(report.diagnostics)
         },
     }
+
+
+def _edge_id_list(raw, what, instance: PcsInstance) -> list:
+    _require(isinstance(raw, list), f"{what} must be a list")
+    ids = [_int(e, f"each entry of {what}") for e in raw]
+    for eid in ids:
+        _require(0 <= eid < len(instance.edges), f"{what}: edge id {eid} outside the instance")
+    return ids
+
+
+def report_claims(obj, instance: PcsInstance) -> tuple:
+    """(theta, edge ids, witnesses) that a report claims for `instance`:
+    theta is None or a positive Fraction, and witnesses maps each demand
+    index the report names to its Walk.  Raises ParseError on any other
+    shape, and on an edge id outside the instance."""
+    _require(isinstance(obj, dict), "a report must be a JSON object")
+    theta = obj.get("theta")
+    if theta is not None:
+        theta = parse_rational(theta)
+        _require(theta > 0, "field 'theta' must be positive")
+    edge_ids = _edge_id_list(obj.get("edges", []), "field 'edges'", instance)
+    raw = obj.get("witnesses", {})
+    _require(isinstance(raw, dict), "field 'witnesses' must be an object")
+    witnesses = {}
+    for di in range(len(instance.demands)):
+        walk = raw.get(str(di))
+        if walk is not None:
+            witnesses[di] = Walk(tuple(_edge_id_list(walk, f"witness {di}", instance)))
+    return theta, edge_ids, witnesses
 
 
 def junction_to_dict(tree, mode: str) -> dict:

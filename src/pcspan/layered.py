@@ -8,13 +8,15 @@ root path through them is a chain of exactly h closure steps, which
 `enumerate_root_paths` lists directly over the closure.  `CostClosure.path`
 expands a closure step back to the source-graph edges that realize its
 cost, never inflating total cost.
+
+The solver's closures run over product edges, whose costs are ints (base
+costs times the instance's cost scale), so Dijkstra adds and compares ints.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ContractError, ResourceLimitError
 
@@ -23,9 +25,10 @@ from .errors import ContractError, ResourceLimitError
 class CostClosure:
     """All-pairs min-cost table with on-demand path reconstruction.
 
-    `dist[u][v]` is the exact minimum cost; `parent[u][v]` is the
-    `(previous vertex, edge reference)` that reaches v on the cheapest path
-    from u found by u's Dijkstra.
+    `dist[u][v]` is the exact minimum cost, in the units of the edge costs
+    it was built from; `parent[u][v]` is the `(previous vertex, edge
+    reference)` that reaches v on the cheapest path from u found by u's
+    Dijkstra.
     """
 
     dist: dict
@@ -51,26 +54,33 @@ def build_closure(vertices, out_edges) -> CostClosure:
     """Dijkstra from every vertex (nonnegative costs required).
 
     `out_edges(v)` yields (edge_ref, head, cost) triples; heads outside
-    `vertices` are ignored.  Deterministic: ties resolved by vertex id order.
+    `vertices` are ignored.  The sums start from int 0, so int costs keep
+    the whole search in ints.  Deterministic: ties resolved by vertex id
+    order.
     """
     vset = set(vertices)
+    # every vertex is some search's source, so each one's arcs are read once
+    arcs = {}
+    for u in vset:
+        arcs[u] = out = []
+        for ref, head, cost in out_edges(u):
+            if head in vset:
+                if cost < 0:
+                    raise ContractError("closure requires nonnegative costs")
+                out.append((ref, head, cost))
     dist = {}
     parents = {}
     for src in sorted(vset):
-        d = {src: Fraction(0)}
+        d = {src: 0}
         parent = {}
-        heap = [(Fraction(0), src)]
+        heap = [(0, src)]
         done = set()
         while heap:
             du, u = heapq.heappop(heap)
             if u in done:
                 continue
             done.add(u)
-            for ref, head, cost in out_edges(u):
-                if head not in vset:
-                    continue
-                if cost < 0:
-                    raise ContractError("closure requires nonnegative costs")
+            for ref, head, cost in arcs[u]:
                 cand = du + cost
                 old = d.get(head)
                 if old is None or cand < old:
@@ -89,24 +99,22 @@ def enumerate_root_paths(closure: CostClosure, start, goal, h: int, cap: int):
     root -> state.  Raises ResourceLimitError past the cap."""
     if closure.cost(start, goal) is None:
         return []
+    if h == 0:
+        return [(start,)] if start == goal else []
     paths = []
 
     def extend(prefix, remaining):
-        cur = prefix[-1]
-        if remaining == 0:
-            if cur == goal:
-                paths.append(tuple(prefix))
-                if len(paths) > cap:
-                    raise ResourceLimitError(
-                        f"path enumeration exceeded cap {cap}; lower h or shrink the instance"
-                    )
+        if remaining == 1:
+            # every prefix here reaches goal, and goal is the only last step
+            paths.append((*prefix, goal))
+            if len(paths) > cap:
+                raise ResourceLimitError(
+                    f"path enumeration exceeded cap {cap}; lower h or shrink the instance"
+                )
             return
-        for nxt in sorted(closure.dist.get(cur, {})):
-            if remaining == 1 and nxt != goal:
-                continue
-            if remaining > 1 and closure.cost(nxt, goal) is None:
-                continue
-            extend(prefix + [nxt], remaining - 1)
+        for nxt in sorted(closure.dist[prefix[-1]]):
+            if closure.cost(nxt, goal) is not None:
+                extend(prefix + [nxt], remaining - 1)
 
     extend([start], h)
     return paths

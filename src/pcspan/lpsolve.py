@@ -2,18 +2,20 @@
 
 An LP is one column-wise integer matrix, the CSC input HiGHS takes (Huangfu
 & Hall, Math. Prog. Comp. 2018); every density-LP coefficient is +1 or -1.
-`solve_highs` hands it to HiGHS untransposed and returns the optimal basis
-with its float primal values and row duals.  `solve_exact` reconstructs the
-basic primal values and the tight-row duals as small-denominator rationals
-(continued fractions, as in Gleixner, Steffy & Wolter, "Iterative refinement
-for linear programming", INFORMS JoC 2016) and certifies primal feasibility,
-dual feasibility and complementary slackness exactly in integer arithmetic
-(Applegate, Cook, Dash & Espinoza, "Exact solutions to linear programming
-problems", 2007), with row activities and reduced costs read off the same
-columns.  Only when that certificate fails does it solve the basis's
-primal and dual systems by `Fraction` elimination, and it puts that result
-through the same check, so downstream pruning never consumes an uncertified
-float.
+The objective is ints too, over one positive scale (the instance's cost
+scale); HiGHS receives `k / scale`, the correctly rounded float of the true
+cost.  `solve_highs` hands the matrix to HiGHS untransposed and returns the
+optimal basis with its float primal values and row duals.  `solve_exact`
+reconstructs the basic primal values (ints where integral) and the
+tight-row duals as small-denominator rationals (continued fractions, as in
+Gleixner, Steffy & Wolter, "Iterative refinement for linear programming",
+INFORMS JoC 2016) and certifies primal feasibility, dual feasibility and
+complementary slackness exactly in integer arithmetic (Applegate, Cook, Dash
+& Espinoza, "Exact solutions to linear programming problems", 2007), with
+row activities and reduced costs read off the same columns.  Only when that
+certificate fails does it solve the basis's primal and dual systems by
+`Fraction` elimination, and it puts that result through the same check, so
+downstream pruning never consumes an uncertified float.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
+import numpy
 from scipy.optimize._highspy import _core as highs
 
 from .errors import InternalInvariantError
@@ -43,13 +46,15 @@ class LinearProgram:
 
     `columns[j]` lists column j's (row, int coefficient) pairs by ascending
     row; the eq rows are numbered first.  `eq_rows` and `ub_rows` hold the
-    right-hand sides (ints or Fractions), `objective` the nonzero costs.
+    right-hand sides (ints or Fractions).  `objective` maps columns to
+    nonzero int costs; column j's true cost is `objective[j] / cost_scale`.
     """
 
     columns: list
     objective: dict
     eq_rows: list
     ub_rows: list
+    cost_scale: int = 1
 
     @property
     def num_vars(self) -> int:
@@ -68,13 +73,13 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     return solve_exact(lp, basis, guess)
 
 
-def solve_highs(lp: LinearProgram) -> tuple:
-    """((basic columns, tight rows), (column values, row duals)) of HiGHS's
-    optimal solution; rows are numbered eq rows first, then ub rows, and the
-    values are floats.  `lp.columns` is passed to HiGHS as it stands."""
+def highs_model(lp: LinearProgram):
+    """The HighsLp of `lp`: `lp.columns` as they stand, rows numbered eq rows
+    first, then ub rows."""
     columns = lp.columns
+    num_vars = lp.num_vars
     model = highs.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = lp.num_vars
+    model.num_col_ = model.a_matrix_.num_col_ = num_vars
     model.num_row_ = model.a_matrix_.num_row_ = len(lp.eq_rows) + len(lp.ub_rows)
     model.a_matrix_.format_ = highs.MatrixFormat.kColwise
     model.a_matrix_.start_ = [0, *accumulate(len(col) for col in columns)]
@@ -82,30 +87,47 @@ def solve_highs(lp: LinearProgram) -> tuple:
     # HiGHS converts the int coefficients to doubles itself
     model.a_matrix_.value_ = [a for col in columns for _i, a in col]
     inf = highs.kHighsInf
-    model.col_cost_ = [float(lp.objective.get(j, 0)) for j in range(lp.num_vars)]
-    model.col_lower_ = [0.0] * lp.num_vars
-    model.col_upper_ = [inf] * lp.num_vars
+    # int / int is correctly rounded, so k / scale is the float of the
+    # rational cost whatever its scale
+    cost = [0.0] * num_vars
+    scale = lp.cost_scale
+    for j, k in lp.objective.items():
+        cost[j] = k / scale
+    model.col_cost_ = cost
+    model.col_lower_ = [0.0] * num_vars
+    model.col_upper_ = [inf] * num_vars
     upper = [float(b) for b in lp.eq_rows + lp.ub_rows]
     model.row_lower_ = upper[: len(lp.eq_rows)] + [-inf] * len(lp.ub_rows)
     model.row_upper_ = upper
+    return model
+
+
+def solve_highs(lp: LinearProgram) -> tuple:
+    """((basic columns, tight rows), (column values, row duals)) of HiGHS's
+    optimal solution for `highs_model(lp)`; both index lists ascend, and the
+    values are floats."""
     solver = highs._Highs()
     solver.setOptionValue("output_flag", False)
-    solver.passModel(model)
+    solver.passModel(highs_model(lp))
     solver.run()
     status = solver.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
         raise InternalInvariantError(f"LP solve failed: {solver.modelStatusToString(status)}")
-    basis = solver.getBasis()
+    # one basic variable per row: column j as j, row i as -1 - i
+    status, basic_vars = solver.getBasicVariables()
+    if status != highs.HighsStatus.kOk:
+        raise InternalInvariantError("HiGHS reports no basis for its optimal solution")
     solution = solver.getSolution()
-    # getBasis and getSolution return copies.  Freeing HiGHS's model and
-    # factorization before any Python list is built keeps the benchmark's
+    # getBasicVariables and getSolution return copies.  Freeing HiGHS's model
+    # and factorization before any Python list is built keeps the benchmark's
     # peak RSS on pcs-int flat; left to the destructor, it rose by about 1 MB.
     solver.clear()
-    basic = highs.HighsBasisStatus.kBasic
+    tight = numpy.ones(len(lp.eq_rows) + len(lp.ub_rows), dtype=bool)
+    tight[-1 - basic_vars[basic_vars < 0]] = False
     return (
         (
-            [j for j, s in enumerate(basis.col_status) if s == basic],
-            [i for i, s in enumerate(basis.row_status) if s != basic],
+            numpy.sort(basic_vars[basic_vars >= 0]).tolist(),
+            numpy.flatnonzero(tight).tolist(),
         ),
         (solution.col_value, solution.row_dual),
     )
@@ -143,24 +165,26 @@ def solve_exact(lp: LinearProgram, basis: tuple, guess: tuple | None = None) -> 
     return _solution(lp, primal)
 
 
-def _reconstruct(v: float) -> Fraction:
+def _reconstruct(v: float):
     """The rational a float solution value stands for: the nearest integer
-    within 1e-9, else the best approximation with denominator at most
-    RECONSTRUCT_LIMIT (a continued-fraction convergent)."""
+    within 1e-9 (as an int), else the best approximation with denominator at
+    most RECONSTRUCT_LIMIT (a continued-fraction convergent)."""
     r = round(v)
     if abs(v - r) <= 1e-9:
-        return Fraction(r) if r else _ZERO
+        return r
     return Fraction(v).limit_denominator(RECONSTRUCT_LIMIT)
 
 
 def _solution(lp: LinearProgram, primal: dict) -> LpSolution:
+    """The LpSolution of a certified primal (values ints or Fractions)."""
     values = [_ZERO] * lp.num_vars
-    objective = _ZERO
+    objective = 0
     for j, v in primal.items():
-        values[j] = v
-        if v and j in lp.objective:
-            objective += lp.objective[j] * v
-    return LpSolution(values=values, objective=objective)
+        if v:
+            values[j] = v if isinstance(v, Fraction) else Fraction(v)
+            if j in lp.objective:
+                objective += lp.objective[j] * v
+    return LpSolution(values=values, objective=Fraction(objective, lp.cost_scale))
 
 
 def _certify(lp: LinearProgram, basis: tuple, primal: dict, dual: dict) -> None:
@@ -168,14 +192,15 @@ def _certify(lp: LinearProgram, basis: tuple, primal: dict, dual: dict) -> None:
     every other column 0) and `dual` (tight row -> value, every other row 0)
     prove each other optimal.
 
-    The primal is scaled by the lcm of its denominators, and the reduced
-    costs by the lcm of the dual and objective denominators, so with the
-    int constraint coefficients every sum below is over integers.  Row
-    activities come from scattering the nonzero basic columns, reduced costs
-    from one pass over the columns.  A pass means
-    primal feasibility, dual feasibility and complementary slackness: the
-    primal is nonzero only on basic columns, whose reduced costs are 0, and
-    the dual only on tight rows, which hold with equality.
+    Values may be ints or Fractions.  The primal is scaled by the lcm of its
+    denominators, and the reduced costs by the cost scale times the lcm of
+    the dual denominators, so with the int constraint coefficients and the
+    int objective every sum below is over integers.  Row activities come
+    from scattering the nonzero basic columns, reduced costs from one pass
+    over the columns.  A pass means primal feasibility, dual feasibility and
+    complementary slackness: the primal is nonzero only on basic columns,
+    whose reduced costs are 0, and the dual only on tight rows, which hold
+    with equality.
     """
     basic, tight = basis
     num_eq = len(lp.eq_rows)
@@ -199,14 +224,13 @@ def _certify(lp: LinearProgram, basis: tuple, primal: dict, dual: dict) -> None:
                 )
         elif lhs > bound:
             raise InternalInvariantError("LP solution is not primal feasible: a <= row is violated")
-    dscale = math.lcm(
-        *(y.denominator for y in dual.values()),
-        *(c.denominator for c in lp.objective.values()),
-    )
-    y = {i: v.numerator * (dscale // v.denominator) for i, v in dual.items() if v}
+    dscale = math.lcm(*(y.denominator for y in dual.values()))
+    # the true reduced cost objective[j] / L - a . dual, times L * dscale
+    yscale = dscale * lp.cost_scale
+    y = {i: v.numerator * (yscale // v.denominator) for i, v in dual.items() if v}
     if any(v > 0 for i, v in y.items() if i >= num_eq):
         raise InternalInvariantError("LP solution has a positive dual on a <= row")
-    cost = {j: c.numerator * (dscale // c.denominator) for j, c in lp.objective.items()}
+    cost = {j: c * dscale for j, c in lp.objective.items()}
     reduced = [
         cost.get(j, 0) - sum(a * y[i] for i, a in column if i in y)
         for j, column in enumerate(lp.columns)
@@ -230,7 +254,7 @@ def _eliminate(lp: LinearProgram, basic: list, tight: list) -> tuple:
     primal = _solve_square([coef[i] for i in tight], [Fraction(rhs[i]) for i in tight], basic)
     dual = _solve_square(
         [{i: Fraction(a) for i, a in lp.columns[j] if i in coef} for j in basic],
-        [Fraction(lp.objective.get(j, 0)) for j in basic],
+        [Fraction(lp.objective.get(j, 0), lp.cost_scale) for j in basic],
         tight,
     )
     return primal, dual

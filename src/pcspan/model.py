@@ -16,6 +16,7 @@ from .errors import (
     InstanceMismatchError,
     ParseError,
 )
+from .rational import common_scale
 
 
 @dataclass(frozen=True)
@@ -171,6 +172,18 @@ class PcsInstance:
     def total_cost(self, edge_ids) -> Fraction:
         seen = set(edge_ids)
         return sum((self.edges[eid].cost for eid in seen), Fraction(0))
+
+
+def cost_scale(instance: PcsInstance) -> int:
+    """The instance's cost scale L: every edge cost times L is an integer
+    (L = 1 when the costs are integers).  Scaling every cost by the same
+    positive L keeps every comparison and every tie."""
+    return common_scale(e.cost for e in instance.edges)
+
+
+def length_scale(instance: PcsInstance) -> int:
+    """The length scale of the walk oracle, as `cost_scale` for entry 0."""
+    return common_scale(e.res[0] for e in instance.edges)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ from itertools import groupby
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import ContractError, ResourceLimitError
-from .model import PcsInstance, theta_relaxed_bound
+from .model import PcsInstance, cost_scale, theta_relaxed_bound
+from .rational import to_units
 from .rcsp import _enumerate_configs, config_bounds, step_config
 from .scaling import ScaledInstance
 
@@ -111,7 +112,7 @@ def relation_holds(budget_units: tuple, i_label: tuple, j_label: tuple) -> bool:
 class ProductEdge:
     tail: int
     head: int
-    cost: Fraction
+    cost: int  # the base edge's cost times the graph's cost_scale
     base_edge: int
 
 
@@ -125,8 +126,11 @@ class ProductGraph:
     edges: tuple  # ProductEdge
     out_adj: tuple
     in_adj: tuple
+    cost_scale: int  # edge costs are base costs times this (model.cost_scale)
     # (side, v) -> the contiguous run of its state ids, in label order
     runs: dict = field(init=False, repr=False, compare=False)
+    # demand -> its relation-compatible (L vid, R vid) pairs, in label order
+    relation_vids: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # vertex_keys is sorted by (side, v, label)
@@ -136,6 +140,17 @@ class ProductGraph:
             stop = start + sum(1 for _ in group)
             self.runs[owner] = range(start, stop)
             start = stop
+        keys = self.vertex_keys
+        self.relation_vids = {}
+        for di, d in enumerate(self.instance.demands):
+            box = self.budget_units(di)
+            snk = self.runs.get(("R", d.target), ())
+            self.relation_vids[di] = [
+                (i, j)
+                for i in self.runs.get(("L", d.source), ())
+                for j in snk
+                if relation_holds(box, keys[i][3], keys[j][3])
+            ]
 
     @property
     def instance(self) -> PcsInstance:
@@ -197,6 +212,8 @@ def build_product_graph(problem, config: SolverConfig = DEFAULT_CONFIG) -> Produ
             f"(cap {config.max_product_vertices})"
         )
     units = [_edge_units(problem, eid) for eid in range(len(instance.edges))]
+    scale = cost_scale(instance)
+    costs = [to_units(e.cost, scale) for e in instance.edges]
     out_edges = [[] for _ in range(instance.n)]
     in_edges = [[] for _ in range(instance.n)]
     for eid, e in enumerate(instance.edges):
@@ -221,7 +238,7 @@ def build_product_graph(problem, config: SolverConfig = DEFAULT_CONFIG) -> Produ
             for (w, nxt), eid in arcs:
                 there = vertex_ids[("S", side, w, nxt)]
                 pair = (there, here) if side == "L" else (here, there)
-                cand = (instance.edges[eid].cost, eid)
+                cand = (costs[eid], eid)
                 cur = best.get(pair)
                 if cur is None or cand < cur:
                     best[pair] = cand
@@ -240,6 +257,7 @@ def build_product_graph(problem, config: SolverConfig = DEFAULT_CONFIG) -> Produ
         edges=edges,
         out_adj=tuple(tuple(a) for a in out_adj),
         in_adj=tuple(tuple(a) for a in in_adj),
+        cost_scale=scale,
     )
 
 
@@ -269,27 +287,15 @@ def states_reachable_from_root_right(pg: ProductGraph, root: int) -> set:
 
 
 def connectable_relation_pairs(pg: ProductGraph, reach_left: set, reach_right: set) -> dict:
-    """Per demand, the relation pairs whose endpoints actually connect to the
-    root through the product graph (the rest carry no LP value)."""
-    instance = pg.instance
-    out = {}
-    for di, d in enumerate(instance.demands):
-        box = pg.budget_units(di)
-        src_ok = [
-            pg.vertex_keys[vid][3]
-            for vid in pg.runs.get(("L", d.source), ())
-            if vid in reach_left
+    """Per demand, the (source label, target label) relation pairs whose
+    endpoints actually connect to the root through the product graph (the
+    rest carry no LP value), in label order."""
+    keys = pg.vertex_keys
+    return {
+        di: [
+            (keys[i][3], keys[j][3])
+            for i, j in pairs
+            if i in reach_left and j in reach_right
         ]
-        snk_ok = [
-            pg.vertex_keys[vid][3]
-            for vid in pg.runs.get(("R", d.target), ())
-            if vid in reach_right
-        ]
-        pairs = [
-            (i_lab, j_lab)
-            for i_lab in src_ok
-            for j_lab in snk_ok
-            if relation_holds(box, i_lab, j_lab)
-        ]
-        out[di] = pairs
-    return out
+        for di, pairs in pg.relation_vids.items()
+    }

@@ -1,5 +1,7 @@
-"""Exact rational parsing/formatting ("num/den" strings, ints as shorthand)."""
+"""Exact rational parsing/formatting ("num/den" strings, ints as shorthand),
+and the integer scales the hot loops compute in."""
 
+import math
 from fractions import Fraction
 
 from .errors import ParseError
@@ -28,3 +30,14 @@ def format_rational(q: Fraction):
     if q.denominator == 1:
         return int(q)
     return f"{q.numerator}/{q.denominator}"
+
+
+def common_scale(values) -> int:
+    """The least positive L with v * L an integer for every value (ints or
+    Fractions): the lcm of their denominators, 1 for ints."""
+    return math.lcm(*{v.denominator for v in values})
+
+
+def to_units(q, scale: int) -> int:
+    """q * scale as an int; `scale` must be a multiple of q's denominator."""
+    return q.numerator * (scale // q.denominator)

@@ -5,11 +5,14 @@ the covering coordinates clamped at -tau (clamping is absorbing: once a walk
 has consumed -tau of a covering resource, further consumption is irrelevant
 because every budget is >= -tau).  Lengths may be negative; the instance
 invariant (no negative-length cycle) guarantees the hop-bounded DP converges
-to true minima once the hop cap reaches the state count.
+to true minima once the hop cap reaches the state count.  The DP adds ints:
+every length is counted in units of 1 / `model.length_scale`, and each
+budget becomes the largest whole number of units within it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,8 +27,10 @@ from .model import (
     PcsInstance,
     ResourceVector,
     Walk,
+    length_scale,
     theta_relaxed_bound,
 )
+from .rational import to_units
 
 
 def zero_config(instance: PcsInstance) -> tuple:
@@ -88,14 +93,23 @@ def default_hop_cap(instance: PcsInstance) -> int:
 
 @dataclass(frozen=True)
 class LabelTable:
-    """Per-hop minimal lengths from a fixed source over (vertex, config) states."""
+    """Per-hop minimal lengths from a fixed source over (vertex, config)
+    states, as ints in units of 1 / `scale`."""
 
     source: int
-    by_hops: tuple  # tuple of dicts: state -> Fraction, index = max hops used
-    lengths: dict  # state -> overall minimal length
+    by_hops: tuple  # tuple of dicts: state -> int units, index = max hops used
+    lengths: dict  # state -> overall minimal length in units
+    scale: int  # model.length_scale of the instance
 
     def length(self, vertex: int, cfg: tuple):
-        return self.lengths.get((vertex, cfg))
+        """The exact minimal length (a Fraction), or None if unreached."""
+        units = self.lengths.get((vertex, cfg))
+        return None if units is None else Fraction(units, self.scale)
+
+
+def _limit(bound, scale: int) -> int:
+    """The largest int number of 1 / `scale` units within `bound`."""
+    return math.floor(bound * scale)
 
 
 def _allowed_edges(instance: PcsInstance, edge_subset):
@@ -108,17 +122,19 @@ def _allowed_edges(instance: PcsInstance, edge_subset):
     return ids
 
 
-def _successors(instance: PcsInstance, edges, edge_ids):
+def _successors(instance: PcsInstance, edges, edge_ids, scale: int):
     """Arcs between (vertex, config) states over `edges[eid]` for the
     ascending ids `edge_ids`.
 
-    Returns (arcs, expanded): `arcs(state)` lists (eid, next state, length)
-    in edge-id order and steps each config once per state and edge;
-    `expanded` maps every state expanded so far to its arcs.
+    Returns (arcs, expanded): `arcs(state)` lists (eid, next state, length
+    in units of 1 / `scale`) in edge-id order and steps each config once per
+    state and edge; `expanded` maps every state expanded so far to its arcs.
     """
     out_by_tail = {}
+    units = {}
     for eid in edge_ids:
         out_by_tail.setdefault(edges[eid].tail, []).append(eid)
+        units[eid] = to_units(edges[eid].res[0], scale)
     expanded = {}
 
     def arcs(state):
@@ -130,7 +146,7 @@ def _successors(instance: PcsInstance, edges, edge_ids):
                 e = edges[eid]
                 cfg2 = step_config(instance, cfg, e.res)
                 if cfg2 is not None:
-                    out.append((eid, (e.head, cfg2), e.res[0]))
+                    out.append((eid, (e.head, cfg2), units[eid]))
             expanded[state] = out
         return out
 
@@ -145,7 +161,7 @@ def _relax(arcs, start, max_hops: int) -> list:
     previous hop improved; the search stops after `max_hops` hops or at the
     first hop that improves nothing (later tables would equal the last).
     """
-    tables = [{start: Fraction(0)}]
+    tables = [{start: 0}]
     improved = (start,)
     for _ in range(max_hops):
         current = tables[-1]
@@ -179,9 +195,13 @@ def shortest_lengths_from(
     """
     if max_hops is None:
         max_hops = default_hop_cap(instance)
-    arcs, _ = _successors(instance, instance.edges, _allowed_edges(instance, edge_subset))
+    scale = length_scale(instance)
+    edge_ids = _allowed_edges(instance, edge_subset)
+    arcs, _ = _successors(instance, instance.edges, edge_ids, scale)
     tables = _relax(arcs, (source, zero_config(instance)), max_hops)
-    return LabelTable(source=source, by_hops=tuple(tables), lengths=dict(tables[-1]))
+    return LabelTable(
+        source=source, by_hops=tuple(tables), lengths=dict(tables[-1]), scale=scale
+    )
 
 
 def _witness(instance: PcsInstance, edges, edge_ids, demand: Demand, theta, max_hops):
@@ -198,7 +218,9 @@ def _witness(instance: PcsInstance, edges, edge_ids, demand: Demand, theta, max_
         if theta is None
         else theta_relaxed_bound(demand.budget[0], Fraction(theta))
     )
-    arcs, expanded = _successors(instance, edges, edge_ids)
+    scale = length_scale(instance)
+    bound = _limit(bound, scale)
+    arcs, expanded = _successors(instance, edges, edge_ids, scale)
     start = (demand.source, zero_config(instance))
     best = None
     for h, tab in enumerate(_relax(arcs, start, max_hops)):
@@ -268,11 +290,12 @@ def hop_bound(instance: PcsInstance) -> int:
     for source in sorted(by_source):
         table = shortest_lengths_from(instance, source, max_hops=cap)
         for d in by_source[source]:
+            limit = _limit(d.budget[0], table.scale)
             h_min = None
             for h, tab in enumerate(table.by_hops):
                 ok = any(
                     v == d.target
-                    and length <= d.budget[0]
+                    and length <= limit
                     and config_feasible(instance, cfg, d.budget)
                     for (v, cfg), length in tab.items()
                 )
@@ -294,17 +317,17 @@ def validate_demands(instance: PcsInstance):
     target holds a state within budget (the tables are cumulative, so the
     last one decides).
     """
-    lengths_from = {}
+    tables = {}
     for d in instance.demands:
-        lengths = lengths_from.get(d.source)
-        if lengths is None:
-            lengths = shortest_lengths_from(instance, d.source).lengths
-            lengths_from[d.source] = lengths
+        table = tables.get(d.source)
+        if table is None:
+            table = tables[d.source] = shortest_lengths_from(instance, d.source)
+        limit = _limit(d.budget[0], table.scale)
         if not any(
             v == d.target
-            and length <= d.budget[0]
+            and length <= limit
             and config_feasible(instance, cfg, d.budget)
-            for (v, cfg), length in lengths.items()
+            for (v, cfg), length in table.lengths.items()
         ):
             raise InfeasibleDemandError(
                 f"demand ({d.source},{d.target}) admits no feasible walk"

@@ -197,6 +197,29 @@ def test_verify_failure_exits_4(tri_instance, tmp_path):
     assert run(["--mode", "verify", str(inst_path), "--report", str(report_path)]) == 4
 
 
+@pytest.mark.parametrize(
+    "report",
+    [
+        [],
+        {"edges": ["x"], "witnesses": {"0": [0, 1]}},
+        {"edges": [0, 1], "witnesses": []},
+        {"edges": [0, 1, 3], "witnesses": {"0": [0, 1]}},
+        {"edges": [0, 1], "witnesses": {"0": [0, -1]}},
+        {"edges": [0, 1], "witnesses": {"0": "01"}},
+        {"edges": [0, 1], "witnesses": {"0": [0, 1]}, "theta": "-1/10"},
+    ],
+    ids=["list", "edge-not-int", "witnesses-list", "edge-outside", "witness-edge-outside",
+         "witness-not-list", "theta-negative"],
+)
+def test_malformed_report_exits_2(tri_instance, tmp_path, capsys, report):
+    inst_path = tmp_path / "tri.json"
+    pio.write_json(str(inst_path), pio.pcs_to_dict(tri_instance))
+    report_path = tmp_path / "r.json"
+    report_path.write_text(json.dumps(report))
+    assert run(["--mode", "verify", str(inst_path), "--report", str(report_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_path_cap_exits_5(tmp_path, monkeypatch):
     inst = gen_pcs(n=8, k=4, m=1, tau=1, regime="integer", seed=1, budget_slack=1)
     inst_path = tmp_path / "paths.json"

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from scipy.optimize._highspy import _core as highs
 
 from pcspan.density_lp import build_lp
 from pcspan.errors import InternalInvariantError
@@ -13,24 +14,29 @@ from pcspan.lpsolve import (
     LinearProgram,
     LpSolution,
     _certify,
+    highs_model,
     solve_exact,
     solve_highs,
     solve_lp,
 )
+from pcspan.rational import common_scale, to_units
 
 
 def make_lp(num_vars: int, objective: dict, eq=(), ub=()) -> LinearProgram:
     """A LinearProgram from rows: `eq` and `ub` list (row, rhs) pairs, a row
-    mapping a column to its coefficient; rhs may be fractional."""
+    mapping a column to its coefficient; rhs and costs may be fractional
+    (the costs become ints over their common scale)."""
     columns = [[] for _ in range(num_vars)]
     for i, (row, _rhs) in enumerate([*eq, *ub]):
         for j, a in row.items():
             columns[j].append((i, a))
+    scale = common_scale(Fraction(c) for c in objective.values())
     return LinearProgram(
         columns=columns,
-        objective=dict(objective),
+        objective={j: to_units(Fraction(c), scale) for j, c in objective.items()},
         eq_rows=[rhs for _row, rhs in eq],
         ub_rows=[rhs for _row, rhs in ub],
+        cost_scale=scale,
     )
 
 
@@ -135,7 +141,7 @@ def reference_simplex(lp: LinearProgram) -> LpSolution:
                     break
     phase2_cost = [Fraction(0)] * width
     for j, v in lp.objective.items():
-        phase2_cost[j] = Fraction(v)
+        phase2_cost[j] = Fraction(v, lp.cost_scale)
     allowed = set(range(total))
     run_simplex(tableau, basis, phase2_cost, allowed)
     values = [Fraction(0)] * lp.num_vars
@@ -144,7 +150,7 @@ def reference_simplex(lp: LinearProgram) -> LpSolution:
             values[bj] = tableau[r][-1]
     assert residuals(lp, values) == (0, 0)
     return LpSolution(values=values, objective=sum(
-        (Fraction(c) * values[j] for j, c in lp.objective.items()), Fraction(0)
+        (Fraction(c, lp.cost_scale) * values[j] for j, c in lp.objective.items()), Fraction(0)
     ))
 
 
@@ -311,6 +317,53 @@ def test_certificate_accepts_an_optimum_with_fractional_values():
     lp = make_lp(2, {0: Fraction(3, 2), 1: 1}, eq=[({0: 2, 1: 1}, 1)], ub=[({0: 1}, 1)])
     _certify(lp, ([0], [0]), {0: Fraction(1, 2)}, {0: Fraction(3, 4)})
     assert solve_lp(lp).values == [Fraction(1, 2), Fraction(0)]
+
+
+def _generated_lps():
+    rng = random.Random(11)
+    yield from (_random_lp(rng) for _ in range(20))
+    for seed in (8, 9):
+        inst = gen_pcs(n=6, k=3, m=1, tau=1, regime="integer", seed=seed, budget_slack=1)
+        for root in range(inst.n):
+            bundle = build_label_cover(inst, root)
+            if bundle is not None:
+                yield build_lp(bundle).lp
+
+
+def _basis_by_status(lp: LinearProgram) -> tuple:
+    """(basic columns, tight rows) split from HiGHS's per-variable statuses."""
+    solver = highs._Highs()
+    solver.setOptionValue("output_flag", False)
+    solver.passModel(highs_model(lp))
+    solver.run()
+    basis = solver.getBasis()
+    basic = highs.HighsBasisStatus.kBasic
+    return (
+        [j for j, s in enumerate(basis.col_status) if s == basic],
+        [i for i, s in enumerate(basis.row_status) if s != basic],
+    )
+
+
+def test_basis_indices_equal_the_basis_status_split():
+    count = 0
+    for lp in _generated_lps():
+        (basic, tight), _guess = solve_highs(lp)
+        assert (basic, tight) == _basis_by_status(lp)
+        assert all(type(j) is int for j in basic + tight)
+        assert len(basic) == len(tight)
+        count += 1
+    assert count > 25
+
+
+def test_highs_costs_are_the_floats_of_the_rational_costs():
+    # float(k) / float(L) would round the last cost down; k / L does not
+    costs = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 6), Fraction(38344278408619747, 9)]
+    assert float(costs[3].numerator) / costs[3].denominator != float(costs[3])
+    lp = make_lp(4, dict(enumerate(costs)), eq=[({j: 1 for j in range(4)}, 1)])
+    assert lp.cost_scale == 126
+    assert all(type(k) is int for k in lp.objective.values())
+    assert list(highs_model(lp).col_cost_) == [float(c) for c in costs]
+    assert solve_lp(lp).objective == Fraction(2, 7)
 
 
 def test_residuals_exact():

@@ -6,7 +6,7 @@ import pytest
 from pcspan.config import SolverConfig
 from pcspan.errors import ContractError, ResourceLimitError
 from pcspan.generate import gen_pcs, gen_rcs
-from pcspan.model import Walk, is_feasible, walk_resource
+from pcspan.model import Walk, cost_scale, is_feasible, walk_resource
 from pcspan.product import (
     ProductEdge,
     ProductGraph,
@@ -109,8 +109,10 @@ def _full_product_graph(problem) -> ProductGraph:
         ("S", side, v, lab) for side in ("L", "R") for v in range(instance.n) for lab in labels
     )
     vertex_ids = {key: vid for vid, key in enumerate(vertex_keys)}
+    scale = cost_scale(instance)
     best = {}
     for eid, e in enumerate(instance.edges):
+        cost = e.cost * scale
         units = problem.units[eid] if scaled else int(e.res[0])
         for lab in labels:
             nxt = step_label(instance, bounds, lab, eid, units)
@@ -123,8 +125,8 @@ def _full_product_graph(problem) -> ProductGraph:
             for tail_key, head_key in pairs:
                 tv, hv = vertex_ids[tail_key], vertex_ids[head_key]
                 cur = best.get((tv, hv))
-                if cur is None or (e.cost, eid) < cur:
-                    best[(tv, hv)] = (e.cost, eid)
+                if cur is None or (cost, eid) < cur:
+                    best[(tv, hv)] = (cost, eid)
     edges = tuple(ProductEdge(tv, hv, cost, eid) for (tv, hv), (cost, eid) in sorted(best.items()))
     out_adj = [[] for _ in vertex_keys]
     in_adj = [[] for _ in vertex_keys]
@@ -140,6 +142,7 @@ def _full_product_graph(problem) -> ProductGraph:
         edges=edges,
         out_adj=tuple(tuple(a) for a in out_adj),
         in_adj=tuple(tuple(a) for a in in_adj),
+        cost_scale=scale,
     )
 
 

@@ -56,7 +56,8 @@ def test_covering_clamp_absorbs():
 
 def test_table_respects_relaxations(tri_instance):
     table = shortest_lengths_from(tri_instance, 0)
-    for (v, cfg), length in table.lengths.items():
+    for (v, cfg), units in table.lengths.items():
+        length = Fraction(units, table.scale)
         for eid in tri_instance.out_edges(v):
             e = tri_instance.edges[eid]
             ncfg = tuple(
@@ -314,10 +315,10 @@ def min_feasible_hops(instance, demand, max_hops):
     """Smallest edge count of any feasible walk for the demand, or None."""
     table = shortest_lengths_from(instance, demand.source, max_hops=max_hops)
     for h, tab in enumerate(table.by_hops):
-        for (v, cfg), length in tab.items():
+        for (v, cfg), units in tab.items():
             if (
                 v == demand.target
-                and length <= demand.budget[0]
+                and units <= demand.budget[0] * table.scale
                 and config_feasible(instance, cfg, demand.budget)
             ):
                 return h
