@@ -23,7 +23,7 @@ from .errors import (
     PcspanError,
     ResourceLimitError,
 )
-from .generate import gen_hopset, gen_pcs, gen_rcs
+from .generate import GenerationError, gen_hopset, gen_pcs, gen_rcs
 from .greedy import solve_pcs
 from .junction import min_density_junction_tree
 from .model import is_feasible, is_theta_feasible
@@ -256,8 +256,8 @@ def main(argv=None) -> int:
         if args.mode == "bench":
             return cmd_bench(args, config)
         raise ParseError(f"unknown mode {args.mode}")
-    except ParseError as exc:
-        log.error("parse error: %s", exc)
+    except (ParseError, GenerationError) as exc:
+        log.error("bad input: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (InfeasibleDemandError, InfeasibleWithinCapError) as exc:

@@ -30,13 +30,21 @@ from .scaling import ScaledInstance
 
 @dataclass
 class LabelCoverLp:
-    """LP (objective: sum of w_r(e) * x_e) with semantic variable keys."""
+    """LP (objective: sum of w_r(e) * x_e) over one root's label cover.
+
+    The columns come in a fixed order: y (one per relation pair, in
+    sorted-demand then relation order), z (one per terminal), the flow
+    values Z (one per attachment state), then per flow its path columns g
+    and the capacity columns x that flow opens.  `z_cols` and `g_cols`
+    record where the z values and the path flows sit.
+    """
 
     lp: LinearProgram
-    keys: tuple  # column -> key
     bundle: object  # the RootedLabelCover this LP was built from
     paths_up: dict  # state vid -> list of vid chains (state .. root)
     paths_down: dict  # state vid -> list of vid chains (root .. state)
+    z_cols: dict  # (demand, end, label) -> column
+    g_cols: dict  # (side, state vid) -> range of its path columns
 
 
 @dataclass
@@ -47,16 +55,6 @@ class LpValues:
     z: dict  # (demand, end, label) -> Fraction
     flow: dict  # (side, state, path_idx) -> Fraction
     objective: Fraction
-
-
-def _up_edge_keys(h: int, chain) -> list:
-    # chain: (state=v_0, ..., v_h=root); v_i sits at level h - i
-    return [("up", h - i, chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
-
-
-def _down_edge_keys(h: int, chain) -> list:
-    # chain: (root=u_0, ..., u_h=state); u_i sits at level i
-    return [("down", i, chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
 
 
 def build_lp(bundle, config: SolverConfig = DEFAULT_CONFIG) -> LabelCoverLp:
@@ -78,85 +76,82 @@ def build_lp(bundle, config: SolverConfig = DEFAULT_CONFIG) -> LabelCoverLp:
             paths_down[vid] = enumerate_root_paths(bundle.down, bundle.root_right, vid, h, cap)
 
     # eq rows: normalization, then one flow row per attachment state; the
-    # ub rows are numbered after them, so every row gets its index at once
+    # ub rows are numbered after them, so every row gets its index at once.
+    # Every column is made in one place and its index recorded there; the
+    # y columns, one per relation pair, come first.
     num_eq = 1 + len(paths_up) + len(paths_down)
-    var_index = {}
-    keys = []
-    columns = []
+    columns = [[(0, 1)] for pairs in relations.values() for _pair in pairs]
     objective = {}
-
-    def var(key):
-        idx = var_index.get(key)
-        if idx is None:
-            idx = var_index[key] = len(keys)
-            keys.append(key)
-            columns.append([])
-        return idx
-
-    def put(key, row, coefficient):
-        columns[var(key)].append((row, coefficient))
-
-    for di in sorted(relations):
-        for (i_lab, j_lab) in relations[di]:
-            put(("y", di, i_lab, j_lab), 0, 1)
 
     # z dominance per terminal (both sides)
     ub = num_eq
+    z_cols = {}
+    y = 0
     for di in sorted(relations):
         by_end = {"src": {}, "snk": {}}
         for (i_lab, j_lab) in relations[di]:
-            y = ("y", di, i_lab, j_lab)
             by_end["src"].setdefault(i_lab, []).append(y)
             by_end["snk"].setdefault(j_lab, []).append(y)
+            y += 1
         for end, by_label in by_end.items():
             for lab in sorted(by_label):
-                for y in by_label[lab]:
-                    put(y, ub, 1)
-                put(("z", di, end, lab), ub, -1)
+                for col in by_label[lab]:
+                    columns[col].append((ub, 1))
+                z_cols[(di, end, lab)] = len(columns)
+                columns.append([(ub, -1)])
                 ub += 1
 
     # terminal z feeds the shared flow of its attachment state
+    flow_cols = {}
     for end, side, attach in (
         ("src", "up", bundle.src_attach),
         ("snk", "down", bundle.snk_attach),
     ):
         for (di, lab), vid in sorted(attach.items()):
-            put(("z", di, end, lab), ub, 1)
-            put(("Z", side, vid), ub, -1)
+            columns[z_cols[(di, end, lab)]].append((ub, 1))
+            flow = flow_cols.get((side, vid))
+            if flow is None:
+                flow = flow_cols[(side, vid)] = len(columns)
+                columns.append([])
+            columns[flow].append((ub, -1))
             ub += 1
 
     # path-form flow support: sum of path vars equals the state's flow value,
-    # and per-edge totals stay under the capacity x_e (per flow system)
+    # and per-step totals stay under the capacity x of the closure step
+    # (level, a, b); one x per step and side, shared by that side's flows
     eq = 1
-    for side, paths, keyfn, closure in (
-        ("up", paths_up, _up_edge_keys, bundle.up),
-        ("down", paths_down, _down_edge_keys, bundle.down),
+    g_cols = {}
+    for side, paths, levels, closure in (
+        ("up", paths_up, range(h, 0, -1), bundle.up),
+        ("down", paths_down, range(h), bundle.down),
     ):
+        x_cols = {}
         for vid in sorted(paths):
-            put(("Z", side, vid), eq, -1)
-            per_edge = {}
-            for p_idx, chain in enumerate(paths[vid]):
-                g = var(("g", side, vid, p_idx))
-                columns[g].append((eq, 1))
-                for ekey in keyfn(h, chain):
-                    per_edge.setdefault(ekey, []).append(g)
+            # this eq row is numbered below the flow's feed rows written above
+            columns[flow_cols[(side, vid)]].insert(0, (eq, -1))
+            start = len(columns)
+            g_cols[(side, vid)] = range(start, start + len(paths[vid]))
+            per_step = {}
+            for g, chain in enumerate(paths[vid], start):
+                columns.append([(eq, 1)])
+                for step in zip(levels, chain, chain[1:]):
+                    per_step.setdefault(step, []).append(g)
             eq += 1
-            for ekey in sorted(per_edge):
-                for g in per_edge[ekey]:
+            for step in sorted(per_step):
+                for g in per_step[step]:
                     columns[g].append((ub, 1))
-                x = ("x", ekey)
-                if x not in var_index:
-                    cost = closure.cost(ekey[2], ekey[3])
+                x = x_cols.get(step)
+                if x is None:
+                    cost = closure.cost(step[1], step[2])
                     if cost is None:
                         raise InternalInvariantError("x variable on a missing closure edge")
+                    x = x_cols[step] = len(columns)
                     if cost != 0:
-                        objective[len(keys)] = cost
-                put(x, ub, -1)
+                        objective[x] = cost
+                    columns.append([])
+                columns[x].append((ub, -1))
                 ub += 1
 
-    # a Z column meets its feed row (ub) before its flow row (eq)
-    for column in columns:
-        column.sort()
     lp = LinearProgram(
         columns=columns,
         objective=objective,
@@ -166,27 +161,27 @@ def build_lp(bundle, config: SolverConfig = DEFAULT_CONFIG) -> LabelCoverLp:
     )
     return LabelCoverLp(
         lp=lp,
-        keys=tuple(keys),
         bundle=bundle,
         paths_up=paths_up,
         paths_down=paths_down,
+        z_cols=z_cols,
+        g_cols=g_cols,
     )
 
 
 def solve_lp(cover: LabelCoverLp) -> LpValues:
-    """Solve exactly and split the values by variable kind."""
+    """Solve exactly and read y, z and the path flows by column position."""
     sol = _solve_lp_backend(cover.lp)
-    y = {}
-    z = {}
-    flow = {}
-    for idx, key in enumerate(cover.keys):
-        val = sol.values[idx]
-        if key[0] == "y":
-            y[key[1:]] = val
-        elif key[0] == "z":
-            z[key[1:]] = val
-        elif key[0] == "g":
-            flow[key[1:]] = val
+    values = sol.values
+    relations = cover.bundle.relations
+    pairs = [(di, i_lab, j_lab) for di in sorted(relations) for (i_lab, j_lab) in relations[di]]
+    y = dict(zip(pairs, values))  # the y columns come first
+    z = {key: values[col] for key, col in cover.z_cols.items()}
+    flow = {
+        (side, vid, p_idx): values[col]
+        for (side, vid), cols in cover.g_cols.items()
+        for p_idx, col in enumerate(cols)
+    }
     if sum(y.values(), Fraction(0)) != 1:
         raise InternalInvariantError("LP relation mass is not exactly 1")
     return LpValues(y=y, z=z, flow=flow, objective=sol.objective)

@@ -165,6 +165,8 @@ def gen_rcs(
     max_group_size: int = 2,
     extra_edge_prob: float = 0.4,
 ) -> RcsInstance:
+    if n < 2 or k < 1 or must_visit < 0 or avoid < 0 or must_visit + avoid < 1:
+        raise GenerationError("need n >= 2, k >= 1, group counts >= 0 and at least one group")
     rng = random.Random(seed)
     for _round in range(300):
         arcs = [(v, (v + 1) % n) for v in range(n)]
@@ -227,6 +229,8 @@ def _sample_rcs_demand(rng, base: RcsInstance, n):
 def gen_hopset(
     n: int, k: int, beta: int, style: str = "random", seed: int = 0, slack: int = 1
 ) -> HopsetInstance:
+    if n < 2 or k < 1:
+        raise GenerationError("need n >= 2, k >= 1")
     rng = random.Random(seed)
     if style == "path":
         arcs = [(v, v + 1, 1) for v in range(n - 1)]

@@ -22,7 +22,6 @@ from .reductions import (
     RcsGroup,
     RcsInstance,
 )
-from .scaling import ScaledInstance
 
 
 def _require(cond, msg):
@@ -119,13 +118,6 @@ def pcs_from_dict(obj: dict) -> PcsInstance:
         packing=packing,
         covering=covering,
     )
-
-
-def scaled_to_dict(scaled: ScaledInstance) -> dict:
-    out = pcs_to_dict(scaled.as_instance())
-    out["delta"] = format_rational(scaled.delta)
-    out["theta"] = format_rational(scaled.theta)
-    return out
 
 
 def rcs_to_dict(rcs: RcsInstance) -> dict:

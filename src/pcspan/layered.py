@@ -35,7 +35,8 @@ class CostClosure:
     parent: dict
 
     def cost(self, u, v):
-        return self.dist.get(u, {}).get(v)
+        row = self.dist.get(u)
+        return None if row is None else row.get(v)
 
     def path(self, u, v):
         """The edge references of the cheapest u -> v path (empty for u == v)."""

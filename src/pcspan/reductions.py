@@ -13,7 +13,6 @@ group are rejected outright.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -137,60 +136,6 @@ def is_routing_feasible(walk: Walk, demand: RcsDemand, rcs: RcsInstance) -> bool
         if g.kind == AVOID and flag == -1 and (touched & g.members):
             return False
     return True
-
-
-def routing_feasible_exists(rcs: RcsInstance, demand: RcsDemand) -> bool:
-    """Exact feasibility via the (vertex, visited-group-subset) DP.
-
-    Independent of the packing-covering reduction; lengths are positive, so
-    Dijkstra over the subset-augmented states is exact.
-    """
-    c = rcs.must_visit_count
-    required = [
-        i for i in range(c) if demand.ctrl[i + 1] == 1
-    ]  # indices into the must-visit prefix
-    forbidden = set()
-    for i, g in enumerate(rcs.groups, start=1):
-        if g.kind == AVOID and demand.ctrl[i] == -1:
-            forbidden |= g.members
-    if demand.source in forbidden or demand.target in forbidden:
-        return False
-
-    def hit_mask(vertex, mask):
-        for bit, gi in enumerate(required):
-            if vertex in rcs.groups[gi].members:
-                mask |= 1 << bit
-        return mask
-
-    full = (1 << len(required)) - 1
-    start = (demand.source, hit_mask(demand.source, 0))
-    dist = {start: 0}
-    heap = [(0, start)]
-    adj = {}
-    for eid, e in enumerate(rcs.edges):
-        adj.setdefault(e.tail, []).append(eid)
-    while heap:
-        dlen, (v, mask) = heapq.heappop(heap)
-        if dist.get((v, mask), None) != dlen:
-            continue
-        if v == demand.target and mask == full and dlen <= demand.ctrl[0]:
-            return True
-        for eid in adj.get(v, ()):
-            e = rcs.edges[eid]
-            if e.head in forbidden:
-                continue
-            nmask = hit_mask(e.head, mask)
-            nstate = (e.head, nmask)
-            nlen = dlen + e.length
-            if nlen > demand.ctrl[0]:
-                continue
-            if nstate not in dist or nlen < dist[nstate]:
-                dist[nstate] = nlen
-                heapq.heappush(heap, (nlen, nstate))
-    return any(
-        v == demand.target and mask == full and dlen <= demand.ctrl[0]
-        for (v, mask), dlen in dist.items()
-    )
 
 
 @dataclass(frozen=True)

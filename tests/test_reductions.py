@@ -20,14 +20,13 @@ from pcspan.reductions import (
     hopset_to_pcs,
     is_routing_feasible,
     rcs_to_pcs,
-    routing_feasible_exists,
     solve_hopset,
     solve_rcs,
     verify_hopset,
     weighted_transitive_closure,
 )
 
-from conftest import DOUBLE_LOOP_ARCS
+from conftest import DOUBLE_LOOP_ARCS, routing_feasible_exists
 
 
 def test_double_loop_revisiting_walk_is_routing_feasible(double_loop_rcs):

@@ -4,17 +4,24 @@ import pytest
 
 from pcspan.errors import ContractError
 from pcspan.generate import gen_pcs
-from pcspan.model import Walk, condition_numbers, is_theta_feasible, walk_resource
+from pcspan.model import (
+    ResourceVector,
+    Walk,
+    condition_numbers,
+    is_theta_feasible,
+    walk_resource,
+)
 from pcspan.oracle import enumerate_feasible_walks
 from pcspan.rcsp import feasible_witness
-from pcspan.scaling import (
-    ScaledInstance,
-    compute_delta,
-    scale_instance,
-    scaled_walk_resource,
-)
+from pcspan.scaling import ScaledInstance, compute_delta, scale_instance
 
 from conftest import make_instance
+
+
+def scaled_walk_resource(walk: Walk, scaled: ScaledInstance) -> ResourceVector:
+    total_units = sum(scaled.units[eid] for eid in walk.edges)
+    rest = walk_resource(walk, scaled.base).entries[1:]
+    return ResourceVector((total_units * scaled.delta,) + tuple(rest))
 
 
 def check_scaling_claims(instance, scaled: ScaledInstance, walks) -> list:
