@@ -2,12 +2,28 @@
 randomized rounding, and junction-tree assembly.
 
 The LP realizes the label-cover relaxation: y mass over relation pairs
-(normalized to 1), z dominance per terminal, and per-terminal flow support to
-the root expressed in path form over chains of exactly h closure steps (the
-paths of the (h+1)-level layered graph).  Flow systems are deduplicated by
-attachment state: terminals sharing a product state share one flow of value
-max-z, which is LP-equivalent to per-terminal systems because flows are
-independent (capacities are not shared between terminals).
+(normalized to 1), and per-terminal flow support to the root expressed in
+path form over chains of exactly h closure steps (the paths of the
+(h+1)-level layered graph).  Flow systems are deduplicated by attachment
+state: terminals sharing a product state share one flow value Z, which is
+LP-equivalent to per-terminal systems because flows are independent
+(capacities are not shared between terminals).
+
+It is built without the columns and rows a presolve would strip (Andersen &
+Andersen, "Presolving in linear programming", Math. Prog. 1995); none of
+these reductions changes the optimal value:
+
+- one terminal row per (demand, end, label): the y mass of its pairs stays
+  under the Z of its attachment state (a terminal's dominance variable z sat
+  in just that row and its feed row, so the two rows merge);
+- a closure step that only one flow uses would get a capacity column x in a
+  single row, equal at any optimum to that row's path flow; its cost goes
+  onto those path columns instead;
+- a closure step of cost 0 (the diagonal, zero-cost pairs) would get an x
+  that grows for free, so neither it nor its rows exist.
+
+Capacity columns remain only for steps of positive cost shared by two or
+more flows, one row per flow.
 """
 
 from __future__ import annotations
@@ -30,20 +46,25 @@ from .scaling import ScaledInstance
 
 @dataclass
 class LabelCoverLp:
-    """LP (objective: sum of w_r(e) * x_e) over one root's label cover.
+    """LP (objective: the closure costs of the capacity the flows use) over
+    one root's label cover.
 
-    The columns come in a fixed order: y (one per relation pair, in
-    sorted-demand then relation order), z (one per terminal), the flow
-    values Z (one per attachment state), then per flow its path columns g
-    and the capacity columns x that flow opens.  `z_cols` and `g_cols`
-    record where the z values and the path flows sit.
+    The eq rows come first: the normalization (the y mass is 1), then one
+    row per flow (its path flows sum to its value Z).  The ub rows are the
+    terminal rows (a terminal's y mass is at most its flow's Z), then the
+    capacity rows (a flow's paths through a shared step stay under that
+    step's x).  The columns come in a fixed order: y (one per relation pair,
+    in sorted-demand then relation order), the flow values Z (one per
+    attachment state), then per side the path columns g of each flow and
+    the capacity columns x shared by that side's flows.  A path's cost is
+    that of its unshared steps; x carries the cost of a shared one.
+    `g_cols` records where each flow's path columns sit.
     """
 
     lp: LinearProgram
     bundle: object  # the RootedLabelCover this LP was built from
     paths_up: dict  # state vid -> list of vid chains (state .. root)
     paths_down: dict  # state vid -> list of vid chains (root .. state)
-    z_cols: dict  # (demand, end, label) -> column
     g_cols: dict  # (side, state vid) -> range of its path columns
 
 
@@ -52,13 +73,13 @@ class LpValues:
     """Exact-rational view of a solved label-cover LP."""
 
     y: dict  # (demand, I, J) -> Fraction, summing to exactly 1
-    z: dict  # (demand, end, label) -> Fraction
     flow: dict  # (side, state, path_idx) -> Fraction
     objective: Fraction
 
 
 def build_lp(bundle, config: SolverConfig = DEFAULT_CONFIG) -> LabelCoverLp:
-    """LP (normalization, z-dominance, path-form flow support, capacities)."""
+    """LP (normalization, terminal rows, path-form flow support, shared
+    capacities) with its free and single-row capacities folded away."""
     h = bundle.h
     relations = bundle.relations
     if not any(relations.values()):
@@ -83,51 +104,43 @@ def build_lp(bundle, config: SolverConfig = DEFAULT_CONFIG) -> LabelCoverLp:
     columns = [[(0, 1)] for pairs in relations.values() for _pair in pairs]
     objective = {}
 
-    # z dominance per terminal (both sides)
+    # one terminal row per (demand, end, label): the y mass of its pairs
+    # stays under the flow value Z of its attachment state
     ub = num_eq
-    z_cols = {}
+    flow_cols = {}
+    ends = (("up", bundle.src_attach), ("down", bundle.snk_attach))
     y = 0
     for di in sorted(relations):
-        by_end = {"src": {}, "snk": {}}
+        by_end = ({}, {})
         for (i_lab, j_lab) in relations[di]:
-            by_end["src"].setdefault(i_lab, []).append(y)
-            by_end["snk"].setdefault(j_lab, []).append(y)
+            by_end[0].setdefault(i_lab, []).append(y)
+            by_end[1].setdefault(j_lab, []).append(y)
             y += 1
-        for end, by_label in by_end.items():
+        for (side, attach), by_label in zip(ends, by_end):
             for lab in sorted(by_label):
                 for col in by_label[lab]:
                     columns[col].append((ub, 1))
-                z_cols[(di, end, lab)] = len(columns)
-                columns.append([(ub, -1)])
+                flow = flow_cols.get((side, attach[(di, lab)]))
+                if flow is None:
+                    flow = flow_cols[(side, attach[(di, lab)])] = len(columns)
+                    columns.append([])
+                columns[flow].append((ub, -1))
                 ub += 1
 
-    # terminal z feeds the shared flow of its attachment state
-    flow_cols = {}
-    for end, side, attach in (
-        ("src", "up", bundle.src_attach),
-        ("snk", "down", bundle.snk_attach),
-    ):
-        for (di, lab), vid in sorted(attach.items()):
-            columns[z_cols[(di, end, lab)]].append((ub, 1))
-            flow = flow_cols.get((side, vid))
-            if flow is None:
-                flow = flow_cols[(side, vid)] = len(columns)
-                columns.append([])
-            columns[flow].append((ub, -1))
-            ub += 1
-
-    # path-form flow support: sum of path vars equals the state's flow value,
-    # and per-step totals stay under the capacity x of the closure step
-    # (level, a, b); one x per step and side, shared by that side's flows
+    # path-form flow support: sum of path vars equals the state's flow value.
+    # Each closure step (level, a, b) collects, per flow through it, the
+    # flow's path columns that use it; a step of positive cost shared by two
+    # or more flows then gets one capacity x for the side and one row per
+    # flow, and an unshared one adds its cost to its paths
     eq = 1
     g_cols = {}
     for side, paths, levels, closure in (
         ("up", paths_up, range(h, 0, -1), bundle.up),
         ("down", paths_down, range(h), bundle.down),
     ):
-        x_cols = {}
+        steps = {}  # step -> [path columns through it, one list per flow]
         for vid in sorted(paths):
-            # this eq row is numbered below the flow's feed rows written above
+            # this eq row is numbered below the terminal rows written above
             columns[flow_cols[(side, vid)]].insert(0, (eq, -1))
             start = len(columns)
             g_cols[(side, vid)] = range(start, start + len(paths[vid]))
@@ -137,20 +150,26 @@ def build_lp(bundle, config: SolverConfig = DEFAULT_CONFIG) -> LabelCoverLp:
                 for step in zip(levels, chain, chain[1:]):
                     per_step.setdefault(step, []).append(g)
             eq += 1
-            for step in sorted(per_step):
-                for g in per_step[step]:
+            for step, gs in per_step.items():
+                steps.setdefault(step, []).append(gs)
+        for step, flows in steps.items():
+            cost = closure.cost(step[1], step[2])
+            if cost is None:
+                raise InternalInvariantError("x variable on a missing closure edge")
+            if not cost:
+                continue
+            if len(flows) == 1:
+                for g in flows[0]:
+                    objective[g] = objective.get(g, 0) + cost
+                continue
+            x = []
+            for gs in flows:
+                for g in gs:
                     columns[g].append((ub, 1))
-                x = x_cols.get(step)
-                if x is None:
-                    cost = closure.cost(step[1], step[2])
-                    if cost is None:
-                        raise InternalInvariantError("x variable on a missing closure edge")
-                    x = x_cols[step] = len(columns)
-                    if cost != 0:
-                        objective[x] = cost
-                    columns.append([])
-                columns[x].append((ub, -1))
+                x.append((ub, -1))
                 ub += 1
+            objective[len(columns)] = cost
+            columns.append(x)
 
     lp = LinearProgram(
         columns=columns,
@@ -164,19 +183,17 @@ def build_lp(bundle, config: SolverConfig = DEFAULT_CONFIG) -> LabelCoverLp:
         bundle=bundle,
         paths_up=paths_up,
         paths_down=paths_down,
-        z_cols=z_cols,
         g_cols=g_cols,
     )
 
 
 def solve_lp(cover: LabelCoverLp) -> LpValues:
-    """Solve exactly and read y, z and the path flows by column position."""
+    """Solve exactly and read y and the path flows by column position."""
     sol = _solve_lp_backend(cover.lp)
     values = sol.values
     relations = cover.bundle.relations
     pairs = [(di, i_lab, j_lab) for di in sorted(relations) for (i_lab, j_lab) in relations[di]]
     y = dict(zip(pairs, values))  # the y columns come first
-    z = {key: values[col] for key, col in cover.z_cols.items()}
     flow = {
         (side, vid, p_idx): values[col]
         for (side, vid), cols in cover.g_cols.items()
@@ -184,7 +201,7 @@ def solve_lp(cover: LabelCoverLp) -> LpValues:
     }
     if sum(y.values(), Fraction(0)) != 1:
         raise InternalInvariantError("LP relation mass is not exactly 1")
-    return LpValues(y=y, z=z, flow=flow, objective=sol.objective)
+    return LpValues(y=y, flow=flow, objective=sol.objective)
 
 
 def sort_representatives(reps, c: int) -> list:

@@ -125,8 +125,8 @@ def build_label_cover(
         h=config.height,
         root_left=root_left,
         root_right=root_right,
-        up=build_closure(useful_left, out_edges),
-        down=build_closure(useful_right, out_edges),
+        up=build_closure(useful_left, out_edges, config.max_product_vertices),
+        down=build_closure(useful_right, out_edges, config.max_product_vertices),
         src_attach=src_states,
         snk_attach=snk_states,
         relations=relations,

@@ -51,13 +51,14 @@ class CostClosure:
         return seq
 
 
-def build_closure(vertices, out_edges) -> CostClosure:
+def build_closure(vertices, out_edges, limit: int | None = None) -> CostClosure:
     """Dijkstra from every vertex (nonnegative costs required).
 
     `out_edges(v)` yields (edge_ref, head, cost) triples; heads outside
     `vertices` are ignored.  The sums start from int 0, so int costs keep
     the whole search in ints.  Deterministic: ties resolved by vertex id
-    order.
+    order.  Raises ResourceLimitError once the table holds more than
+    `limit` (source, target) pairs.
     """
     vset = set(vertices)
     # every vertex is some search's source, so each one's arcs are read once
@@ -71,6 +72,7 @@ def build_closure(vertices, out_edges) -> CostClosure:
                 out.append((ref, head, cost))
     dist = {}
     parents = {}
+    stored = 0
     for src in sorted(vset):
         d = {src: 0}
         parent = {}
@@ -90,6 +92,11 @@ def build_closure(vertices, out_edges) -> CostClosure:
                     heapq.heappush(heap, (cand, head))
         dist[src] = d
         parents[src] = parent
+        stored += len(d)
+        if limit is not None and stored > limit:
+            raise ResourceLimitError(
+                f"cost closure exceeded {limit} stored pairs; shrink the instance"
+            )
     return CostClosure(dist=dist, parent=parents)
 
 

@@ -102,12 +102,21 @@ def highs_model(lp: LinearProgram):
     return model
 
 
+def highs_solver():
+    """A HiGHS instance as every solve here runs it: silent, and without
+    presolve, which finds nothing left to strip in the density LPs
+    `density_lp.build_lp` makes."""
+    solver = highs._Highs()
+    solver.setOptionValue("output_flag", False)
+    solver.setOptionValue("presolve", "off")
+    return solver
+
+
 def solve_highs(lp: LinearProgram) -> tuple:
     """((basic columns, tight rows), (column values, row duals)) of HiGHS's
     optimal solution for `highs_model(lp)`; both index lists ascend, and the
     values are floats."""
-    solver = highs._Highs()
-    solver.setOptionValue("output_flag", False)
+    solver = highs_solver()
     solver.passModel(highs_model(lp))
     solver.run()
     status = solver.getModelStatus()
@@ -196,11 +205,11 @@ def _certify(lp: LinearProgram, basis: tuple, primal: dict, dual: dict) -> None:
     denominators, and the reduced costs by the cost scale times the lcm of
     the dual denominators, so with the int constraint coefficients and the
     int objective every sum below is over integers.  Row activities come
-    from scattering the nonzero basic columns, reduced costs from one pass
-    over the columns.  A pass means primal feasibility, dual feasibility and
-    complementary slackness: the primal is nonzero only on basic columns,
-    whose reduced costs are 0, and the dual only on tight rows, which hold
-    with equality.
+    from scattering the nonzero basic columns, reduced costs from the cost
+    vector less the entries of the rows with a nonzero dual.  A pass means
+    primal feasibility, dual feasibility and complementary slackness: the
+    primal is nonzero only on basic columns, whose reduced costs are 0, and
+    the dual only on tight rows, which hold with equality.
     """
     basic, tight = basis
     num_eq = len(lp.eq_rows)
@@ -231,14 +240,25 @@ def _certify(lp: LinearProgram, basis: tuple, primal: dict, dual: dict) -> None:
     if any(v > 0 for i, v in y.items() if i >= num_eq):
         raise InternalInvariantError("LP solution has a positive dual on a <= row")
     cost = {j: c * dscale for j, c in lp.objective.items()}
-    reduced = [
-        cost.get(j, 0) - sum(a * y[i] for i, a in column if i in y)
-        for j, column in enumerate(lp.columns)
-    ]
-    if any(r < 0 for r in reduced):
+    reduced = _reduced_costs(lp, cost, y)
+    if min(reduced, default=0) < 0:
         raise InternalInvariantError("LP solution has a negative reduced cost")
     if any(reduced[j] for j in basic):
         raise InternalInvariantError("LP solution has a nonzero reduced cost on a basic column")
+
+
+def _reduced_costs(lp: LinearProgram, cost: dict, y: dict) -> list:
+    """cost[j] - (column j) . y for every column j, where `cost` and `y` map
+    columns and rows to their nonzero values: the cost vector, then only
+    the entries of the rows in `y` subtracted."""
+    reduced = [0] * lp.num_vars
+    for j, c in cost.items():
+        reduced[j] = c
+    for j, column in enumerate(lp.columns):
+        for i, a in column:
+            if i in y:
+                reduced[j] -= a * y[i]
+    return reduced
 
 
 def _eliminate(lp: LinearProgram, basic: list, tight: list) -> tuple:

@@ -6,8 +6,10 @@ import pytest
 from pcspan import cli
 from pcspan import io as pio
 from pcspan.cli import main
+from pcspan.config import SolverConfig
 from pcspan.generate import gen_pcs
 from pcspan.model import Walk, is_feasible
+from pcspan.product import build_product_graph
 from pcspan.rcsp import verify_solution
 
 
@@ -229,6 +231,18 @@ def test_path_cap_exits_5(tmp_path, monkeypatch):
         cli, "make_config", lambda args: replace(make_config(args), max_paths_per_terminal=1)
     )
     assert run(["--mode", "pcs-int", str(inst_path)]) == 5
+
+
+def test_closure_over_the_vertex_cap_exits_5(tmp_path, capsys):
+    # the product graph fits under 500 vertices; a cost closure stores more
+    # (source, target) pairs than that, so the same cap stops it
+    inst = gen_pcs(n=5, k=1, m=1, tau=1, regime="integer", seed=4)
+    cap = 500
+    build_product_graph(inst, SolverConfig(max_product_vertices=cap))
+    inst_path = tmp_path / "closure.json"
+    pio.write_json(str(inst_path), pio.pcs_to_dict(inst))
+    assert run(["--mode", "pcs-int", "--max-product-vertices", str(cap), str(inst_path)]) == 5
+    assert "cost closure exceeded 500 stored pairs" in capsys.readouterr().err
 
 
 def test_junction_mode(tri_instance, tmp_path):

@@ -37,12 +37,18 @@ def test_build_lp_single_pair_forces_unit_mass(tri_instance):
     cover = tri_cover(tri_instance)
     values = solve_lp(cover)
     assert sum(values.y.values()) == 1
-    # the only connectable pair carries all mass, and z dominates it
+    # the only connectable pair carries all mass, and the flow of each of
+    # its terminals' attachment states carries at least that mass
     ((key, mass),) = [(k, v) for k, v in values.y.items() if v > 0]
     di, i_lab, j_lab = key
     assert mass == 1
-    assert values.z[(di, "src", i_lab)] >= 1
-    assert values.z[(di, "snk", j_lab)] >= 1
+    bundle = cover.bundle
+    for side, vid in (
+        ("up", bundle.src_attach[(di, i_lab)]),
+        ("down", bundle.snk_attach[(di, j_lab)]),
+    ):
+        carried = [v for (s, state, _p), v in values.flow.items() if (s, state) == (side, vid)]
+        assert sum(carried) >= mass
 
 
 def test_no_candidate_error():

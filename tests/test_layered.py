@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcspan.errors import ContractError
+from pcspan.errors import ContractError, ResourceLimitError
 from pcspan.layered import build_closure, enumerate_root_paths
 
 
@@ -33,6 +33,18 @@ def test_closure_single_edge():
     cl = closure_of(2, [(0, 1, 5)])
     assert cl.cost(0, 1) == 5
     assert cl.path(0, 1) == [0]
+
+
+def test_closure_limit_counts_stored_pairs():
+    # a path 0 -> 1 -> 2 stores 3 + 2 + 1 pairs, each vertex's own included
+    edges = [(0, 1, 1), (1, 2, 1)]
+
+    def out(v):
+        return [(i, h, c) for i, (t, h, c) in enumerate(edges) if t == v]
+
+    assert build_closure(range(3), out, limit=6).cost(0, 2) == 2
+    with pytest.raises(ResourceLimitError, match="exceeded 5 stored pairs"):
+        build_closure(range(3), out, limit=5)
 
 
 def test_closure_triangle_two_hop():

@@ -1,12 +1,17 @@
-"""The density LP read by column position equals the keyed reference.
+"""The density LP, built without its redundant columns, against the full LP.
 
-`keyed_build_lp` is the label-cover LP builder that names every column by a
-semantic key (("y", di, I, J), ("z", di, end, lab), ("Z", side, vid),
-("g", side, vid, p), ("x", (side, level, a, b))) and looks each coefficient's
-column up through a key index; `keyed_split` splits a solution by key kind.
-`build_lp` / `solve_lp` must give the same matrix, objective, right-hand
-sides and values on every root that has a cover.
+`keyed_build_lp` is the full label-cover LP builder: it names every column
+by a semantic key (("y", di, I, J), ("z", di, end, lab), ("Z", side, vid),
+("g", side, vid, p), ("x", (side, level, a, b))), gives every terminal a
+dominance variable z and every closure step of every side a capacity x, and
+looks each coefficient's column up through a key index.  `build_lp` leaves
+out z, the capacities of zero-cost steps and those of steps a single flow
+uses.  On every root that has a cover the two LPs have the same certified
+optimum, and the reduced solution lifts back to a feasible solution of the
+full LP at that optimum.
 """
+
+from fractions import Fraction
 
 from pcspan.config import DEFAULT_CONFIG
 from pcspan.density_lp import build_lp, solve_lp
@@ -17,6 +22,8 @@ from pcspan.layered import enumerate_root_paths
 from pcspan.lpsolve import LinearProgram, solve_lp as solve_backend
 from pcspan.reductions import rcs_to_pcs
 from pcspan.scaling import scale_instance
+
+from test_lpsolve import residuals
 
 
 def _up_edge_keys(h, chain):
@@ -126,16 +133,6 @@ def keyed_build_lp(bundle, config=DEFAULT_CONFIG):
     return lp, tuple(keys)
 
 
-def keyed_split(lp, keys):
-    """The solution's y, z and path-flow values, split by column key."""
-    sol = solve_backend(lp)
-    split = {"y": {}, "z": {}, "g": {}}
-    for key, val in zip(keys, sol.values):
-        if key[0] in split:
-            split[key[0]][key[1:]] = val
-    return split, sol.objective
-
-
 def _problems():
     """(problem, vertex count): integer, RCS-reduced and theta-scaled."""
     for seed in range(4):
@@ -149,28 +146,92 @@ def _problems():
         yield scale_instance(inst, DEFAULT_CONFIG.theta), 4
 
 
-def test_positional_lp_equals_the_keyed_reference():
-    covers = 0
+def lift(keys, cover, values) -> list:
+    """The full LP's column values for a solution of the reduced one: z is
+    the terminal's y mass, Z its flow's total and x the largest use of its
+    step by any one flow of that side."""
+    h = cover.bundle.h
+    mass = {}
+    for (di, i_lab, j_lab), v in values.y.items():
+        for end, lab in (("src", i_lab), ("snk", j_lab)):
+            mass[(di, end, lab)] = mass.get((di, end, lab), 0) + v
+    total = {}
+    use = {}  # (step key, flow state) -> path flow through the step
+    for side, paths, keyfn in (
+        ("up", cover.paths_up, _up_edge_keys),
+        ("down", cover.paths_down, _down_edge_keys),
+    ):
+        for vid, chains in paths.items():
+            for p_idx, chain in enumerate(chains):
+                v = values.flow[(side, vid, p_idx)]
+                total[(side, vid)] = total.get((side, vid), 0) + v
+                for ekey in keyfn(h, chain):
+                    use[(ekey, vid)] = use.get((ekey, vid), 0) + v
+    peak = {}
+    for (ekey, _vid), v in use.items():
+        peak[ekey] = max(peak.get(ekey, 0), v)
+    lifted = []
+    for kind, *rest in keys:
+        key = tuple(rest)
+        if kind == "y":
+            lifted.append(values.y[key])
+        elif kind == "z":
+            lifted.append(mass[key])
+        elif kind == "Z":
+            lifted.append(total[key])
+        elif kind == "g":
+            lifted.append(values.flow[key])
+        else:
+            lifted.append(peak[key[0]])
+    return lifted
+
+
+def _covers():
+    """(bundle, reduced LabelCoverLp) of every root that has a cover."""
     for problem, n in _problems():
         for root in range(n):
             bundle = build_label_cover(problem, root)
-            if bundle is None:
-                continue
-            covers += 1
-            ref_lp, keys = keyed_build_lp(bundle)
-            cover = build_lp(bundle)
-            lp = cover.lp
-            assert lp.columns == ref_lp.columns
-            assert lp.objective == ref_lp.objective
-            assert lp.eq_rows == ref_lp.eq_rows
-            assert lp.ub_rows == ref_lp.ub_rows
-            assert lp.cost_scale == ref_lp.cost_scale
+            if bundle is not None:
+                yield bundle, build_lp(bundle)
 
-            split, objective = keyed_split(ref_lp, keys)
-            values = solve_lp(cover)
-            assert values.y == split["y"]
-            assert list(values.y) == list(split["y"])
-            assert values.z == split["z"]
-            assert values.flow == split["g"]
-            assert values.objective == objective
+
+def test_reduced_lp_matches_the_full_reference():
+    covers = 0
+    for bundle, cover in _covers():
+        covers += 1
+        ref_lp, keys = keyed_build_lp(bundle)
+        values = solve_lp(cover)
+        assert values.objective == solve_backend(ref_lp).objective
+
+        lifted = lift(keys, cover, values)
+        assert residuals(ref_lp, lifted) == (0, 0)
+        cost = sum((c * lifted[j] for j, c in ref_lp.objective.items()), Fraction(0))
+        assert cost / ref_lp.cost_scale == values.objective
     assert covers >= 40
+
+
+def test_built_lp_has_no_z_free_or_single_row_capacity():
+    # past the y columns and the path columns, a column is either a flow
+    # value Z (its flow's eq row, then terminal rows) or a capacity x of
+    # positive cost in two or more capacity rows; a z would be the only
+    # other column with a +1 entry
+    for bundle, cover in _covers():
+        lp = cover.lp
+        num_eq = len(lp.eq_rows)
+        num_y = sum(len(pairs) for pairs in bundle.relations.values())
+        paths = {j for cols in cover.g_cols.values() for j in cols}
+        flows = capacities = 0
+        for j, column in enumerate(lp.columns[num_y:], num_y):
+            if j in paths:
+                continue
+            assert all(a == -1 for _i, a in column)
+            if column[0][0] < num_eq:
+                flows += 1
+                assert j not in lp.objective
+                assert all(i >= num_eq for i, _a in column[1:])
+            else:
+                capacities += 1
+                assert lp.objective.get(j, 0) > 0
+                assert len(column) >= 2
+        assert flows == len(cover.g_cols) == num_eq - 1
+        assert num_y + len(paths) + flows + capacities == lp.num_vars

@@ -14,7 +14,10 @@ from pcspan.lpsolve import (
     LinearProgram,
     LpSolution,
     _certify,
+    _reconstruct,
+    _reduced_costs,
     highs_model,
+    highs_solver,
     solve_exact,
     solve_highs,
     solve_lp,
@@ -217,10 +220,10 @@ def test_dual_solver_cross_check_random():
 
 
 def test_density_lp_above_48_rows_matches_reference():
-    inst = gen_pcs(n=6, k=3, m=1, tau=1, regime="integer", seed=8, budget_slack=1)
+    inst = gen_pcs(n=6, k=3, m=1, tau=1, regime="integer", seed=2, budget_slack=1)
     lp = build_lp(build_label_cover(inst, 0)).lp
     assert len(lp.eq_rows) + len(lp.ub_rows) > 48
-    assert_exact_optimum(lp)
+    assert assert_exact_optimum(lp).objective == Fraction(13, 2)
 
 
 def test_exact_rejects_a_basis_it_cannot_certify():
@@ -332,8 +335,7 @@ def _generated_lps():
 
 def _basis_by_status(lp: LinearProgram) -> tuple:
     """(basic columns, tight rows) split from HiGHS's per-variable statuses."""
-    solver = highs._Highs()
-    solver.setOptionValue("output_flag", False)
+    solver = highs_solver()
     solver.passModel(highs_model(lp))
     solver.run()
     basis = solver.getBasis()
@@ -353,6 +355,28 @@ def test_basis_indices_equal_the_basis_status_split():
         assert len(basic) == len(tight)
         count += 1
     assert count > 25
+
+
+def test_reduced_costs_equal_the_per_column_sums():
+    # the reduced costs `_certify` judges equal the per-column sums over
+    # every entry, for dual certificates that pass and ones that fail
+    rng = random.Random(5)
+    verdicts = set()
+    for lp in _generated_lps():
+        (basic, tight), (_col_value, row_dual) = solve_highs(lp)
+        cost = {j: Fraction(c, lp.cost_scale) for j, c in lp.objective.items()}
+        dual = {i: Fraction(_reconstruct(row_dual[i])) for i in tight}
+        shifted = dict(dual)
+        shifted[rng.choice(tight)] += rng.choice((-1, 1)) * Fraction(1, 3)
+        for y in (dual, shifted):
+            y = {i: v for i, v in y.items() if v}
+            reduced = _reduced_costs(lp, cost, y)
+            assert reduced == [
+                cost.get(j, 0) - sum(a * y[i] for i, a in column if i in y)
+                for j, column in enumerate(lp.columns)
+            ]
+            verdicts.add(min(reduced) >= 0 and not any(reduced[j] for j in basic))
+    assert verdicts == {True, False}
 
 
 def test_highs_costs_are_the_floats_of_the_rational_costs():
