@@ -5,7 +5,6 @@ brute-force optimum and the minimum junction-tree density."""
 import argparse
 from fractions import Fraction
 
-from pcspan.config import SolverConfig
 from pcspan.generate import gen_pcs
 from pcspan.greedy import solve_pcs
 from pcspan.oracle import brute_force_min_density_junction, brute_force_opt
@@ -18,7 +17,7 @@ def main():
     ap.add_argument("--n", type=int, default=5)
     ap.add_argument("--k", type=int, default=2)
     args = ap.parse_args()
-    config = SolverConfig(enum_cap=8)
+    cap = 8  # edges per walk the brute-force oracles enumerate
     print(f"{'seed':>5} {'cost':>8} {'opt':>8} {'ratio':>7} {'min-density':>12}")
     ratios = []
     for i in range(args.count):
@@ -26,9 +25,9 @@ def main():
         inst = gen_pcs(
             n=args.n, k=args.k, m=1, tau=1, regime="integer", seed=seed, budget_slack=1
         )
-        report = solve_pcs(inst, "integer", config)
-        opt, _ = brute_force_opt(inst, config)
-        _r, density, _e, _m = brute_force_min_density_junction(inst, config)
+        report = solve_pcs(inst, "integer")
+        opt, _ = brute_force_opt(inst, cap=cap)
+        _r, density, _e, _m = brute_force_min_density_junction(inst, cap=cap)
         ratio = report.cost / opt if opt else Fraction(1)
         ratios.append(ratio)
         print(

@@ -2,7 +2,7 @@
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .greedy import SolveReport, solve_pcs
-from .junction import JunctionTree, essential_set_mode, min_density_junction_tree
+from .junction import JunctionTree, min_density_junction_tree
 from .model import (
     ConditionNumbers,
     Demand,
@@ -20,6 +20,7 @@ from .reductions import (
     HopsetDemand,
     HopsetInstance,
     RcsInstance,
+    essential_set_mode,
     solve_hopset,
     solve_rcs,
     verify_hopset,

@@ -183,7 +183,7 @@ def _bench_one(path: str, config: SolverConfig) -> dict:
         entry["verified"] = report.verified
         entry["densities"] = [format_rational(it.density) for it in report.iterations]
         try:
-            opt_cost, _ = brute_force_opt(instance, config)
+            opt_cost, _ = brute_force_opt(instance)
             entry["opt"] = format_rational(opt_cost)
             entry["ratio"] = (
                 format_rational(report.cost / opt_cost) if opt_cost > 0 else None

@@ -19,10 +19,6 @@ class SolverConfig:
     max_product_vertices: int = 10**7
     # randomized rounding retries before partial acceptance / fallback
     rounding_retries: int = 64
-    # brute-force walk enumeration cap (edges per walk)
-    enum_cap: int = 12
-    # layered-path enumeration guard (per attachment state)
-    max_paths_per_terminal: int = 20000
 
     def __post_init__(self):
         if self.epsilon <= 0:

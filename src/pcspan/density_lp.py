@@ -41,7 +41,9 @@ from .layered import enumerate_root_paths
 from .lpsolve import LinearProgram, solve_lp as _solve_lp_backend
 from .model import Walk, is_feasible, is_theta_feasible
 from .product import relation_holds
-from .scaling import ScaledInstance
+
+# root paths one attachment state may have before the LP build gives up
+MAX_PATHS_PER_TERMINAL = 20000
 
 
 @dataclass
@@ -77,7 +79,7 @@ class LpValues:
     objective: Fraction
 
 
-def build_lp(bundle, config: SolverConfig = DEFAULT_CONFIG) -> LabelCoverLp:
+def build_lp(bundle) -> LabelCoverLp:
     """LP (normalization, terminal rows, path-form flow support, shared
     capacities) with its free and single-row capacities folded away."""
     h = bundle.h
@@ -86,7 +88,7 @@ def build_lp(bundle, config: SolverConfig = DEFAULT_CONFIG) -> LabelCoverLp:
         raise ContractError("no candidate relation pairs: root resolves nothing")
 
     # enumerate per-attachment-state root paths once per side
-    cap = config.max_paths_per_terminal
+    cap = MAX_PATHS_PER_TERMINAL
     paths_up = {}
     for (di, lab), vid in sorted(bundle.src_attach.items()):
         if vid not in paths_up:
@@ -153,7 +155,8 @@ def build_lp(bundle, config: SolverConfig = DEFAULT_CONFIG) -> LabelCoverLp:
             for step, gs in per_step.items():
                 steps.setdefault(step, []).append(gs)
         for step, flows in steps.items():
-            cost = closure.cost(step[1], step[2])
+            # every chain vertex is a closure source, so its row exists
+            cost = closure.dist[step[1]].get(step[2])
             if cost is None:
                 raise InternalInvariantError("x variable on a missing closure edge")
             if not cost:
@@ -488,18 +491,32 @@ def _sample_side(rng, values, paths, states, side, scale):
     return _sample(rng, weighted)
 
 
-def assemble_junction_tree(cover: LabelCoverLp, rounded: RoundedSelection):
+@dataclass(frozen=True)
+class JunctionTree:
+    """Root, base-graph edge set (the union of the resolved walks), resolved
+    demands with their checked s ~> root ~> t walks, cost, and density."""
+
+    root: int
+    edges: frozenset
+    resolved: dict  # demand index -> witness Walk
+    cost: Fraction
+    density: Fraction
+
+    def __post_init__(self):
+        if not self.resolved:
+            raise ContractError("junction trees must resolve at least one demand")
+
+
+def assemble_junction_tree(cover: LabelCoverLp, rounded: RoundedSelection) -> JunctionTree:
     """Expand each claimed demand's sampled chains into its s ~> root ~> t
     walk, check that walk against the demand's budget, and report the
     density of the union of the walks."""
-    from .junction import JunctionTree
-
     if not rounded.connected:
         raise InternalInvariantError("assembly needs at least one connected demand")
     bundle = cover.bundle
     pg = bundle.pg
     instance = pg.instance
-    theta = pg.problem.theta if isinstance(pg.problem, ScaledInstance) else None
+    theta = pg.theta
     resolved = {}
     for di in rounded.connected:
         # product edges point the way their base edges do on both sides, so
@@ -572,17 +589,15 @@ def _selection_from_pairs(bundle, targets) -> RoundedSelection:
     )
 
 
-def fallback_tree(cover: LabelCoverLp, values: LpValues):
+def fallback_tree(cover: LabelCoverLp, gammas: dict) -> JunctionTree:
     """Cheapest relation-compatible terminal-root-terminal path for the
-    highest-gamma demand; always a valid (possibly high-density) tree."""
-    gammas = {}
-    for (di, i_lab, j_lab), w in values.y.items():
-        gammas[di] = gammas.get(di, Fraction(0)) + w
+    highest-gamma demand (`gammas`: demand -> its LP relation mass); always
+    a valid (possibly high-density) tree."""
     target = max(sorted(gammas), key=lambda di: (gammas[di], -di))
     return assemble_junction_tree(cover, _selection_from_pairs(cover.bundle, [target]))
 
 
-def union_pair_tree(cover: LabelCoverLp):
+def union_pair_tree(cover: LabelCoverLp) -> JunctionTree:
     """Union of every connectable demand's cheapest pair path: one tree
     resolving them all.  Often ties the rounded tree on density while
     resolving more demands (useful on shared-hub instances)."""

@@ -55,17 +55,23 @@ def _residual(instance: PcsInstance, free_edges, demand_indices) -> PcsInstance:
     )
 
 
-def greedy_density_loop(
+def solve_pcs(
     instance: PcsInstance,
-    mode: str,
+    mode: str = "integer",
     config: SolverConfig = DEFAULT_CONFIG,
     roots=None,
 ) -> SolveReport:
-    """The iterative density procedure; each round must resolve >= 1 demand.
+    """Approximation driver for the packing-covering spanner problem: the
+    iterative density procedure, in which each round takes an approximate
+    minimum-density junction tree (rooted in ``roots`` when given) and must
+    resolve at least one demand.
 
-    Already-selected edges are repriced to zero in later rounds so the greedy
-    exploits sunk cost (a strictly-no-worse refinement, flagged in the
-    diagnostics); the reported total uses original costs once per edge.
+    mode "integer" requires positive integer lengths and returns an exactly
+    feasible subgraph; mode "theta" handles rational/negative lengths and
+    returns a theta-feasible subgraph.  Already-selected edges are repriced
+    to zero in later rounds so the greedy exploits sunk cost (a
+    strictly-no-worse refinement, flagged in the diagnostics); the reported
+    total uses original costs once per edge.
     """
     remaining = list(range(len(instance.demands)))
     selected = set()
@@ -111,15 +117,3 @@ def greedy_density_loop(
         verified=verified,
         diagnostics={"repriced_sunk_cost": True, "rounds": round_no},
     )
-
-
-def solve_pcs(
-    instance: PcsInstance, mode: str = "integer", config: SolverConfig = DEFAULT_CONFIG
-) -> SolveReport:
-    """Approximation driver for the packing-covering spanner problem.
-
-    mode "integer" requires positive integer lengths and returns an exactly
-    feasible subgraph; mode "theta" handles rational/negative lengths and
-    returns a theta-feasible subgraph.
-    """
-    return greedy_density_loop(instance, mode, config)

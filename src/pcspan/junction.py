@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .density_lp import (
+    JunctionTree,
     assemble_junction_tree,
     bucket_and_scale,
     build_lp,
@@ -25,15 +26,11 @@ from .density_lp import (
     solve_lp,
     union_pair_tree,
 )
-from .errors import (
-    ContractError,
-    EssentialityViolationError,
-    InternalInvariantError,
-    RoundingFailureError,
-)
+from .errors import ContractError, InternalInvariantError, RoundingFailureError
 from .layered import CostClosure, build_closure
 from .model import PcsInstance
 from .product import (
+    ProductGraph,
     build_product_graph,
     connectable_relation_pairs,
     reachable,
@@ -41,22 +38,6 @@ from .product import (
     states_reaching_root_left,
 )
 from .scaling import scale_instance
-
-
-@dataclass(frozen=True)
-class JunctionTree:
-    """Root, base-graph edge set (the union of the resolved walks), resolved
-    demands with their checked s ~> root ~> t walks, cost, and density."""
-
-    root: int
-    edges: frozenset
-    resolved: dict  # demand index -> witness Walk
-    cost: Fraction
-    density: Fraction
-
-    def __post_init__(self):
-        if not self.resolved:
-            raise ContractError("junction trees must resolve at least one demand")
 
 
 @dataclass
@@ -69,7 +50,7 @@ class RootedLabelCover:
     """
 
     root: int
-    pg: object
+    pg: ProductGraph
     h: int
     root_left: int  # product vid of the root's L copy
     root_right: int
@@ -80,18 +61,13 @@ class RootedLabelCover:
     relations: dict  # demand_idx -> list of (I, J) label pairs
 
 
-def build_label_cover(
-    problem, root: int, config: SolverConfig = DEFAULT_CONFIG, pg=None
-):
-    """The per-root reduction to minimum-density Steiner label cover.
+def build_label_cover(pg: ProductGraph, root: int, config: SolverConfig = DEFAULT_CONFIG):
+    """The per-root reduction of the product graph ``pg`` (one per greedy
+    round) to minimum-density Steiner label cover.
 
-    ``pg`` is the product graph of ``problem`` (one per greedy round); without
-    it the graph is built here.  Returns None when no demand has a relation
-    pair whose endpoints connect to the root (such roots are skipped before
-    any LP work).
+    Returns None when no demand has a relation pair whose endpoints connect
+    to the root (such roots are skipped before any LP work).
     """
-    if pg is None:
-        pg = build_product_graph(problem, config)
     root_left = pg.root_copy("L", root)
     root_right = pg.root_copy("R", root)
     reach_left = states_reaching_root_left(pg, root)
@@ -144,16 +120,14 @@ def _backward_reachable(pg, seeds) -> set:
 
 
 def junction_tree_for_root(
-    problem, root: int, rng: random.Random, config: SolverConfig = DEFAULT_CONFIG, pg=None
+    pg: ProductGraph, root: int, rng: random.Random, config: SolverConfig = DEFAULT_CONFIG
 ):
-    """Pipeline for one root; None when the root resolves nothing.
-
-    ``pg`` is passed on to ``build_label_cover``.
-    """
-    bundle = build_label_cover(problem, root, config, pg)
+    """Pipeline for one root of the product graph ``pg``; None when the root
+    resolves nothing."""
+    bundle = build_label_cover(pg, root, config)
     if bundle is None:
         return None
-    cover = build_lp(bundle, config)
+    cover = build_lp(bundle)
     values = solve_lp(cover)
     pruned = {}
     gammas = {}
@@ -167,16 +141,16 @@ def junction_tree_for_root(
         gamma = sum(masses.values(), Fraction(0))
         gammas[di] = gamma
         if gamma > 0:
-            pruned[di] = prune(pairs, masses, bundle.pg.budget_units(di), bundle.pg.instance.dim)
+            pruned[di] = prune(pairs, masses, pg.budget_units(di), pg.instance.dim)
     candidates = []
     if pruned:
-        bucket = bucket_and_scale(gammas, bundle.pg.instance.dim)
+        bucket = bucket_and_scale(gammas, pg.instance.dim)
         try:
             rounded = gst_round(cover, values, pruned, bucket, rng, config)
             candidates.append(assemble_junction_tree(cover, rounded))
         except RoundingFailureError:
             pass
-    candidates.append(fallback_tree(cover, values))
+    candidates.append(fallback_tree(cover, gammas))
     candidates.append(union_pair_tree(cover))
     return min(candidates, key=_tree_order)
 
@@ -214,7 +188,7 @@ def min_density_junction_tree(
     root_list = sorted(roots) if roots is not None else range(instance.n)
     pg = build_product_graph(problem, config) if root_list else None
     for root in root_list:
-        tree = junction_tree_for_root(problem, root, rng, config, pg)
+        tree = junction_tree_for_root(pg, root, rng, config)
         if tree is None:
             continue
         if best is None or _tree_order(tree) < _tree_order(best):
@@ -224,27 +198,3 @@ def min_density_junction_tree(
             "no root resolves any demand; feasible instances always admit one"
         )
     return best
-
-
-def essential_set_mode(rcs, essential_vertices, config: SolverConfig = DEFAULT_CONFIG):
-    """Solve with roots restricted to an essential vertex set.
-
-    Iterates junction trees rooted inside the set on the reduced instance
-    until every demand resolves; demands unresolvable from every essential
-    root raise EssentialityViolationError.
-    """
-    from .greedy import greedy_density_loop
-    from .reductions import rcs_to_pcs
-
-    instance, backmap = rcs_to_pcs(rcs)
-    roots = sorted(set(essential_vertices))
-    for r in roots:
-        if not (0 <= r < instance.n):
-            raise ContractError(f"essential vertex {r} outside the graph")
-    try:
-        report = greedy_density_loop(instance, mode="integer", config=config, roots=roots)
-    except InternalInvariantError as exc:
-        raise EssentialityViolationError(
-            f"some demand is unresolvable from the essential set: {exc}"
-        ) from exc
-    return report

@@ -109,6 +109,8 @@ def enumerate_root_paths(closure: CostClosure, start, goal, h: int, cap: int):
         return []
     if h == 0:
         return [(start,)] if start == goal else []
+    # every closure vertex is a source, so each one's row exists
+    dist = closure.dist
     paths = []
 
     def extend(prefix, remaining):
@@ -120,8 +122,8 @@ def enumerate_root_paths(closure: CostClosure, start, goal, h: int, cap: int):
                     f"path enumeration exceeded cap {cap}; lower h or shrink the instance"
                 )
             return
-        for nxt in sorted(closure.dist[prefix[-1]]):
-            if closure.cost(nxt, goal) is not None:
+        for nxt in sorted(dist[prefix[-1]]):
+            if goal in dist[nxt]:
                 extend(prefix + [nxt], remaining - 1)
 
     extend([start], h)

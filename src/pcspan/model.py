@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .errors import (
     ContractError,
+    DivisionUndefinedError,
     InstanceMismatchError,
     ParseError,
 )
@@ -33,11 +34,6 @@ class ResourceVector:
 
     def __getitem__(self, i):
         return self.entries[i]
-
-    def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        if len(self) != len(other):
-            raise ContractError("dimension mismatch in resource addition")
-        return ResourceVector(tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def dominated_by(self, other: "ResourceVector") -> bool:
         """Componentwise <=."""
@@ -298,8 +294,6 @@ def condition_numbers(instance: PcsInstance) -> ConditionNumbers:
     min_length = min(lengths) if lengths else Fraction(0)
     max_length = max(lengths) if lengths else Fraction(0)
     if bdgt_min == 0:
-        from .errors import DivisionUndefinedError
-
         raise DivisionUndefinedError(
             "condition numbers undefined: some demand has budget[0] = 0"
         )

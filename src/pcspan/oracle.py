@@ -9,13 +9,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import ScaleError
 from .model import Demand, PcsInstance, ResourceVector, Walk
 
 # walks one catalog may hold, and (demand -> walk) combinations one search may try
 CATALOG_LIMIT = 10**5
 COMBINATION_LIMIT = 10**6
+# edges per enumerated walk: the default cap, and the largest one accepted
+ENUM_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -81,16 +82,11 @@ def _vector_feasible(instance: PcsInstance, res, budget: ResourceVector) -> bool
 
 
 def enumerate_feasible_walks(
-    instance: PcsInstance,
-    demand: Demand,
-    cap: int | None = None,
-    config: SolverConfig = DEFAULT_CONFIG,
+    instance: PcsInstance, demand: Demand, cap: int = ENUM_CAP
 ) -> WalkCatalog:
     """Complete catalog of feasible walks with at most `cap` edges."""
-    if cap is None:
-        cap = config.enum_cap
-    if cap > config.enum_cap:
-        raise ScaleError(f"cap {cap} exceeds configured enumeration limit {config.enum_cap}")
+    if cap > ENUM_CAP:
+        raise ScaleError(f"cap {cap} exceeds the enumeration limit {ENUM_CAP}")
     prune_length = all(e.res[0] >= 0 for e in instance.edges)
     raw = _enumerate_walks(
         instance,
@@ -121,11 +117,10 @@ def _edge_set_choices(catalog: WalkCatalog):
     return minimal
 
 
-def brute_force_opt(
-    instance: PcsInstance, config: SolverConfig = DEFAULT_CONFIG
-) -> tuple:
-    """Exact minimum cost of a subgraph satisfying every demand."""
-    catalogs = [enumerate_feasible_walks(instance, d, config=config) for d in instance.demands]
+def brute_force_opt(instance: PcsInstance, cap: int = ENUM_CAP) -> tuple:
+    """Exact minimum cost of a subgraph satisfying every demand, over walks
+    of at most `cap` edges."""
+    catalogs = [enumerate_feasible_walks(instance, d, cap) for d in instance.demands]
     choice_sets = [_edge_set_choices(c) for c in catalogs]
     total = 1
     for cs in choice_sets:
@@ -175,16 +170,11 @@ def _half_walks(instance, source, target, budget, cap, limit):
 
 
 def through_root_candidates(
-    instance: PcsInstance,
-    demand: Demand,
-    root: int,
-    cap: int | None = None,
-    config: SolverConfig = DEFAULT_CONFIG,
+    instance: PcsInstance, demand: Demand, root: int, cap: int = ENUM_CAP
 ):
-    """All budget-respecting s ~> root ~> t walk compositions, as
-    (edge_set, edge_sequence) pairs deduplicated by edge set."""
-    if cap is None:
-        cap = config.enum_cap
+    """All budget-respecting s ~> root ~> t walk compositions of at most
+    `cap` edges, as (edge_set, edge_sequence) pairs deduplicated by edge
+    set."""
     firsts = _half_walks(
         instance, demand.source, root, demand.budget, cap, CATALOG_LIMIT
     )
@@ -210,10 +200,9 @@ def through_root_candidates(
     return sorted(minimal.items(), key=lambda kv: sorted(kv[0]))
 
 
-def brute_force_min_density_junction(
-    instance: PcsInstance, config: SolverConfig = DEFAULT_CONFIG
-) -> tuple:
-    """Exact minimum junction-tree density: (root, density, edge_set, demands).
+def brute_force_min_density_junction(instance: PcsInstance, cap: int = ENUM_CAP) -> tuple:
+    """Exact minimum junction-tree density over walks of at most `cap`
+    edges: (root, density, edge_set, demands).
 
     Branch and bound over (demand -> candidate walk or skip) assignments; the
     bound uses that cost only grows while the resolved count is capped by the
@@ -234,7 +223,7 @@ def brute_force_min_density_junction(
     for root in range(instance.n):
         cands = []
         for d in instance.demands:
-            choices = through_root_candidates(instance, d, root, config=config)
+            choices = through_root_candidates(instance, d, root, cap)
             cands.append([frozenset(k) for k, _ in choices])
         if not any(cands):
             continue

@@ -156,6 +156,11 @@ class ProductGraph:
     def instance(self) -> PcsInstance:
         return _base_of(self.problem)
 
+    @property
+    def theta(self):
+        """The length relaxation of the scaled regime; None in the integer one."""
+        return self.problem.theta if isinstance(self.problem, ScaledInstance) else None
+
     def root_copy(self, side: str, root: int) -> int:
         """Id of the root's zero-label state on side "L" or "R"."""
         if not (0 <= root < self.instance.n):

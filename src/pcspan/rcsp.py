@@ -112,6 +112,19 @@ def _limit(bound, scale: int) -> int:
     return math.floor(bound * scale)
 
 
+def _within_budget(instance: PcsInstance, demand: Demand, limit: int, table: dict) -> list:
+    """(config, length) of each state of `table` that ends a walk meeting
+    the demand: at its target, within `limit` length units and its config
+    within budget."""
+    return [
+        (cfg, length)
+        for (v, cfg), length in table.items()
+        if v == demand.target
+        and length <= limit
+        and config_feasible(instance, cfg, demand.budget)
+    ]
+
+
 def _allowed_edges(instance: PcsInstance, edge_subset):
     if edge_subset is None:
         return range(len(instance.edges))
@@ -224,11 +237,7 @@ def _witness(instance: PcsInstance, edges, edge_ids, demand: Demand, theta, max_
     start = (demand.source, zero_config(instance))
     best = None
     for h, tab in enumerate(_relax(arcs, start, max_hops)):
-        for (v, cfg), length in tab.items():
-            if v != demand.target or length > bound:
-                continue
-            if not config_feasible(instance, cfg, demand.budget):
-                continue
+        for cfg, length in _within_budget(instance, demand, bound, tab):
             key = (length, h, cfg)
             if best is None or key < best:
                 best = key
@@ -279,56 +288,44 @@ def feasible_witness(
     return None if walk is None else Walk(walk)
 
 
-def hop_bound(instance: PcsInstance) -> int:
-    """Smallest H such that every demand has a feasible walk with < H edges."""
-    cap = default_hop_cap(instance)
-    worst = 0
-    # demands sharing a source reuse one DP table
+def _demand_tables(instance: PcsInstance):
+    """Each demand with the hop tables from its source and its length limit
+    in their units, by ascending source; demands sharing a source share one
+    table, and only one table is alive at a time."""
     by_source = {}
     for d in instance.demands:
         by_source.setdefault(d.source, []).append(d)
     for source in sorted(by_source):
-        table = shortest_lengths_from(instance, source, max_hops=cap)
+        table = shortest_lengths_from(instance, source)
         for d in by_source[source]:
-            limit = _limit(d.budget[0], table.scale)
-            h_min = None
-            for h, tab in enumerate(table.by_hops):
-                ok = any(
-                    v == d.target
-                    and length <= limit
-                    and config_feasible(instance, cfg, d.budget)
-                    for (v, cfg), length in tab.items()
-                )
-                if ok:
-                    h_min = h
-                    break
-            if h_min is None:
-                raise InfeasibleWithinCapError(
-                    f"demand ({d.source},{d.target}) has no feasible walk within {cap} hops"
-                )
-            worst = max(worst, h_min)
+            yield d, table, _limit(d.budget[0], table.scale)
+
+
+def hop_bound(instance: PcsInstance) -> int:
+    """Smallest H such that every demand has a feasible walk with < H edges."""
+    worst = 0
+    for d, table, limit in _demand_tables(instance):
+        h_min = next(
+            (h for h, tab in enumerate(table.by_hops) if _within_budget(instance, d, limit, tab)),
+            None,
+        )
+        if h_min is None:
+            raise InfeasibleWithinCapError(
+                f"demand ({d.source},{d.target}) has no feasible walk within "
+                f"{default_hop_cap(instance)} hops"
+            )
+        worst = max(worst, h_min)
     return worst + 1
 
 
 def validate_demands(instance: PcsInstance):
     """Reject instances with an infeasible demand (problem undefined).
 
-    Demands sharing a source share one table; a demand is feasible iff its
-    target holds a state within budget (the tables are cumulative, so the
-    last one decides).
+    A demand is feasible iff its target holds a state within budget (the
+    tables are cumulative, so the last one decides).
     """
-    tables = {}
-    for d in instance.demands:
-        table = tables.get(d.source)
-        if table is None:
-            table = tables[d.source] = shortest_lengths_from(instance, d.source)
-        limit = _limit(d.budget[0], table.scale)
-        if not any(
-            v == d.target
-            and length <= limit
-            and config_feasible(instance, cfg, d.budget)
-            for (v, cfg), length in table.lengths.items()
-        ):
+    for d, table, limit in _demand_tables(instance):
+        if not _within_budget(instance, d, limit, table.lengths):
             raise InfeasibleDemandError(
                 f"demand ({d.source},{d.target}) admits no feasible walk"
             )
@@ -340,10 +337,7 @@ def verify_solution(
     theta=None,
 ) -> dict:
     """Per-demand feasibility within the subgraph (theta relaxes entry 0)."""
-    edge_ids = sorted(set(subgraph))
-    for eid in edge_ids:
-        if not (0 <= eid < len(instance.edges)):
-            raise ContractError(f"subgraph edge id {eid} outside instance")
+    edge_ids = _allowed_edges(instance, subgraph)
     report = {}
     for idx, d in enumerate(instance.demands):
         witness = feasible_witness(instance, d, theta=theta, edge_subset=edge_ids)

@@ -19,6 +19,7 @@ from fractions import Fraction
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import (
     ContractError,
+    EssentialityViolationError,
     InfeasibleDemandError,
     InternalInvariantError,
     ParseError,
@@ -228,6 +229,26 @@ def solve_rcs(rcs: RcsInstance, config: SolverConfig = DEFAULT_CONFIG) -> SolveR
             )
     report.diagnostics["reduction"] = "routing-controlled"
     return report
+
+
+def essential_set_mode(rcs, essential_vertices, config: SolverConfig = DEFAULT_CONFIG):
+    """Solve with roots restricted to an essential vertex set.
+
+    Iterates junction trees rooted inside the set on the reduced instance
+    until every demand resolves; demands unresolvable from every essential
+    root raise EssentialityViolationError.
+    """
+    instance, _mapping = rcs_to_pcs(rcs)
+    roots = sorted(set(essential_vertices))
+    for r in roots:
+        if not (0 <= r < instance.n):
+            raise ContractError(f"essential vertex {r} outside the graph")
+    try:
+        return solve_pcs(instance, "integer", config, roots)
+    except InternalInvariantError as exc:
+        raise EssentialityViolationError(
+            f"some demand is unresolvable from the essential set: {exc}"
+        ) from exc
 
 
 @dataclass(frozen=True)

@@ -51,18 +51,6 @@ class ScaledInstance:
         )
 
 
-def _delta_for(instance: PcsInstance, theta: Fraction, hop: int) -> Fraction:
-    numbers = condition_numbers(instance)
-    return theta * numbers.bdgt_min / hop
-
-
-def compute_delta(instance: PcsInstance, theta) -> Fraction:
-    theta = Fraction(theta)
-    if theta <= 0:
-        raise ContractError("theta must be positive")
-    return _delta_for(instance, theta, hop_bound(instance))
-
-
 def round_lengths_to_delta(lengths, delta: Fraction) -> tuple:
     """Integer multiples d with (d - 1) * delta < length <= d * delta."""
     return tuple(math.ceil(Fraction(length) / delta) for length in lengths)
@@ -73,7 +61,7 @@ def scale_instance(instance: PcsInstance, theta) -> ScaledInstance:
     if theta <= 0:
         raise ContractError("theta must be positive")
     hop = hop_bound(instance)
-    delta = _delta_for(instance, theta, hop)
+    delta = theta * condition_numbers(instance).bdgt_min / hop
     units = round_lengths_to_delta((e.res[0] for e in instance.edges), delta)
     return ScaledInstance(
         base=instance,
@@ -82,3 +70,8 @@ def scale_instance(instance: PcsInstance, theta) -> ScaledInstance:
         units=units,
         hop_bound_value=hop,
     )
+
+
+def compute_delta(instance: PcsInstance, theta) -> Fraction:
+    """Delta = theta * Bdgt_min / Hop-bound, the unit lengths round up to."""
+    return scale_instance(instance, theta).delta

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from pcspan.config import DEFAULT_CONFIG, SolverConfig
+from pcspan.junction import build_label_cover
 from pcspan.model import Demand, Edge, PcsInstance, ResourceVector
-from pcspan.oracle import brute_force_min_density_junction, brute_force_opt
+from pcspan.oracle import ENUM_CAP, brute_force_min_density_junction, brute_force_opt
 from pcspan.product import (
     build_product_graph,
     connectable_relation_pairs,
@@ -100,6 +101,20 @@ def double_loop_pcs(double_loop_rcs) -> PcsInstance:
     return instance
 
 
+def label_cover(problem, root: int, config: SolverConfig = DEFAULT_CONFIG):
+    """`build_label_cover` on the product graph of `problem` (an instance or
+    a scaled instance); None when the root resolves nothing."""
+    return build_label_cover(build_product_graph(problem, config), root, config)
+
+
+def lp_masses(values) -> dict:
+    """Per demand, the LP relation mass (gamma) of its pairs."""
+    gammas = {}
+    for (di, _i_lab, _j_lab), w in values.y.items():
+        gammas[di] = gammas.get(di, Fraction(0)) + w
+    return gammas
+
+
 def equivalence_check(problem, root: int, config: SolverConfig = DEFAULT_CONFIG) -> dict:
     """Compare product-graph relation-pair connectivity against the oracle's
     through-root feasibility on the two-copy intersection graph.
@@ -128,12 +143,12 @@ def equivalence_check(problem, root: int, config: SolverConfig = DEFAULT_CONFIG)
     return report
 
 
-def density_lemma_check(instance: PcsInstance, config: SolverConfig = DEFAULT_CONFIG) -> dict:
+def density_lemma_check(instance: PcsInstance, cap: int = ENUM_CAP) -> dict:
     """Exact witness for the sqrt(k) density bound on brute-forceable
-    instances: min junction density <= OPT / sqrt(k), compared exactly via
-    density^2 * k <= OPT^2."""
-    opt_cost, opt_edges = brute_force_opt(instance, config)
-    root, density, edges, members = brute_force_min_density_junction(instance, config)
+    instances (walks of at most `cap` edges): min junction density <=
+    OPT / sqrt(k), compared exactly via density^2 * k <= OPT^2."""
+    opt_cost, opt_edges = brute_force_opt(instance, cap)
+    root, density, edges, members = brute_force_min_density_junction(instance, cap)
     k = len(instance.demands)
     holds = density * density * k <= opt_cost * opt_cost
     return {

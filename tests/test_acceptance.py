@@ -12,7 +12,6 @@ from itertools import combinations
 
 import pytest
 
-from pcspan.config import SolverConfig
 from pcspan.density_lp import prune
 from pcspan.generate import gen_hopset, gen_pcs, gen_rcs
 from pcspan.greedy import solve_pcs
@@ -164,7 +163,6 @@ def test_criterion_4_product_graph_equivalence():
 
 def test_criterion_5_density_lemma_witness():
     started = time.perf_counter()
-    config = SolverConfig(enum_cap=7)
     violations = 0
     for seed in range(30):
         n = 4 + seed % 2
@@ -172,7 +170,7 @@ def test_criterion_5_density_lemma_witness():
         inst = gen_pcs(
             n=n, k=k, m=1, tau=1, regime="integer", seed=2000 + seed, budget_slack=1
         )
-        out = density_lemma_check(inst, config)
+        out = density_lemma_check(inst, cap=7)
         if not out["holds"]:
             violations += 1
     elapsed = time.perf_counter() - started
@@ -182,7 +180,6 @@ def test_criterion_5_density_lemma_witness():
 
 def test_criterion_6_end_to_end_quality():
     started = time.perf_counter()
-    config = SolverConfig(enum_cap=8)
     ratios = []
     worst_ok = True
     for seed in range(15):
@@ -192,12 +189,12 @@ def test_criterion_6_end_to_end_quality():
         inst = gen_pcs(
             n=n, k=k, m=m, tau=1, regime="integer", seed=seed, budget_slack=1
         )
-        report = solve_pcs(inst, "integer", config)
+        report = solve_pcs(inst, "integer")
         assert report.verified  # 100% of demands verified
-        opt, _ = brute_force_opt(inst, config)
+        opt, _ = brute_force_opt(inst, cap=8)
         ratio = report.cost / opt if opt > 0 else Fraction(1)
         ratios.append(ratio)
-        pg_size = len(build_product_graph(inst, config).vertex_keys)
+        pg_size = len(build_product_graph(inst).vertex_keys)
         slack = 4 * math.sqrt(k) * 2 ** (m + 1) * math.log2(pg_size) ** 3
         if float(ratio) > slack:
             worst_ok = False

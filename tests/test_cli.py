@@ -1,9 +1,8 @@
 import json
-from dataclasses import replace
 
 import pytest
 
-from pcspan import cli
+from pcspan import density_lp
 from pcspan import io as pio
 from pcspan.cli import main
 from pcspan.config import SolverConfig
@@ -226,10 +225,7 @@ def test_path_cap_exits_5(tmp_path, monkeypatch):
     inst = gen_pcs(n=8, k=4, m=1, tau=1, regime="integer", seed=1, budget_slack=1)
     inst_path = tmp_path / "paths.json"
     pio.write_json(str(inst_path), pio.pcs_to_dict(inst))
-    make_config = cli.make_config
-    monkeypatch.setattr(
-        cli, "make_config", lambda args: replace(make_config(args), max_paths_per_terminal=1)
-    )
+    monkeypatch.setattr(density_lp, "MAX_PATHS_PER_TERMINAL", 1)
     assert run(["--mode", "pcs-int", str(inst_path)]) == 5
 
 

@@ -19,16 +19,15 @@ from pcspan.density_lp import (
 )
 from pcspan.errors import ContractError, InternalInvariantError
 from pcspan.generate import gen_pcs
-from pcspan.junction import build_label_cover
 from pcspan.model import is_feasible
 from pcspan.oracle import brute_force_min_density_junction
 from pcspan.product import relation_holds
 
-from conftest import make_instance
+from conftest import label_cover, lp_masses, make_instance
 
 
 def tri_cover(tri_instance, root=1):
-    bundle = build_label_cover(tri_instance, root)
+    bundle = label_cover(tri_instance, root)
     assert bundle is not None
     return build_lp(bundle)
 
@@ -60,7 +59,7 @@ def test_no_candidate_error():
         packing=1,
         covering=0,
     )
-    assert build_label_cover(inst, 2) is None  # root resolves nothing -> skip
+    assert label_cover(inst, 2) is None  # root resolves nothing -> skip
 
 
 def test_lp_value_zero_iff_zero_cost_path():
@@ -72,7 +71,7 @@ def test_lp_value_zero_iff_zero_cost_path():
         packing=1,
         covering=0,
     )
-    cover = build_lp(build_label_cover(zero, 1))
+    cover = build_lp(label_cover(zero, 1))
     assert solve_lp(cover).objective == 0
     paid = make_instance(
         n=3,
@@ -82,7 +81,7 @@ def test_lp_value_zero_iff_zero_cost_path():
         packing=1,
         covering=0,
     )
-    cover = build_lp(build_label_cover(paid, 1))
+    cover = build_lp(label_cover(paid, 1))
     assert solve_lp(cover).objective > 0
 
 
@@ -97,7 +96,7 @@ def test_tri_lp_value_matches_min_density(tri_instance):
 
 def test_density_lp_is_a_column_wise_plus_minus_one_matrix():
     inst = gen_pcs(n=6, k=3, m=1, tau=1, regime="integer", seed=8, budget_slack=1)
-    bundles = [build_label_cover(inst, root) for root in range(3)]
+    bundles = [label_cover(inst, root) for root in range(3)]
     covers = [build_lp(b) for b in bundles if b is not None]
     assert covers
     for cover in covers:
@@ -296,12 +295,10 @@ def test_gst_round_monte_carlo_connects_bucket():
         packing=1,
         covering=0,
     )
-    bundle = build_label_cover(inst, 1)
+    bundle = label_cover(inst, 1)
     cover = build_lp(bundle)
     values = solve_lp(cover)
-    gammas = {}
-    for (di, i_lab, j_lab), w in values.y.items():
-        gammas[di] = gammas.get(di, Fraction(0)) + w
+    gammas = lp_masses(values)
     pruned = {}
     for di, pairs in bundle.relations.items():
         masses = {
@@ -332,12 +329,10 @@ def test_assemble_two_demands_sharing_edges_halves_density():
         packing=1,
         covering=0,
     )
-    bundle = build_label_cover(inst, 1)
+    bundle = label_cover(inst, 1)
     cover = build_lp(bundle)
     values = solve_lp(cover)
-    gammas = {}
-    for (di, i_lab, j_lab), w in values.y.items():
-        gammas[di] = gammas.get(di, Fraction(0)) + w
+    gammas = lp_masses(values)
     pruned = {
         di: prune(
             pairs,
@@ -358,7 +353,7 @@ def test_assemble_two_demands_sharing_edges_halves_density():
 def test_fallback_tree_valid(tri_instance):
     cover = tri_cover(tri_instance)
     values = solve_lp(cover)
-    tree = fallback_tree(cover, values)
+    tree = fallback_tree(cover, lp_masses(values))
     assert tree.resolved
     assert tree.density >= 2  # cannot beat the optimum
 
@@ -366,6 +361,6 @@ def test_fallback_tree_valid(tri_instance):
 def test_assemble_density_at_least_oracle_minimum(tri_instance):
     cover = tri_cover(tri_instance)
     values = solve_lp(cover)
-    tree = fallback_tree(cover, values)
+    tree = fallback_tree(cover, lp_masses(values))
     _r, density, _e, _m = brute_force_min_density_junction(tri_instance)
     assert tree.density >= density

@@ -98,10 +98,9 @@ def test_density_lemma_hub_k4():
 
 
 def test_density_lemma_random_sweep():
-    config = SolverConfig(enum_cap=7)
     for seed in range(10):
         inst = gen_pcs(n=5, k=2, m=1, tau=1, regime="integer", seed=seed + 31)
-        out = density_lemma_check(inst, config)
+        out = density_lemma_check(inst, cap=7)
         assert out["holds"], (seed, out)
 
 

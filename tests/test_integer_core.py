@@ -163,7 +163,7 @@ def test_int_closures_and_witnesses_equal_the_fraction_reference(case):
             pe = pg.edges[idx]
             yield idx, pe.head, inst.edges[pe.base_edge].cost
 
-    bundle = build_label_cover(problem, root, pg=pg)
+    bundle = build_label_cover(pg, root)
     for closure in () if bundle is None else (bundle.up, bundle.down):
         dist, parent = fraction_closure(closure.dist, fraction_out)
         assert closure.parent == parent

@@ -6,14 +6,14 @@ from pcspan.config import SolverConfig
 from pcspan.density_lp import RoundedSelection, assemble_junction_tree, build_lp
 from pcspan.errors import ContractError, EssentialityViolationError, InternalInvariantError
 from pcspan.generate import gen_pcs
-from pcspan.junction import build_label_cover, essential_set_mode, min_density_junction_tree
+from pcspan.junction import junction_tree_for_root, min_density_junction_tree
 from pcspan.model import Walk, is_feasible, is_theta_feasible
 from pcspan.oracle import brute_force_min_density_junction
 from pcspan.product import build_product_graph
 from pcspan.rcsp import through_root_witness
-from pcspan.reductions import is_routing_feasible, rcs_to_pcs
+from pcspan.reductions import essential_set_mode, is_routing_feasible, rcs_to_pcs
 
-from conftest import make_instance
+from conftest import label_cover, make_instance
 
 
 def test_direct_edge_density_at_most_cost():
@@ -101,7 +101,7 @@ def test_assembly_rejects_a_claimed_demand_whose_walk_breaks_its_budget():
         packing=1,
         covering=0,
     )
-    bundle = build_label_cover(inst, 0)
+    bundle = label_cover(inst, 0)
     cover = build_lp(bundle)
     via_1 = bundle.pg.vertex_ids[("S", "R", 2, (2, 1))]
     up = (bundle.root_left,) * (bundle.h + 1)
@@ -119,14 +119,13 @@ def test_assembly_rejects_a_claimed_demand_whose_walk_breaks_its_budget():
 
 def test_density_within_polylog_of_oracle_minimum():
     # returned density <= 4 * log^3(product size) * 2^(m+1) * optimum
-    config = SolverConfig(enum_cap=8)
     import math
 
     for seed in range(6):
         inst = gen_pcs(n=5, k=2, m=1, tau=1, regime="integer", seed=seed + 11)
-        tree = min_density_junction_tree(inst, "integer", config)
-        _r, opt_density, _e, _m = brute_force_min_density_junction(inst, config)
-        pg = build_product_graph(inst, config)
+        tree = min_density_junction_tree(inst, "integer")
+        _r, opt_density, _e, _m = brute_force_min_density_junction(inst, cap=8)
+        pg = build_product_graph(inst)
         size = len(pg.vertex_keys)
         slack = 4 * (math.log2(size) ** 3) * 2 ** (inst.m + 1)
         assert float(tree.density) <= slack * max(float(opt_density), 1e-9) or (
@@ -178,11 +177,10 @@ def test_root_enumeration_completeness(tri_instance):
     # result equals the minimum over per-root runs
     import random
 
-    from pcspan.junction import junction_tree_for_root
-
+    pg = build_product_graph(tri_instance)
     best = None
     for root in range(tri_instance.n):
-        tree = junction_tree_for_root(tri_instance, root, random.Random(0))
+        tree = junction_tree_for_root(pg, root, random.Random(0))
         if tree is not None and (best is None or tree.density < best.density):
             best = tree
     full = min_density_junction_tree(tri_instance, "integer")

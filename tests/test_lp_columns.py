@@ -14,15 +14,15 @@ full LP at that optimum.
 from fractions import Fraction
 
 from pcspan.config import DEFAULT_CONFIG
-from pcspan.density_lp import build_lp, solve_lp
+from pcspan.density_lp import MAX_PATHS_PER_TERMINAL, build_lp, solve_lp
 from pcspan.errors import InternalInvariantError
 from pcspan.generate import gen_pcs, gen_rcs
-from pcspan.junction import build_label_cover
 from pcspan.layered import enumerate_root_paths
 from pcspan.lpsolve import LinearProgram, solve_lp as solve_backend
 from pcspan.reductions import rcs_to_pcs
 from pcspan.scaling import scale_instance
 
+from conftest import label_cover
 from test_lpsolve import residuals
 
 
@@ -36,11 +36,11 @@ def _down_edge_keys(h, chain):
     return [("down", i, chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
 
 
-def keyed_build_lp(bundle, config=DEFAULT_CONFIG):
+def keyed_build_lp(bundle):
     """(LinearProgram, column keys) of one root's label cover."""
     h = bundle.h
     relations = bundle.relations
-    cap = config.max_paths_per_terminal
+    cap = MAX_PATHS_PER_TERMINAL
     paths_up = {}
     for (di, lab), vid in sorted(bundle.src_attach.items()):
         if vid not in paths_up:
@@ -190,7 +190,7 @@ def _covers():
     """(bundle, reduced LabelCoverLp) of every root that has a cover."""
     for problem, n in _problems():
         for root in range(n):
-            bundle = build_label_cover(problem, root)
+            bundle = label_cover(problem, root)
             if bundle is not None:
                 yield bundle, build_lp(bundle)
 

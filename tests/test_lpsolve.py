@@ -8,7 +8,6 @@ from scipy.optimize._highspy import _core as highs
 from pcspan.density_lp import build_lp
 from pcspan.errors import InternalInvariantError
 from pcspan.generate import gen_pcs
-from pcspan.junction import build_label_cover
 from pcspan.lpsolve import (
     RECONSTRUCT_LIMIT,
     LinearProgram,
@@ -23,6 +22,8 @@ from pcspan.lpsolve import (
     solve_lp,
 )
 from pcspan.rational import common_scale, to_units
+
+from conftest import label_cover
 
 
 def make_lp(num_vars: int, objective: dict, eq=(), ub=()) -> LinearProgram:
@@ -221,7 +222,7 @@ def test_dual_solver_cross_check_random():
 
 def test_density_lp_above_48_rows_matches_reference():
     inst = gen_pcs(n=6, k=3, m=1, tau=1, regime="integer", seed=2, budget_slack=1)
-    lp = build_lp(build_label_cover(inst, 0)).lp
+    lp = build_lp(label_cover(inst, 0)).lp
     assert len(lp.eq_rows) + len(lp.ub_rows) > 48
     assert assert_exact_optimum(lp).objective == Fraction(13, 2)
 
@@ -248,7 +249,7 @@ def _fallbacks(caplog) -> list:
 def test_highs_solution_is_certified_without_elimination(caplog):
     caplog.set_level(logging.DEBUG, logger="pcspan.lpsolve")
     inst = gen_pcs(n=6, k=3, m=1, tau=1, regime="integer", seed=8, budget_slack=1)
-    lp = build_lp(build_label_cover(inst, 0)).lp
+    lp = build_lp(label_cover(inst, 0)).lp
     basis, guess = solve_highs(lp)
     assert solve_exact(lp, basis, guess) == solve_exact(lp, basis)
     assert len(_fallbacks(caplog)) == 1  # only the call without a guess
@@ -328,7 +329,7 @@ def _generated_lps():
     for seed in (8, 9):
         inst = gen_pcs(n=6, k=3, m=1, tau=1, regime="integer", seed=seed, budget_slack=1)
         for root in range(inst.n):
-            bundle = build_label_cover(inst, root)
+            bundle = label_cover(inst, root)
             if bundle is not None:
                 yield build_lp(bundle).lp
 

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from pcspan.config import SolverConfig
 from pcspan.errors import ScaleError
 from pcspan.model import Walk, is_feasible
 from pcspan.oracle import (
@@ -70,9 +69,7 @@ def test_catalog_walks_deduplicated_by_multiset():
 
 def test_cap_above_limit_refused(tri_instance):
     with pytest.raises(ScaleError):
-        enumerate_feasible_walks(
-            tri_instance, tri_instance.demands[0], cap=99, config=SolverConfig(enum_cap=12)
-        )
+        enumerate_feasible_walks(tri_instance, tri_instance.demands[0], cap=99)
 
 
 def test_brute_force_opt_k1_equals_cheapest_walk(tri_instance):

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from pcspan.config import SolverConfig
 from pcspan.errors import ContractError, InfeasibleDemandError, InfeasibleWithinCapError
 from pcspan.model import Demand, Edge, ResourceVector, is_feasible, is_theta_feasible
 from pcspan.oracle import _enumerate_walks, enumerate_feasible_walks, through_root_candidates
@@ -212,7 +211,8 @@ def test_validate_demands_rejects_infeasible():
 
 
 def test_validate_demands_agrees_with_the_witness_search():
-    # tightened copies of generated instances, many of them infeasible
+    # tightened copies of generated instances, many of them infeasible;
+    # hop_bound raises exactly when validate_demands does
     infeasible = 0
     for seed in range(4):
         inst = gen_pcs(n=5, k=3, m=2, tau=1, regime="integer", seed=seed, packing=1)
@@ -223,26 +223,30 @@ def test_validate_demands_agrees_with_the_witness_search():
                     demands = list(inst.demands)
                     demands[di] = Demand(d.source, d.target, ResourceVector((b0, *res)))
                     case = replace(inst, demands=demands)
+                    # the demands are checked by ascending source
+                    by_source = sorted(case.demands, key=lambda e: e.source)
                     first = next(
-                        (e for e in case.demands if feasible_witness(case, e) is None), None
+                        (e for e in by_source if feasible_witness(case, e) is None), None
                     )
                     if first is None:
                         validate_demands(case)
+                        hop_bound(case)
                         continue
                     infeasible += 1
                     message = f"demand ({first.source},{first.target}) admits no feasible walk"
                     with pytest.raises(InfeasibleDemandError) as exc:
                         validate_demands(case)
                     assert str(exc.value) == message
+                    with pytest.raises(InfeasibleWithinCapError):
+                        hop_bound(case)
     assert infeasible >= 10
 
 
 def test_oracle_agrees_with_enumeration_on_random_instances():
-    config = SolverConfig(enum_cap=6)
     for seed in range(12):
         inst = gen_pcs(n=5, k=2, m=2, tau=2, regime="integer", seed=seed)
         for d in inst.demands:
-            catalog = enumerate_feasible_walks(inst, d, cap=6, config=config)
+            catalog = enumerate_feasible_walks(inst, d, cap=6)
             witness = feasible_witness(inst, d, max_hops=6)
             assert (witness is not None) == bool(catalog.walks)
             if witness is not None:
