@@ -23,16 +23,43 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
 from itertools import accumulate
+from pathlib import Path
 
 import numpy
-from scipy.optimize._highspy import _core as highs
 
 from .errors import InternalInvariantError
 
 log = logging.getLogger("pcspan.lpsolve")
+
+
+def _load_highs():
+    """scipy's HiGHS extension, `scipy.optimize._highspy._core`, loaded on
+    its own and registered under its name.  `import scipy.optimize` would
+    also load linprog, scipy.linalg, scipy.fft and f2py, which no solve here
+    uses and which take about half of a solve process's start-up time and
+    memory; a later import of scipy.optimize finds this same module."""
+    name = "scipy.optimize._highspy._core"
+    scipy = find_spec("scipy")
+    if scipy is None:
+        raise ImportError("scipy is not installed; its HiGHS extension is needed", name=name)
+    directory = Path(scipy.origin).parent / "optimize" / "_highspy"
+    finder = FileFinder(str(directory), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"no HiGHS extension _core in {directory}", name=name)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+highs = _load_highs()
 
 # largest denominator rational reconstruction tries for a HiGHS value
 RECONSTRUCT_LIMIT = 10**6
@@ -112,25 +139,32 @@ def highs_solver():
     return solver
 
 
+# the one solver every LP runs in; `solve_highs` clears its model after each
+# LP and keeps its options (`clear()` would reset them)
+_SOLVER = highs_solver()
+
+
 def solve_highs(lp: LinearProgram) -> tuple:
     """((basic columns, tight rows), (column values, row duals)) of HiGHS's
     optimal solution for `highs_model(lp)`; both index lists ascend, and the
     values are floats."""
-    solver = highs_solver()
-    solver.passModel(highs_model(lp))
-    solver.run()
-    status = solver.getModelStatus()
-    if status != highs.HighsModelStatus.kOptimal:
-        raise InternalInvariantError(f"LP solve failed: {solver.modelStatusToString(status)}")
-    # one basic variable per row: column j as j, row i as -1 - i
-    status, basic_vars = solver.getBasicVariables()
-    if status != highs.HighsStatus.kOk:
-        raise InternalInvariantError("HiGHS reports no basis for its optimal solution")
-    solution = solver.getSolution()
-    # getBasicVariables and getSolution return copies.  Freeing HiGHS's model
-    # and factorization before any Python list is built keeps the benchmark's
-    # peak RSS on pcs-int flat; left to the destructor, it rose by about 1 MB.
-    solver.clear()
+    try:
+        _SOLVER.passModel(highs_model(lp))
+        _SOLVER.run()
+        status = _SOLVER.getModelStatus()
+        if status != highs.HighsModelStatus.kOptimal:
+            raise InternalInvariantError(f"LP solve failed: {_SOLVER.modelStatusToString(status)}")
+        # one basic variable per row: column j as j, row i as -1 - i
+        status, basic_vars = _SOLVER.getBasicVariables()
+        if status != highs.HighsStatus.kOk:
+            raise InternalInvariantError("HiGHS reports no basis for its optimal solution")
+        solution = _SOLVER.getSolution()
+    finally:
+        # getBasicVariables and getSolution return copies.  Freeing HiGHS's
+        # model and factorization before any Python list is built keeps the
+        # benchmark's peak RSS on pcs-int flat, and an LP that raises leaves
+        # nothing behind for the next one.
+        _SOLVER.clearModel()
     tight = numpy.ones(len(lp.eq_rows) + len(lp.ub_rows), dtype=bool)
     tight[-1 - basic_vars[basic_vars < 0]] = False
     return (

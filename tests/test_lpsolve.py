@@ -3,8 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from scipy.optimize._highspy import _core as highs
 
+from pcspan import lpsolve
 from pcspan.density_lp import build_lp
 from pcspan.errors import InternalInvariantError
 from pcspan.generate import gen_pcs
@@ -15,6 +15,7 @@ from pcspan.lpsolve import (
     _certify,
     _reconstruct,
     _reduced_costs,
+    highs,
     highs_model,
     highs_solver,
     solve_exact,
@@ -378,6 +379,65 @@ def test_reduced_costs_equal_the_per_column_sums():
             ]
             verdicts.add(min(reduced) >= 0 and not any(reduced[j] for j in basic))
     assert verdicts == {True, False}
+
+
+def _fresh_solve(lp: LinearProgram) -> tuple:
+    """`solve_highs(lp)` in a solver made for this LP alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lpsolve, "_SOLVER", highs_solver())
+        return solve_highs(lp)
+
+
+def _alternating_density_lps():
+    """Density LPs of two instances of different size, interleaved, so each
+    LP follows one of another shape."""
+    small, large = (
+        [
+            build_lp(bundle).lp
+            for bundle in (label_cover(inst, root) for root in range(inst.n))
+            if bundle is not None
+        ]
+        for inst in (
+            gen_pcs(n=5, k=2, m=1, tau=1, regime="integer", seed=3, budget_slack=1),
+            gen_pcs(n=7, k=3, m=1, tau=1, regime="integer", seed=9, budget_slack=1),
+        )
+    )
+    for pair in zip(small, large):
+        yield from pair
+
+
+def _same_solve(lp: LinearProgram) -> bool:
+    basis, (col_value, row_dual) = solve_highs(lp)
+    fresh_basis, (fresh_col, fresh_dual) = _fresh_solve(lp)
+    return (basis, list(col_value), list(row_dual)) == (
+        fresh_basis, list(fresh_col), list(fresh_dual)
+    )
+
+
+def test_shared_solver_matches_a_fresh_one():
+    shapes = []
+    for lp in _alternating_density_lps():
+        assert _same_solve(lp)
+        shapes.append((len(lp.eq_rows) + len(lp.ub_rows), lp.num_vars))
+    assert len(shapes) >= 6
+    assert all(a != b for a, b in zip(shapes, shapes[1:]))
+
+
+def test_an_lp_that_raises_leaves_the_shared_solver_clean():
+    infeasible = make_lp(1, {0: 1}, eq=[({0: 1}, 1)], ub=[({0: 1}, Fraction(1, 2))])
+    lps = list(_alternating_density_lps())[:4]
+    for lp in lps:
+        with pytest.raises(InternalInvariantError, match="LP solve failed"):
+            solve_highs(infeasible)
+        assert (lpsolve._SOLVER.getNumRow(), lpsolve._SOLVER.getNumCol()) == (0, 0)
+        assert _same_solve(lp)
+
+
+def test_shared_solver_keeps_its_options():
+    solve_lp(make_lp(2, {0: 1, 1: 3}, eq=[({0: 1, 1: 1}, 1)]))
+    ok = highs.HighsStatus.kOk
+    assert lpsolve._SOLVER.getOptionValue("presolve") == (ok, "off")
+    assert lpsolve._SOLVER.getOptionValue("output_flag") == (ok, False)
 
 
 def test_highs_costs_are_the_floats_of_the_rational_costs():
