@@ -31,7 +31,7 @@ import pcspan.lpsolve
 from pcspan.generate import gen_pcs, gen_rcs
 from pcspan.greedy import solve_pcs
 from pcspan.io import junction_to_dict, report_to_dict
-from pcspan.junction import min_density_junction_tree
+from pcspan.junction import min_density_junction_tree, product_graph_for
 from pcspan.reductions import solve_rcs
 
 
@@ -116,7 +116,7 @@ def main():
     junction = hashlib.sha256()
     for _name, mode, instances in PCS_SETS:
         for inst in instances():
-            tree = min_density_junction_tree(inst, mode)
+            tree = min_density_junction_tree(product_graph_for(inst, mode))
             junction.update(json.dumps(junction_to_dict(tree, mode), sort_keys=True).encode())
     print(f"junction: {junction.hexdigest()}")
     print(f"models: {models.hexdigest()}")

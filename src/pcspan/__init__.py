@@ -2,7 +2,7 @@
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .greedy import SolveReport, solve_pcs
-from .junction import JunctionTree, min_density_junction_tree
+from .junction import JunctionTree, min_density_junction_tree, product_graph_for
 from .model import (
     ConditionNumbers,
     Demand,
@@ -50,6 +50,7 @@ __all__ = [
     "is_feasible",
     "is_theta_feasible",
     "min_density_junction_tree",
+    "product_graph_for",
     "scale_instance",
     "solve_hopset",
     "solve_pcs",

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .generate import GenerationError, gen_hopset, gen_pcs, gen_rcs
 from .greedy import solve_pcs
-from .junction import min_density_junction_tree
+from .junction import min_density_junction_tree, product_graph_for
 from .model import is_feasible, is_theta_feasible
 from .oracle import brute_force_opt
 from .rational import format_rational, parse_rational
@@ -124,7 +124,8 @@ def cmd_junction(args, config: SolverConfig) -> int:
     instance = pio.pcs_from_dict(pio.load_json(args.instance))
     validate_demands(instance)
     mode = "integer" if instance.is_integer_regime() else "theta"
-    tree = min_density_junction_tree(instance, mode, config)
+    pg = product_graph_for(instance, mode, config)
+    tree = min_density_junction_tree(pg, config=config)
     out = args.out or (args.instance + ".junction.json")
     pio.write_json(out, pio.junction_to_dict(tree, mode))
     return EXIT_OK

@@ -179,7 +179,7 @@ def build_lp(bundle) -> LabelCoverLp:
         objective=objective,
         eq_rows=[1] + [0] * (num_eq - 1),
         ub_rows=[0] * (ub - num_eq),
-        cost_scale=bundle.pg.cost_scale,
+        cost_scale=bundle.cost_scale,
     )
     return LabelCoverLp(
         lp=lp,
@@ -510,7 +510,7 @@ class JunctionTree:
 def assemble_junction_tree(cover: LabelCoverLp, rounded: RoundedSelection) -> JunctionTree:
     """Expand each claimed demand's sampled chains into its s ~> root ~> t
     walk, check that walk against the demand's budget, and report the
-    density of the union of the walks."""
+    density of the union of the walks under the round's prices."""
     if not rounded.connected:
         raise InternalInvariantError("assembly needs at least one connected demand")
     bundle = cover.bundle
@@ -534,7 +534,7 @@ def assemble_junction_tree(cover: LabelCoverLp, rounded: RoundedSelection) -> Ju
             raise InternalInvariantError(f"the assembled walk of demand {di} fails its budget")
         resolved[di] = walk
     edges = frozenset(eid for walk in resolved.values() for eid in walk.edges)
-    cost = instance.total_cost(edges)
+    cost = Fraction(sum(bundle.prices[eid] for eid in edges), bundle.cost_scale)
     return JunctionTree(
         root=bundle.root,
         edges=edges,

@@ -9,9 +9,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, SolverConfig
-from .errors import InternalInvariantError
-from .junction import min_density_junction_tree
-from .model import Edge, PcsInstance
+from .junction import min_density_junction_tree, product_graph_for
+from .model import PcsInstance
 from .rcsp import feasible_witness
 
 
@@ -21,7 +20,7 @@ class IterationTrace:
     density: Fraction
     resolved: tuple  # original demand indices
     tree_edges: tuple
-    marginal_cost: Fraction  # under the iteration's repriced costs
+    marginal_cost: Fraction  # under the iteration's prices
 
 
 @dataclass
@@ -38,23 +37,6 @@ class SolveReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _residual(instance: PcsInstance, free_edges, demand_indices) -> PcsInstance:
-    """The instance with `free_edges` repriced to zero and only the demands
-    `demand_indices` left."""
-    edges = tuple(
-        Edge(e.tail, e.head, Fraction(0), e.res) if eid in free_edges else e
-        for eid, e in enumerate(instance.edges)
-    )
-    return PcsInstance(
-        n=instance.n,
-        edges=edges,
-        demands=tuple(instance.demands[i] for i in demand_indices),
-        tau=instance.tau,
-        packing=instance.packing,
-        covering=instance.covering,
-    )
-
-
 def solve_pcs(
     instance: PcsInstance,
     mode: str = "integer",
@@ -68,34 +50,29 @@ def solve_pcs(
 
     mode "integer" requires positive integer lengths and returns an exactly
     feasible subgraph; mode "theta" handles rational/negative lengths and
-    returns a theta-feasible subgraph.  Already-selected edges are repriced
-    to zero in later rounds so the greedy exploits sunk cost (a
-    strictly-no-worse refinement, flagged in the diagnostics); the reported
-    total uses original costs once per edge.
+    returns a theta-feasible subgraph.  One product graph serves every
+    round; already-selected edges are priced at zero in later rounds so the
+    greedy exploits sunk cost (a strictly-no-worse refinement, flagged in
+    the diagnostics); the reported total uses original costs once per edge.
     """
     remaining = list(range(len(instance.demands)))
+    pg = product_graph_for(instance, mode, config) if remaining else None
     selected = set()
     iterations = []
-    round_no = 0
     while remaining:
-        round_no += 1
-        residual = _residual(instance, selected, remaining)
-        rng = random.Random(config.seed * 1_000_003 + round_no)
-        tree = min_density_junction_tree(residual, mode, config, rng, roots)
-        resolved_orig = tuple(sorted(remaining[i] for i in tree.resolved))
-        if not resolved_orig:
-            raise InternalInvariantError("junction tree resolved no demand")
+        rng = random.Random(config.seed * 1_000_003 + len(iterations) + 1)
+        tree = min_density_junction_tree(pg, selected, remaining, config, rng, roots)
         iterations.append(
             IterationTrace(
                 root=tree.root,
                 density=tree.density,
-                resolved=resolved_orig,
+                resolved=tuple(sorted(tree.resolved)),
                 tree_edges=tuple(sorted(tree.edges)),
                 marginal_cost=tree.cost,
             )
         )
-        selected |= set(tree.edges)
-        remaining = [i for i in remaining if i not in set(resolved_orig)]
+        selected |= tree.edges
+        remaining = [i for i in remaining if i not in tree.resolved]
     theta = config.theta if mode == "theta" else None
     witnesses = {}
     verified = True
@@ -115,5 +92,5 @@ def solve_pcs(
         iterations=iterations,
         witnesses=witnesses,
         verified=verified,
-        diagnostics={"repriced_sunk_cost": True, "rounds": round_no},
+        diagnostics={"repriced_sunk_cost": True, "rounds": len(iterations)},
     )

@@ -43,10 +43,14 @@ def _int_field(obj, key):
     return _int(_field(obj, key), f"field {key!r}")
 
 
-def _int_list(obj, key, default=None):
+def _list(obj, key, default=None):
     v = _field(obj, key, default)
     _require(isinstance(v, list), f"field {key!r} must be a list")
-    return [_int(x, f"each entry of {key!r}") for x in v]
+    return v
+
+
+def _int_list(obj, key, default=None):
+    return [_int(x, f"each entry of {key!r}") for x in _list(obj, key, default)]
 
 
 def pcs_to_dict(instance: PcsInstance) -> dict:
@@ -92,7 +96,7 @@ def pcs_from_dict(obj: dict) -> PcsInstance:
     _require(m == packing + covering, "m must equal packing + covering")
     dim = m + 1
     edges = []
-    for raw in obj.get("edges", []):
+    for raw in _list(obj, "edges", []):
         edges.append(
             Edge(
                 _int_field(raw, "u"),
@@ -102,7 +106,7 @@ def pcs_from_dict(obj: dict) -> PcsInstance:
             )
         )
     demands = []
-    for raw in obj.get("demands", []):
+    for raw in _list(obj, "demands", []):
         demands.append(
             Demand(
                 _int_field(raw, "s"),
@@ -140,12 +144,12 @@ def rcs_to_dict(rcs: RcsInstance) -> dict:
 def rcs_from_dict(obj: dict) -> RcsInstance:
     n = _int_field(obj, "n")
     groups = []
-    for raw in obj.get("groups", []):
+    for raw in _list(obj, "groups", []):
         kind = _field(raw, "kind")
         _require(kind in (MUST_VISIT, AVOID), f"group kind must be {MUST_VISIT!r} or {AVOID!r}")
         groups.append(RcsGroup(kind=kind, members=frozenset(_int_list(raw, "members", []))))
     edges = []
-    for raw in obj.get("edges", []):
+    for raw in _list(obj, "edges", []):
         edges.append(
             RcsEdge(
                 _int_field(raw, "u"),
@@ -155,7 +159,7 @@ def rcs_from_dict(obj: dict) -> RcsInstance:
             )
         )
     demands = []
-    for raw in obj.get("demands", []):
+    for raw in _list(obj, "demands", []):
         demands.append(
             RcsDemand(_int_field(raw, "s"), _int_field(raw, "t"), tuple(_int_list(raw, "ctrl")))
         )
@@ -181,10 +185,10 @@ def hopset_from_dict(obj: dict) -> HopsetInstance:
     n = _int_field(obj, "n")
     beta = _int_field(obj, "beta")
     edges = []
-    for raw in obj.get("edges", []):
+    for raw in _list(obj, "edges", []):
         edges.append((_int_field(raw, "u"), _int_field(raw, "v"), _int_field(raw, "len")))
     demands = []
-    for raw in obj.get("demands", []):
+    for raw in _list(obj, "demands", []):
         demands.append(
             HopsetDemand(
                 _int_field(raw, "s"),

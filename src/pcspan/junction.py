@@ -2,10 +2,11 @@
 
 For each candidate root: product graph -> useful-state pruning -> metric
 closures -> label-cover LP over their h-step root chains -> representative
-pruning -> bucketing -> randomized rounding -> assembly.  The product graph does not
-depend on the root, so it is built once per search and shared.  The best
-(lowest-density) tree across roots wins, with deterministic tie-breaking
-toward smaller root ids.
+pruning -> bucketing -> randomized rounding -> assembly.  The product graph
+depends on neither the root nor the greedy round, so one graph
+(`product_graph_for`) serves a whole solve; a round supplies only its prices
+and its open demands (`Round`).  The best (lowest-density) tree across roots
+wins, with deterministic tie-breaking toward smaller root ids.
 """
 
 from __future__ import annotations
@@ -37,7 +38,42 @@ from .product import (
     states_reachable_from_root_right,
     states_reaching_root_left,
 )
+from .rational import common_scale, to_units
 from .scaling import scale_instance
+
+
+def product_graph_for(
+    instance: PcsInstance, mode: str = "integer", config: SolverConfig = DEFAULT_CONFIG
+) -> ProductGraph:
+    """The product graph one solve shares across its rounds.  Mode "theta"
+    scales lengths once, for all demands: a residual demand set has a Delta
+    no smaller and a hop bound no larger, so every demand keeps the scaling
+    guarantee."""
+    if not instance.demands:
+        raise ContractError("junction solving needs at least one demand")
+    if mode not in ("integer", "theta"):
+        raise ContractError(f"unknown mode {mode!r}")
+    problem = scale_instance(instance, config.theta) if mode == "theta" else instance
+    return build_product_graph(problem, config)
+
+
+@dataclass(frozen=True)
+class Round:
+    """A greedy round: its open demands (original indices, ascending) and
+    each base edge's int price in units of 1 / cost_scale, bought edges 0."""
+
+    demands: tuple
+    prices: tuple
+    cost_scale: int
+
+
+def greedy_round(instance: PcsInstance, free=frozenset(), demands=None) -> Round:
+    """The round that prices the edges in ``free`` at 0 and leaves
+    ``demands`` open (all of them when None)."""
+    costs = [Fraction(0) if eid in free else e.cost for eid, e in enumerate(instance.edges)]
+    scale = common_scale(costs)
+    demands = range(len(instance.demands)) if demands is None else sorted(demands)
+    return Round(tuple(demands), tuple(to_units(c, scale) for c in costs), scale)
 
 
 @dataclass
@@ -51,6 +87,8 @@ class RootedLabelCover:
 
     root: int
     pg: ProductGraph
+    prices: tuple  # the round's int price per base edge
+    cost_scale: int
     h: int
     root_left: int  # product vid of the root's L copy
     root_right: int
@@ -61,9 +99,11 @@ class RootedLabelCover:
     relations: dict  # demand_idx -> list of (I, J) label pairs
 
 
-def build_label_cover(pg: ProductGraph, root: int, config: SolverConfig = DEFAULT_CONFIG):
-    """The per-root reduction of the product graph ``pg`` (one per greedy
-    round) to minimum-density Steiner label cover.
+def build_label_cover(
+    pg: ProductGraph, rnd: Round, root: int, config: SolverConfig = DEFAULT_CONFIG
+):
+    """The per-root reduction of the product graph ``pg`` to minimum-density
+    Steiner label cover over the open demands of ``rnd``, under its prices.
 
     Returns None when no demand has a relation pair whose endpoints connect
     to the root (such roots are skipped before any LP work).
@@ -72,7 +112,7 @@ def build_label_cover(pg: ProductGraph, root: int, config: SolverConfig = DEFAUL
     root_right = pg.root_copy("R", root)
     reach_left = states_reaching_root_left(pg, root)
     reach_right = states_reachable_from_root_right(pg, root)
-    relations = connectable_relation_pairs(pg, reach_left, reach_right)
+    relations = connectable_relation_pairs(pg, rnd.demands, reach_left, reach_right)
     if not any(relations.values()):
         return None
     instance = pg.instance
@@ -91,13 +131,17 @@ def build_label_cover(pg: ProductGraph, root: int, config: SolverConfig = DEFAUL
     useful_right.add(root_right)
 
     def out_edges(v):
+        # parallel arcs come in base-edge order, so Dijkstra's strict < keeps
+        # the cheapest, then the smallest base edge
         for idx in pg.out_adj[v]:
             pe = pg.edges[idx]
-            yield idx, pe.head, pe.cost
+            yield idx, pe.head, rnd.prices[pe.base_edge]
 
     return RootedLabelCover(
         root=root,
         pg=pg,
+        prices=rnd.prices,
+        cost_scale=rnd.cost_scale,
         h=config.height,
         root_left=root_left,
         root_right=root_right,
@@ -120,11 +164,11 @@ def _backward_reachable(pg, seeds) -> set:
 
 
 def junction_tree_for_root(
-    pg: ProductGraph, root: int, rng: random.Random, config: SolverConfig = DEFAULT_CONFIG
+    pg: ProductGraph, rnd: Round, root: int, rng: random.Random, config=DEFAULT_CONFIG
 ):
-    """Pipeline for one root of the product graph ``pg``; None when the root
-    resolves nothing."""
-    bundle = build_label_cover(pg, root, config)
+    """Pipeline for one root of the product graph ``pg`` in round ``rnd``;
+    None when the root resolves nothing."""
+    bundle = build_label_cover(pg, rnd, root, config)
     if bundle is None:
         return None
     cover = build_lp(bundle)
@@ -162,33 +206,27 @@ def _tree_order(tree: JunctionTree):
 
 
 def min_density_junction_tree(
-    instance: PcsInstance,
-    mode: str = "integer",
+    pg: ProductGraph,
+    free=frozenset(),
+    demands=None,
     config: SolverConfig = DEFAULT_CONFIG,
     rng: random.Random | None = None,
     roots=None,
 ) -> JunctionTree:
-    """Best junction tree over all candidate roots.
+    """Best junction tree over all candidate roots of ``pg`` (from
+    `product_graph_for`) in the round that prices the base edges in ``free``
+    at 0 and leaves the demands ``demands`` open (all of them when None).
 
-    mode "integer" runs the product graph on the raw instance (positive
-    integer lengths required); mode "theta" scales lengths first and resolves
-    demands theta-feasibly.
+    Resolved demands keep their indices in ``pg.instance``; the tree's cost
+    and density are under the round's prices.
     """
-    if not instance.demands:
-        raise ContractError("junction solving needs at least one demand")
-    if mode == "integer":
-        problem = instance
-    elif mode == "theta":
-        problem = scale_instance(instance, config.theta)
-    else:
-        raise ContractError(f"unknown mode {mode!r}")
+    rnd = greedy_round(pg.instance, free, demands)
     if rng is None:
         rng = random.Random(config.seed)
     best = None
-    root_list = sorted(roots) if roots is not None else range(instance.n)
-    pg = build_product_graph(problem, config) if root_list else None
+    root_list = sorted(roots) if roots is not None else range(pg.instance.n)
     for root in root_list:
-        tree = junction_tree_for_root(pg, root, rng, config)
+        tree = junction_tree_for_root(pg, rnd, root, rng, config)
         if tree is None:
             continue
         if best is None or _tree_order(tree) < _tree_order(best):

@@ -104,16 +104,6 @@ class PcsInstance:
     def dim(self) -> int:
         return self.m + 1
 
-    def resource_kind(self, i: int) -> str:
-        """'length', 'packing', or 'covering' for coordinate i."""
-        if i == 0:
-            return "length"
-        if 1 <= i <= self.packing:
-            return "packing"
-        if self.packing < i <= self.m:
-            return "covering"
-        raise ContractError(f"resource index {i} out of range")
-
     def covering_indices(self):
         return range(self.packing + 1, self.m + 1)
 
@@ -170,15 +160,9 @@ class PcsInstance:
         return sum((self.edges[eid].cost for eid in seen), Fraction(0))
 
 
-def cost_scale(instance: PcsInstance) -> int:
-    """The instance's cost scale L: every edge cost times L is an integer
-    (L = 1 when the costs are integers).  Scaling every cost by the same
-    positive L keeps every comparison and every tie."""
-    return common_scale(e.cost for e in instance.edges)
-
-
 def length_scale(instance: PcsInstance) -> int:
-    """The length scale of the walk oracle, as `cost_scale` for entry 0."""
+    """The length scale of the walk oracle: every entry-0 length times it is
+    an integer (1 when the lengths are integers)."""
     return common_scale(e.res[0] for e in instance.edges)
 
 

@@ -7,11 +7,12 @@ the R side a walk from (r, 0, R) to (u, I, R) witnesses an r ~> u walk of
 clamped consumption I * delta; on the L side a walk from (u, I, L) to
 (r, 0, L) witnesses a u ~> r walk likewise.
 
-The graph belongs to the instance, not to a root: it holds every state that
-some vertex's zero-label copy reaches (R side) or that reaches one (L side),
-the root's own nonzero labels included, so junction walks that revisit the
-root mid-way are tracked exactly, and a root enters only through its
-zero-label copies (``ProductGraph.root_copy``).  Resource coordinates step
+The graph belongs to the instance, not to a root or a greedy round: it
+carries no costs (each round prices the base edges) and holds every state
+that some vertex's zero-label copy reaches (R side) or that reaches one (L
+side), the root's own nonzero labels included, so junction walks that
+revisit the root mid-way are tracked exactly, and a root enters only through
+its zero-label copies (``ProductGraph.root_copy``).  Resource coordinates step
 with the RCSP oracle's own clamped transition (``rcsp.step_config``), so both
 sides compute the same reachability relation.
 """
@@ -25,8 +26,7 @@ from itertools import groupby
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import ContractError, ResourceLimitError
-from .model import PcsInstance, cost_scale, theta_relaxed_bound
-from .rational import to_units
+from .model import PcsInstance, theta_relaxed_bound
 from .rcsp import _enumerate_configs, config_bounds, step_config
 from .scaling import ScaledInstance
 
@@ -112,7 +112,6 @@ def relation_holds(budget_units: tuple, i_label: tuple, j_label: tuple) -> bool:
 class ProductEdge:
     tail: int
     head: int
-    cost: int  # the base edge's cost times the graph's cost_scale
     base_edge: int
 
 
@@ -126,7 +125,6 @@ class ProductGraph:
     edges: tuple  # ProductEdge
     out_adj: tuple
     in_adj: tuple
-    cost_scale: int  # edge costs are base costs times this (model.cost_scale)
     # (side, v) -> the contiguous run of its state ids, in label order
     runs: dict = field(init=False, repr=False, compare=False)
     # demand -> its relation-compatible (L vid, R vid) pairs, in label order
@@ -217,8 +215,6 @@ def build_product_graph(problem, config: SolverConfig = DEFAULT_CONFIG) -> Produ
             f"(cap {config.max_product_vertices})"
         )
     units = [_edge_units(problem, eid) for eid in range(len(instance.edges))]
-    scale = cost_scale(instance)
-    costs = [to_units(e.cost, scale) for e in instance.edges]
     out_edges = [[] for _ in range(instance.n)]
     in_edges = [[] for _ in range(instance.n)]
     for eid, e in enumerate(instance.edges):
@@ -235,19 +231,16 @@ def build_product_graph(problem, config: SolverConfig = DEFAULT_CONFIG) -> Produ
     )
     vertex_ids = {key: vid for vid, key in enumerate(vertex_keys)}
 
-    # parallel duplicates keep the cheapest (then smallest id)
-    best = {}
+    # every arc, parallel ones included: the graph carries no costs, so the
+    # cheapest of a parallel group is a question for each round's prices
+    arcs = []
     for side, states in (("L", left), ("R", right)):
-        for (v, lab), arcs in states.items():
+        for (v, lab), steps in states.items():
             here = vertex_ids[("S", side, v, lab)]
-            for (w, nxt), eid in arcs:
+            for (w, nxt), eid in steps:
                 there = vertex_ids[("S", side, w, nxt)]
-                pair = (there, here) if side == "L" else (here, there)
-                cand = (costs[eid], eid)
-                cur = best.get(pair)
-                if cur is None or cand < cur:
-                    best[pair] = cand
-    edges = tuple(ProductEdge(tv, hv, cost, eid) for (tv, hv), (cost, eid) in sorted(best.items()))
+                arcs.append((there, here, eid) if side == "L" else (here, there, eid))
+    edges = tuple(ProductEdge(*arc) for arc in sorted(arcs))
     out_adj = [[] for _ in vertex_keys]
     in_adj = [[] for _ in vertex_keys]
     for idx, pe in enumerate(edges):
@@ -262,7 +255,6 @@ def build_product_graph(problem, config: SolverConfig = DEFAULT_CONFIG) -> Produ
         edges=edges,
         out_adj=tuple(tuple(a) for a in out_adj),
         in_adj=tuple(tuple(a) for a in in_adj),
-        cost_scale=scale,
     )
 
 
@@ -291,16 +283,18 @@ def states_reachable_from_root_right(pg: ProductGraph, root: int) -> set:
     return reachable(pg, (pg.root_copy("R", root),))
 
 
-def connectable_relation_pairs(pg: ProductGraph, reach_left: set, reach_right: set) -> dict:
-    """Per demand, the (source label, target label) relation pairs whose
-    endpoints actually connect to the root through the product graph (the
-    rest carry no LP value), in label order."""
+def connectable_relation_pairs(
+    pg: ProductGraph, demands, reach_left: set, reach_right: set
+) -> dict:
+    """Per demand of ``demands``, the (source label, target label) relation
+    pairs whose endpoints actually connect to the root through the product
+    graph (the rest carry no LP value), in label order."""
     keys = pg.vertex_keys
     return {
         di: [
             (keys[i][3], keys[j][3])
-            for i, j in pairs
+            for i, j in pg.relation_vids[di]
             if i in reach_left and j in reach_right
         ]
-        for di, pairs in pg.relation_vids.items()
+        for di in demands
     }

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from pcspan.config import DEFAULT_CONFIG, SolverConfig
-from pcspan.junction import build_label_cover
+from pcspan.junction import build_label_cover, greedy_round
 from pcspan.model import Demand, Edge, PcsInstance, ResourceVector
 from pcspan.oracle import ENUM_CAP, brute_force_min_density_junction, brute_force_opt
 from pcspan.product import (
@@ -103,8 +103,10 @@ def double_loop_pcs(double_loop_rcs) -> PcsInstance:
 
 def label_cover(problem, root: int, config: SolverConfig = DEFAULT_CONFIG):
     """`build_label_cover` on the product graph of `problem` (an instance or
-    a scaled instance); None when the root resolves nothing."""
-    return build_label_cover(build_product_graph(problem, config), root, config)
+    a scaled instance), every demand open at the instance's own costs; None
+    when the root resolves nothing."""
+    pg = build_product_graph(problem, config)
+    return build_label_cover(pg, greedy_round(pg.instance), root, config)
 
 
 def lp_masses(values) -> dict:
@@ -124,7 +126,10 @@ def equivalence_check(problem, root: int, config: SolverConfig = DEFAULT_CONFIG)
     """
     pg = build_product_graph(problem, config)
     pairs = connectable_relation_pairs(
-        pg, states_reaching_root_left(pg, root), states_reachable_from_root_right(pg, root)
+        pg,
+        range(len(pg.instance.demands)),
+        states_reaching_root_left(pg, root),
+        states_reachable_from_root_right(pg, root),
     )
     if isinstance(problem, ScaledInstance):
         oracle_instance = problem.as_instance()

@@ -133,10 +133,14 @@ PCS_OK = {
         ("rcs", {**RCS_OK, "groups": [{"kind": "must_visit", "members": ["1"]}]}),
         ("rcs", {**RCS_OK, "demands": [{"s": 0, "t": 1, "ctrl": ["2", 1]}]}),
         ("hopset", {**HOPSET_OK, "demands": [{"s": 0, "t": 1, "dist": 1, "beta": "1"}]}),
+        ("pcs-int", {**PCS_OK, "edges": 5}),
+        ("rcs", {**RCS_OK, "groups": 3}),
+        ("hopset", {**HOPSET_OK, "demands": 7}),
     ],
     ids=[
         "rcs-top-level-list", "hopset-top-level-list", "pcs-edge-list", "rcs-edge-list",
         "rcs-member-string", "rcs-ctrl-string", "hopset-beta-string",
+        "pcs-edges-not-list", "rcs-groups-not-list", "hopset-demands-not-list",
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, mode, payload):

@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcspan.generate import gen_pcs
-from pcspan.junction import build_label_cover
-from pcspan.model import Edge, ResourceVector, cost_scale, length_scale, theta_relaxed_bound
+from pcspan.junction import build_label_cover, greedy_round
+from pcspan.model import Edge, ResourceVector, length_scale, theta_relaxed_bound
 from pcspan.product import build_product_graph
+from pcspan.rational import common_scale
 from pcspan.rcsp import (
     config_feasible,
     default_hop_cap,
@@ -154,16 +155,17 @@ def test_int_closures_and_witnesses_equal_the_fraction_reference(case):
     regime, inst, root = case
     problem = inst if regime == "integer" else scale_instance(inst, Fraction(1, 2))
     pg = build_product_graph(problem)
-    scale = cost_scale(inst)
-    assert pg.cost_scale == scale
-    assert all(type(pe.cost) is int for pe in pg.edges)
+    rnd = greedy_round(inst)
+    scale = common_scale(e.cost for e in inst.edges)
+    assert rnd.cost_scale == scale
+    assert all(type(price) is int for price in rnd.prices)
 
     def fraction_out(v):
         for idx in pg.out_adj[v]:
             pe = pg.edges[idx]
             yield idx, pe.head, inst.edges[pe.base_edge].cost
 
-    bundle = build_label_cover(pg, root)
+    bundle = build_label_cover(pg, rnd, root)
     for closure in () if bundle is None else (bundle.up, bundle.down):
         dist, parent = fraction_closure(closure.dist, fraction_out)
         assert closure.parent == parent

@@ -6,7 +6,13 @@ from pcspan.config import SolverConfig
 from pcspan.density_lp import RoundedSelection, assemble_junction_tree, build_lp
 from pcspan.errors import ContractError, EssentialityViolationError, InternalInvariantError
 from pcspan.generate import gen_pcs
-from pcspan.junction import junction_tree_for_root, min_density_junction_tree
+from pcspan.greedy import solve_pcs
+from pcspan.junction import (
+    greedy_round,
+    junction_tree_for_root,
+    min_density_junction_tree,
+    product_graph_for,
+)
 from pcspan.model import Walk, is_feasible, is_theta_feasible
 from pcspan.oracle import brute_force_min_density_junction
 from pcspan.product import build_product_graph
@@ -25,7 +31,7 @@ def test_direct_edge_density_at_most_cost():
         packing=1,
         covering=0,
     )
-    tree = min_density_junction_tree(inst, "integer")
+    tree = min_density_junction_tree(product_graph_for(inst))
     assert tree.density <= 1
 
 
@@ -41,14 +47,14 @@ def test_star_hub_resolves_all_demands():
         edges.append((0, t, 1, (1, 0)))
         demands.append((s, t, (2, 1)))
     inst = make_instance(n=1 + 2 * k, edges=edges, demands=demands, tau=1, packing=1, covering=0)
-    tree = min_density_junction_tree(inst, "integer")
+    tree = min_density_junction_tree(product_graph_for(inst))
     assert tree.root == 0
     assert len(tree.resolved) == k
     assert tree.density == Fraction(2 * k, k)
 
 
 def test_every_resolved_demand_verifies_through_root(tri_instance):
-    tree = min_density_junction_tree(tri_instance, "integer")
+    tree = min_density_junction_tree(product_graph_for(tri_instance))
     for di, witness in tree.resolved.items():
         assert is_feasible(witness, tri_instance.demands[di], tri_instance)
         assert set(witness.edges) <= set(tree.edges)
@@ -76,7 +82,7 @@ def test_every_resolved_demand_verifies_through_root(tri_instance):
 def test_assembled_walks_run_through_the_root_inside_the_tree(mode, instances):
     theta = SolverConfig().theta
     for inst in instances:
-        tree = min_density_junction_tree(inst, mode)
+        tree = min_density_junction_tree(product_graph_for(inst, mode))
         for di, walk in tree.resolved.items():
             d = inst.demands[di]
             edges = [inst.edges[eid] for eid in walk.edges]
@@ -123,7 +129,7 @@ def test_density_within_polylog_of_oracle_minimum():
 
     for seed in range(6):
         inst = gen_pcs(n=5, k=2, m=1, tau=1, regime="integer", seed=seed + 11)
-        tree = min_density_junction_tree(inst, "integer")
+        tree = min_density_junction_tree(product_graph_for(inst))
         _r, opt_density, _e, _m = brute_force_min_density_junction(inst, cap=8)
         pg = build_product_graph(inst)
         size = len(pg.vertex_keys)
@@ -147,7 +153,7 @@ def test_theta_mode_small_negative_instance():
         covering=0,
     )
     config = SolverConfig(theta=Fraction(1, 10))
-    tree = min_density_junction_tree(inst, "theta", config)
+    tree = min_density_junction_tree(product_graph_for(inst, "theta", config), config=config)
     for di, witness in tree.resolved.items():
         assert is_theta_feasible(witness, inst.demands[di], inst, config.theta)
 
@@ -167,7 +173,7 @@ def test_theta_mode_with_covering_resource():
         covering=1,
     )
     config = SolverConfig(theta=Fraction(1, 10))
-    tree = min_density_junction_tree(inst, "theta", config)
+    tree = min_density_junction_tree(product_graph_for(inst, "theta", config), config=config)
     assert 1 in tree.edges  # the covering edge is unavoidable
     for di, w in tree.resolved.items():
         assert is_theta_feasible(w, inst.demands[di], inst, config.theta)
@@ -178,12 +184,13 @@ def test_root_enumeration_completeness(tri_instance):
     import random
 
     pg = build_product_graph(tri_instance)
+    rnd = greedy_round(tri_instance)
     best = None
     for root in range(tri_instance.n):
-        tree = junction_tree_for_root(pg, root, random.Random(0))
+        tree = junction_tree_for_root(pg, rnd, root, random.Random(0))
         if tree is not None and (best is None or tree.density < best.density):
             best = tree
-    full = min_density_junction_tree(tri_instance, "integer")
+    full = min_density_junction_tree(product_graph_for(tri_instance))
     assert full.density == best.density
 
 
@@ -250,8 +257,6 @@ def test_essential_set_single_root(double_loop_rcs):
 def test_essential_set_full_vertex_set_matches_unrestricted(double_loop_rcs):
     full = essential_set_mode(double_loop_rcs, set(range(9)))
     instance, _ = rcs_to_pcs(double_loop_rcs)
-    from pcspan.greedy import solve_pcs
-
     unrestricted = solve_pcs(instance, "integer")
     assert full.cost == unrestricted.cost
 
@@ -296,8 +301,6 @@ def test_two_vertex_essential_cut_cost_bound():
     )
     report = essential_set_mode(rcs, {1, 2})
     instance, _ = rcs_to_pcs(rcs)
-    from pcspan.greedy import solve_pcs
-
     single = solve_pcs(instance, "integer")
     assert report.verified
     assert report.cost <= 2 * single.cost
@@ -317,25 +320,25 @@ def _count_product_builds(monkeypatch):
     return calls
 
 
-def test_one_product_graph_per_search(monkeypatch, tri_instance):
+def test_one_product_graph_per_solve(monkeypatch):
     calls = _count_product_builds(monkeypatch)
-    instances = [tri_instance]
-    instances += [gen_pcs(n=n, k=2, m=1, tau=1, regime="integer", seed=n + 40) for n in (4, 6)]
-    for inst in instances:
-        calls.clear()
-        min_density_junction_tree(inst, "integer")
-        assert calls == [inst], inst.n
+    integer = gen_pcs(n=5, k=3, m=1, tau=1, regime="integer", seed=1)
+    theta = gen_pcs(n=4, k=2, m=1, tau=1, regime="rational-negative", seed=6001)
+    assert len(solve_pcs(integer, "integer").iterations) > 1
+    assert calls == [integer]
     calls.clear()
-    min_density_junction_tree(instances[1], "theta", SolverConfig(theta=Fraction(1, 2)))
-    assert len(calls) == 1 and calls[0].base == instances[1]
+    assert len(solve_pcs(theta, "theta", SolverConfig(theta=Fraction(1, 2))).iterations) > 1
+    # scaled once, for every demand
+    assert len(calls) == 1 and calls[0].base == theta
 
 
 def test_one_product_graph_for_restricted_roots(monkeypatch, tri_instance):
     calls = _count_product_builds(monkeypatch)
-    tree = min_density_junction_tree(tri_instance, "integer", roots=[2, 1])
+    pg = product_graph_for(tri_instance)
+    tree = min_density_junction_tree(pg, roots=[2, 1])
     assert calls == [tri_instance]
     assert tree.root in (1, 2)
-    assert tree == min_density_junction_tree(tri_instance, "integer", roots=[1, 2])
+    assert tree == min_density_junction_tree(pg, roots=[1, 2])
 
 
 def test_no_resolving_root_raises_after_one_build(monkeypatch):
@@ -348,17 +351,16 @@ def test_no_resolving_root_raises_after_one_build(monkeypatch):
         covering=0,
     )
     calls = _count_product_builds(monkeypatch)
-    with pytest.raises(InternalInvariantError):
-        min_density_junction_tree(inst, "integer", roots=[2])
+    pg = product_graph_for(inst)
+    for roots in ([2], []):
+        with pytest.raises(InternalInvariantError):
+            min_density_junction_tree(pg, roots=roots)
     assert calls == [inst]
-    calls.clear()
-    with pytest.raises(InternalInvariantError):
-        min_density_junction_tree(inst, "integer", roots=[])
-    assert calls == []
 
 
 def test_out_of_range_root_still_rejected(tri_instance):
+    pg = product_graph_for(tri_instance)
     with pytest.raises(ContractError):
-        min_density_junction_tree(tri_instance, "integer", roots=[0, tri_instance.n])
+        min_density_junction_tree(pg, roots=[0, tri_instance.n])
     with pytest.raises(ContractError):
-        min_density_junction_tree(tri_instance, "integer", roots=[-1, 0])
+        min_density_junction_tree(pg, roots=[-1, 0])

@@ -128,7 +128,7 @@ def keyed_build_lp(bundle):
         objective=objective,
         eq_rows=[1] + [0] * (num_eq - 1),
         ub_rows=[0] * (ub - num_eq),
-        cost_scale=bundle.pg.cost_scale,
+        cost_scale=bundle.cost_scale,
     )
     return lp, tuple(keys)
 

@@ -6,7 +6,8 @@ import pytest
 from pcspan.config import SolverConfig
 from pcspan.errors import ContractError, ResourceLimitError
 from pcspan.generate import gen_pcs, gen_rcs
-from pcspan.model import Walk, cost_scale, is_feasible, walk_resource
+from pcspan.junction import build_label_cover, greedy_round
+from pcspan.model import Walk, is_feasible, walk_resource
 from pcspan.product import (
     ProductEdge,
     ProductGraph,
@@ -59,7 +60,7 @@ def test_edge_label_offsets(tri_instance):
         assert dst[0] - src[0] == res[0]
         for i in range(1, inst.dim):
             expected = src[i] + res[i]
-            if inst.resource_kind(i) == "covering":
+            if i > inst.packing:  # covering coordinates clamp at -tau
                 expected = max(-inst.tau, expected)
             assert dst[i] == expected
 
@@ -109,10 +110,8 @@ def _full_product_graph(problem) -> ProductGraph:
         ("S", side, v, lab) for side in ("L", "R") for v in range(instance.n) for lab in labels
     )
     vertex_ids = {key: vid for vid, key in enumerate(vertex_keys)}
-    scale = cost_scale(instance)
-    best = {}
+    arcs = []
     for eid, e in enumerate(instance.edges):
-        cost = e.cost * scale
         units = problem.units[eid] if scaled else int(e.res[0])
         for lab in labels:
             nxt = step_label(instance, bounds, lab, eid, units)
@@ -123,11 +122,8 @@ def _full_product_graph(problem) -> ProductGraph:
                 (("S", "L", e.tail, nxt), ("S", "L", e.head, lab)),
             )
             for tail_key, head_key in pairs:
-                tv, hv = vertex_ids[tail_key], vertex_ids[head_key]
-                cur = best.get((tv, hv))
-                if cur is None or (cost, eid) < cur:
-                    best[(tv, hv)] = (cost, eid)
-    edges = tuple(ProductEdge(tv, hv, cost, eid) for (tv, hv), (cost, eid) in sorted(best.items()))
+                arcs.append((vertex_ids[tail_key], vertex_ids[head_key], eid))
+    edges = tuple(ProductEdge(*arc) for arc in sorted(arcs))
     out_adj = [[] for _ in vertex_keys]
     in_adj = [[] for _ in vertex_keys]
     for idx, pe in enumerate(edges):
@@ -142,12 +138,16 @@ def _full_product_graph(problem) -> ProductGraph:
         edges=edges,
         out_adj=tuple(tuple(a) for a in out_adj),
         in_adj=tuple(tuple(a) for a in in_adj),
-        cost_scale=scale,
     )
 
 
 def _root_sets(pg, root):
     return states_reaching_root_left(pg, root), states_reachable_from_root_right(pg, root)
+
+
+def _relation_pairs(pg, root):
+    """`connectable_relation_pairs` at ``root`` with every demand open."""
+    return connectable_relation_pairs(pg, range(len(pg.instance.demands)), *_root_sets(pg, root))
 
 
 def _restricted_view(pg, keep=None):
@@ -161,7 +161,7 @@ def _restricted_view(pg, keep=None):
 
     def edge(idx):
         pe = pg.edges[idx]
-        return (pg.vertex_keys[pe.tail], pg.vertex_keys[pe.head], pe.cost, pe.base_edge)
+        return (pg.vertex_keys[pe.tail], pg.vertex_keys[pe.head], pe.base_edge)
 
     def inside(idx):
         return pg.edges[idx].tail in keep and pg.edges[idx].head in keep
@@ -180,7 +180,7 @@ def _restricted_view(pg, keep=None):
 
 def _reference_problems(tri_instance):
     yield tri_instance
-    # parallel duplicates: the cheapest is neither the first nor the last
+    # parallel duplicates, each kept as an arc of its own
     yield make_instance(
         n=3,
         edges=[(0, 1, c, (1, 0)) for c in (7, 2, 5, 2)] + [(1, 2, 1, (1, 1))],
@@ -210,9 +210,7 @@ def test_build_is_the_full_graph_restricted_to_root_reachable_states(tri_instanc
         assert pg.labels == full.labels
         assert len(pg.vertex_keys) < len(full.vertex_keys)
         for root in range(pg.instance.n):
-            assert connectable_relation_pairs(pg, *_root_sets(pg, root)) == (
-                connectable_relation_pairs(full, *_root_sets(full, root))
-            )
+            assert _relation_pairs(pg, root) == _relation_pairs(full, root)
 
 
 def test_memory_guard():
@@ -242,10 +240,7 @@ def test_projection_resource_dominated_by_labels(tri_instance):
     # follow a source-root-target path by hand and check RES <= I + J
     root = 1
     pg = build_product_graph(tri_instance)
-    pairs = connectable_relation_pairs(
-        pg, states_reaching_root_left(pg, root), states_reachable_from_root_right(pg, root)
-    )
-    (i_lab, j_lab) = pairs[0][0]
+    (i_lab, j_lab) = _relation_pairs(pg, root)[0][0]
     d = tri_instance.demands[0]
     # product path: (s,I,L) -> (r,0,L), then (r,0,R) -> (t,J,R)
     up = _find_product_path(
@@ -349,12 +344,12 @@ def test_degenerate_roots_source_and_target(tri_instance):
 
 
 def _dump_edges(pg) -> str:
-    """Debug dump: one state edge per line (side, u, I, v, J, cost)."""
+    """Debug dump: one state edge per line (side, u, I, v, J, base edge)."""
     lines = []
     for pe in pg.edges:
         _, side, u, i_lab = pg.vertex_keys[pe.tail]
         _, _side, v, j_lab = pg.vertex_keys[pe.head]
-        lines.append(f"{side} {u} {list(i_lab)} {v} {list(j_lab)} {pe.cost}")
+        lines.append(f"{side} {u} {list(i_lab)} {v} {list(j_lab)} {pe.base_edge}")
     return "\n".join(sorted(lines)) + "\n"
 
 
@@ -366,7 +361,7 @@ def test_dump_edges_format(tri_instance):
     assert len([l for l in text.splitlines() if l]) == len(pg.edges)
 
 
-def test_parallel_product_edges_keep_cheapest():
+def test_parallel_arcs_are_kept_and_the_closure_takes_the_cheaper():
     inst = make_instance(
         n=2,
         edges=[(0, 1, 7, (1, 0)), (0, 1, 2, (1, 0))],  # same resource vector
@@ -376,8 +371,18 @@ def test_parallel_product_edges_keep_cheapest():
         covering=0,
     )
     pg = build_product_graph(inst)
-    assert pg.edges
-    assert all(pe.cost == 2 and pe.base_edge == 1 for pe in pg.edges)
+    parallel = {}
+    for pe in pg.edges:
+        parallel.setdefault((pe.tail, pe.head), []).append(pe.base_edge)
+    assert parallel and all(eids == [0, 1] for eids in parallel.values())
+    target = pg.vertex_ids[("S", "R", 1, (1, 0))]
+    # (free edges, base edge the closure takes, its price): the cheaper
+    # under the round's prices, the smaller id when both cost the same
+    for free, taken, price in ((set(), 1, 2), ({0}, 0, 0), ({1}, 1, 0), ({0, 1}, 0, 0)):
+        bundle = build_label_cover(pg, greedy_round(inst, free), 0)
+        path = bundle.down.path(bundle.root_right, target)
+        assert [pg.edges[idx].base_edge for idx in path] == [taken]
+        assert bundle.down.cost(bundle.root_right, target) == price
 
 
 def test_relation_box_semantics():

@@ -37,7 +37,7 @@ def test_install_then_restore_puts_every_original_back(tracer_module):
 
 
 def test_traced_solve_reaches_the_product_hooks(tracer_module):
-    inst = gen_pcs(n=5, k=2, m=1, tau=1, regime="integer", seed=11)
+    inst = gen_pcs(n=5, k=3, m=1, tau=1, regime="integer", seed=1)
     untraced = solve_pcs(inst, "integer")
     tr = tracer_module.Tracer()
     tr.install()
@@ -50,7 +50,8 @@ def test_traced_solve_reaches_the_product_hooks(tracer_module):
     _seconds, calls = tr.self_times()
     rounds = calls["greedy.round"]
     assert rounds == len(traced.iterations)
-    assert calls["product.build"] == rounds  # one product graph per round
+    assert rounds > 1
+    assert calls["product.build"] == 1  # one product graph per solve
     # per root: two root reachabilities, the relation pairs, and (when the
     # root resolves something) the two useful-state searches
     assert calls["product.reach"] >= 3 * calls["junction.root"]
