@@ -15,7 +15,7 @@ It then prints a second SHA-256, over the `--mode junction` payloads
 pcs-theta sets, in the same order, and a third, over the HiGHS model
 arrays (`start_`, `index_`, `value_`, `col_cost_`, `row_lower_`,
 `row_upper_`) of every LP the 80 solves build, in build order, and the
-total rows, columns and nonzeros of those LPs.
+number of those LPs with their total rows, columns and nonzeros.
 
 Run it before and after a change: an equal digest means byte-identical
 reports, and an equal model digest means HiGHS was given byte-identical
@@ -67,16 +67,18 @@ def pcs_reports(mode, instances):
 
 def hash_models(digest, size):
     """Wrap `lpsolve.highs_model` so that every model it builds is fed to
-    `digest` and its rows, columns and nonzeros are added to the three
-    entries of `size`; returns the original to put back."""
+    `digest`, counted in the first entry of `size`, and its rows, columns
+    and nonzeros are added to the other three; returns the original to put
+    back."""
     original = pcspan.lpsolve.highs_model
 
     def hashed(lp):
         model = original(lp)
         matrix = model.a_matrix_
-        size[0] += model.num_row_
-        size[1] += model.num_col_
-        size[2] += len(matrix.index_)
+        size[0] += 1
+        size[1] += model.num_row_
+        size[2] += model.num_col_
+        size[3] += len(matrix.index_)
         for code, values in (
             ("q", matrix.start_),
             ("q", matrix.index_),
@@ -96,7 +98,7 @@ def hash_models(digest, size):
 def main():
     digest = hashlib.sha256()
     models = hashlib.sha256()
-    size = [0, 0, 0]
+    size = [0, 0, 0, 0]
     costs = []
     sets = [("rcs", rcs_reports())]
     sets += [(name, pcs_reports(mode, instances)) for name, mode, instances in PCS_SETS]
@@ -120,7 +122,7 @@ def main():
             junction.update(json.dumps(junction_to_dict(tree, mode), sort_keys=True).encode())
     print(f"junction: {junction.hexdigest()}")
     print(f"models: {models.hexdigest()}")
-    print("model size: {} rows, {} columns, {} nonzeros".format(*size))
+    print("model size: {} LPs, {} rows, {} columns, {} nonzeros".format(*size))
 
 
 if __name__ == "__main__":

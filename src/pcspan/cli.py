@@ -122,6 +122,8 @@ def cmd_solve(args, config: SolverConfig) -> int:
 
 def cmd_junction(args, config: SolverConfig) -> int:
     instance = pio.pcs_from_dict(pio.load_json(args.instance))
+    if not instance.demands:
+        raise ParseError("--mode junction needs at least one demand")
     validate_demands(instance)
     mode = "integer" if instance.is_integer_regime() else "theta"
     pg = product_graph_for(instance, mode, config)

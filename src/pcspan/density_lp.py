@@ -507,13 +507,19 @@ class JunctionTree:
             raise ContractError("junction trees must resolve at least one demand")
 
 
-def assemble_junction_tree(cover: LabelCoverLp, rounded: RoundedSelection) -> JunctionTree:
-    """Expand each claimed demand's sampled chains into its s ~> root ~> t
-    walk, check that walk against the demand's budget, and report the
-    density of the union of the walks under the round's prices."""
+def tree_order(tree: JunctionTree):
+    """The order candidate trees are preferred in: density first; at equal
+    density more resolved demands, then root and edge ids."""
+    return (tree.density, -len(tree.resolved), tree.root, sorted(tree.edges))
+
+
+def assemble_junction_tree(bundle, rounded: RoundedSelection) -> JunctionTree:
+    """Expand each claimed demand's sampled chains over the closures of
+    ``bundle`` (a `junction.RootedLabelCover`) into its s ~> root ~> t walk,
+    check that walk against the demand's budget, and report the density of
+    the union of the walks under the round's prices."""
     if not rounded.connected:
         raise InternalInvariantError("assembly needs at least one connected demand")
-    bundle = cover.bundle
     pg = bundle.pg
     instance = pg.instance
     theta = pg.theta
@@ -589,18 +595,67 @@ def _selection_from_pairs(bundle, targets) -> RoundedSelection:
     )
 
 
-def fallback_tree(cover: LabelCoverLp, gammas: dict) -> JunctionTree:
+def fallback_tree(bundle, gammas: dict) -> JunctionTree:
     """Cheapest relation-compatible terminal-root-terminal path for the
     highest-gamma demand (`gammas`: demand -> its LP relation mass); always
     a valid (possibly high-density) tree."""
     target = max(sorted(gammas), key=lambda di: (gammas[di], -di))
-    return assemble_junction_tree(cover, _selection_from_pairs(cover.bundle, [target]))
+    return assemble_junction_tree(bundle, _selection_from_pairs(bundle, [target]))
 
 
-def union_pair_tree(cover: LabelCoverLp) -> JunctionTree:
+def union_pair_tree(bundle) -> JunctionTree:
     """Union of every connectable demand's cheapest pair path: one tree
     resolving them all.  Often ties the rounded tree on density while
     resolving more demands (useful on shared-hub instances)."""
-    relations = cover.bundle.relations
+    relations = bundle.relations
     targets = [di for di in sorted(relations) if relations[di]]
-    return assemble_junction_tree(cover, _selection_from_pairs(cover.bundle, targets))
+    return assemble_junction_tree(bundle, _selection_from_pairs(bundle, targets))
+
+
+def single_pair_tree(bundle, di) -> JunctionTree:
+    """The best tree, by `tree_order`, among the direct walks of demand
+    ``di``: one per (source state, target state) of its relation pairs, the
+    cheapest closure path up to the root and down again.
+
+    Where ``di`` is the root's only demand with relation pairs, every
+    candidate resolves ``di`` alone, and this needs no LP.  The walks are
+    scored by the cost of their edge sets, which counts a base edge used
+    twice once, where `fallback_tree` takes the pair of least closure-cost
+    sum; its walk is one of these, so this tree is never denser than it.
+    All candidates share the root and the resolved demand, so `tree_order`
+    reduces to (edge-set cost, sorted edges), and only the winner is
+    assembled.
+    """
+    pg = bundle.pg
+    prices = bundle.prices
+    up_tail = (bundle.root_left,) * bundle.h
+    down_head = (bundle.root_right,) * bundle.h
+    ups = {}  # source state -> base edges of its path up to the root
+    downs = {}
+    best = None
+    for (i_lab, j_lab) in bundle.relations[di]:
+        svid = bundle.src_attach[(di, i_lab)]
+        tvid = bundle.snk_attach[(di, j_lab)]
+        if (
+            bundle.up.cost(svid, bundle.root_left) is None
+            or bundle.down.cost(bundle.root_right, tvid) is None
+        ):
+            continue
+        if svid not in ups:
+            ups[svid] = frozenset(_base_edges(pg, bundle.up, (svid,) + up_tail))
+        if tvid not in downs:
+            downs[tvid] = frozenset(_base_edges(pg, bundle.down, down_head + (tvid,)))
+        edges = ups[svid] | downs[tvid]
+        key = (sum(prices[eid] for eid in edges), sorted(edges))
+        if best is None or key < best[0]:
+            best = (key, svid, tvid)
+    if best is None:
+        raise InternalInvariantError(f"no relation pair of demand {di} reaches the root")
+    _key, svid, tvid = best
+    walk = RoundedSelection(
+        connected=(di,),
+        up_chains={di: (svid,) + up_tail},
+        down_chains={di: down_head + (tvid,)},
+        rounds_used=0,
+    )
+    return assemble_junction_tree(bundle, walk)

@@ -4,7 +4,6 @@ demands it resolves."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -60,8 +59,7 @@ def solve_pcs(
     selected = set()
     iterations = []
     while remaining:
-        rng = random.Random(config.seed * 1_000_003 + len(iterations) + 1)
-        tree = min_density_junction_tree(pg, selected, remaining, config, rng, roots)
+        tree = min_density_junction_tree(pg, selected, remaining, config, len(iterations), roots)
         iterations.append(
             IterationTrace(
                 root=tree.root,

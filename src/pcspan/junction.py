@@ -2,11 +2,15 @@
 
 For each candidate root: product graph -> useful-state pruning -> metric
 closures -> label-cover LP over their h-step root chains -> representative
-pruning -> bucketing -> randomized rounding -> assembly.  The product graph
+pruning -> bucketing -> randomized rounding -> assembly.  A root where only
+one demand has relation pairs skips the LP: its best direct walk
+(`single_pair_tree`) is taken instead.  The product graph
 depends on neither the root nor the greedy round, so one graph
 (`product_graph_for`) serves a whole solve; a round supplies only its prices
-and its open demands (`Round`).  The best (lowest-density) tree across roots
-wins, with deterministic tie-breaking toward smaller root ids.
+and its open demands (`Round`).  Each root draws from its own random
+stream, seeded by (seed, round, root), so its tree does not depend on which
+roots ran before it.  The best (lowest-density) tree across roots wins,
+with deterministic tie-breaking toward smaller root ids.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from .density_lp import (
     fallback_tree,
     gst_round,
     prune,
+    single_pair_tree,
     solve_lp,
+    tree_order,
     union_pair_tree,
 )
 from .errors import ContractError, InternalInvariantError, RoundingFailureError
@@ -166,11 +172,14 @@ def _backward_reachable(pg, seeds) -> set:
 def junction_tree_for_root(
     pg: ProductGraph, rnd: Round, root: int, rng: random.Random, config=DEFAULT_CONFIG
 ):
-    """Pipeline for one root of the product graph ``pg`` in round ``rnd``;
-    None when the root resolves nothing."""
+    """Pipeline for one root of the product graph ``pg`` in round ``rnd``,
+    drawing from ``rng``; None when the root resolves nothing."""
     bundle = build_label_cover(pg, rnd, root, config)
     if bundle is None:
         return None
+    open_demands = [di for di, pairs in bundle.relations.items() if pairs]
+    if len(open_demands) == 1:
+        return single_pair_tree(bundle, open_demands[0])
     cover = build_lp(bundle)
     values = solve_lp(cover)
     pruned = {}
@@ -191,18 +200,12 @@ def junction_tree_for_root(
         bucket = bucket_and_scale(gammas, pg.instance.dim)
         try:
             rounded = gst_round(cover, values, pruned, bucket, rng, config)
-            candidates.append(assemble_junction_tree(cover, rounded))
+            candidates.append(assemble_junction_tree(bundle, rounded))
         except RoundingFailureError:
             pass
-    candidates.append(fallback_tree(cover, gammas))
-    candidates.append(union_pair_tree(cover))
-    return min(candidates, key=_tree_order)
-
-
-def _tree_order(tree: JunctionTree):
-    # density first; at equal density prefer resolving more demands, then
-    # deterministic root/edge ordering
-    return (tree.density, -len(tree.resolved), tree.root, sorted(tree.edges))
+    candidates.append(fallback_tree(bundle, gammas))
+    candidates.append(union_pair_tree(bundle))
+    return min(candidates, key=tree_order)
 
 
 def min_density_junction_tree(
@@ -210,26 +213,28 @@ def min_density_junction_tree(
     free=frozenset(),
     demands=None,
     config: SolverConfig = DEFAULT_CONFIG,
-    rng: random.Random | None = None,
+    round_no: int = 0,
     roots=None,
 ) -> JunctionTree:
     """Best junction tree over all candidate roots of ``pg`` (from
     `product_graph_for`) in the round that prices the base edges in ``free``
     at 0 and leaves the demands ``demands`` open (all of them when None).
 
-    Resolved demands keep their indices in ``pg.instance``; the tree's cost
-    and density are under the round's prices.
+    ``round_no`` numbers the greedy round; root r draws from the stream
+    seeded by the string "seed/round_no/r" (str seeds hash the same in every
+    process, unlike ``hash()``).  Resolved demands keep their indices in
+    ``pg.instance``; the tree's cost and density are under the round's
+    prices.
     """
     rnd = greedy_round(pg.instance, free, demands)
-    if rng is None:
-        rng = random.Random(config.seed)
     best = None
     root_list = sorted(roots) if roots is not None else range(pg.instance.n)
     for root in root_list:
+        rng = random.Random(f"{config.seed}/{round_no}/{root}")
         tree = junction_tree_for_root(pg, rnd, root, rng, config)
         if tree is None:
             continue
-        if best is None or _tree_order(tree) < _tree_order(best):
+        if best is None or tree_order(tree) < tree_order(best):
             best = tree
     if best is None:
         raise InternalInvariantError(

@@ -180,6 +180,18 @@ def test_empty_demand_list_solves_to_zero(tmp_path):
     assert report["cost"] == 0 and report["edges"] == []
 
 
+def test_junction_without_demands_exits_2(tmp_path, capsys):
+    path = tmp_path / "gen.json"
+    assert run(["--mode", "gen", "--kind", "pcs", "--n", "3", "--k", "1", "--m", "1",
+                "--out", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    payload["demands"] = []
+    path.write_text(json.dumps(payload))
+    assert run(["--mode", "junction", str(path), "--out", str(tmp_path / "j.json")]) == 2
+    assert "needs at least one demand" in capsys.readouterr().err
+    assert run(["--mode", "pcs-int", str(path), "--out", str(tmp_path / "r.json")]) == 0
+
+
 def test_wrong_regime_exits_2(tmp_path):
     rational = tmp_path / "rat.json"
     rational.write_text(json.dumps({

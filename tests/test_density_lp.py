@@ -274,7 +274,7 @@ def test_gst_round_integral_solution_returns_path(tri_instance):
     rng = random.Random(5)
     rounded = gst_round(cover, values, pruned, bucket, rng)
     assert rounded.connected == (0,)
-    tree = assemble_junction_tree(cover, rounded)
+    tree = assemble_junction_tree(cover.bundle, rounded)
     assert tree.edges == frozenset({0, 1})
     assert tree.density == 2
     assert is_feasible(tree.resolved[0], tri_instance.demands[0], tri_instance)
@@ -345,7 +345,7 @@ def test_assemble_two_demands_sharing_edges_halves_density():
     }
     bucket = bucket_and_scale(gammas, inst.dim)
     rounded = gst_round(cover, values, pruned, bucket, random.Random(0))
-    tree = assemble_junction_tree(cover, rounded)
+    tree = assemble_junction_tree(cover.bundle, rounded)
     if len(tree.resolved) == 2:
         assert tree.density == tree.cost / 2
 
@@ -353,7 +353,7 @@ def test_assemble_two_demands_sharing_edges_halves_density():
 def test_fallback_tree_valid(tri_instance):
     cover = tri_cover(tri_instance)
     values = solve_lp(cover)
-    tree = fallback_tree(cover, lp_masses(values))
+    tree = fallback_tree(cover.bundle, lp_masses(values))
     assert tree.resolved
     assert tree.density >= 2  # cannot beat the optimum
 
@@ -361,6 +361,6 @@ def test_fallback_tree_valid(tri_instance):
 def test_assemble_density_at_least_oracle_minimum(tri_instance):
     cover = tri_cover(tri_instance)
     values = solve_lp(cover)
-    tree = fallback_tree(cover, lp_masses(values))
+    tree = fallback_tree(cover.bundle, lp_masses(values))
     _r, density, _e, _m = brute_force_min_density_junction(tri_instance)
     assert tree.density >= density

@@ -1,13 +1,23 @@
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from pcspan.config import SolverConfig
-from pcspan.density_lp import RoundedSelection, assemble_junction_tree, build_lp
+import pcspan.junction
+from pcspan.config import DEFAULT_CONFIG, SolverConfig
+from pcspan.density_lp import (
+    RoundedSelection,
+    assemble_junction_tree,
+    build_lp,
+    fallback_tree,
+)
 from pcspan.errors import ContractError, EssentialityViolationError, InternalInvariantError
 from pcspan.generate import gen_pcs
 from pcspan.greedy import solve_pcs
 from pcspan.junction import (
+    build_label_cover,
     greedy_round,
     junction_tree_for_root,
     min_density_junction_tree,
@@ -108,7 +118,6 @@ def test_assembly_rejects_a_claimed_demand_whose_walk_breaks_its_budget():
         covering=0,
     )
     bundle = label_cover(inst, 0)
-    cover = build_lp(bundle)
     via_1 = bundle.pg.vertex_ids[("S", "R", 2, (2, 1))]
     up = (bundle.root_left,) * (bundle.h + 1)
     down = (bundle.root_right,) * bundle.h + (via_1,)
@@ -118,9 +127,9 @@ def test_assembly_rejects_a_claimed_demand_whose_walk_breaks_its_budget():
             connected=(di,), up_chains={di: up}, down_chains={di: down}, rounds_used=1
         )
 
-    assert assemble_junction_tree(cover, claim(0)).resolved == {0: Walk((0, 1))}
+    assert assemble_junction_tree(bundle, claim(0)).resolved == {0: Walk((0, 1))}
     with pytest.raises(InternalInvariantError):
-        assemble_junction_tree(cover, claim(1))
+        assemble_junction_tree(bundle, claim(1))
 
 
 def test_density_within_polylog_of_oracle_minimum():
@@ -181,8 +190,6 @@ def test_theta_mode_with_covering_resource():
 
 def test_root_enumeration_completeness(tri_instance):
     # result equals the minimum over per-root runs
-    import random
-
     pg = build_product_graph(tri_instance)
     rnd = greedy_round(tri_instance)
     best = None
@@ -307,8 +314,6 @@ def test_two_vertex_essential_cut_cost_bound():
 
 
 def _count_product_builds(monkeypatch):
-    import pcspan.junction
-
     calls = []
     original = pcspan.junction.build_product_graph
 
@@ -364,3 +369,132 @@ def test_out_of_range_root_still_rejected(tri_instance):
         min_density_junction_tree(pg, roots=[0, tri_instance.n])
     with pytest.raises(ContractError):
         min_density_junction_tree(pg, roots=[-1, 0])
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _record_root_trees(monkeypatch):
+    """Wrap `junction_tree_for_root` so that every call appends its
+    (round, root, tree) to the returned list."""
+    calls = []
+    original = pcspan.junction.junction_tree_for_root
+
+    def recording(pg, rnd, root, rng, config=DEFAULT_CONFIG):
+        tree = original(pg, rnd, root, rng, config)
+        calls.append((rnd, root, tree))
+        return tree
+
+    monkeypatch.setattr(pcspan.junction, "junction_tree_for_root", recording)
+    return calls
+
+
+def test_a_roots_tree_does_not_depend_on_the_roots_searched_before_it(monkeypatch):
+    # with one stream threaded through the roots in order, root 5's rounded
+    # tree here changed when it was searched alone
+    inst = gen_pcs(n=7, k=4, m=1, tau=1, regime="integer", seed=10)
+    pg = product_graph_for(inst)
+    calls = _record_root_trees(monkeypatch)
+    for round_no in (0, 3):
+        calls.clear()
+        min_density_junction_tree(pg, round_no=round_no)
+        together = {root: tree for _rnd, root, tree in calls}
+        assert sum(tree is not None for tree in together.values()) > 1
+        calls.clear()
+        min_density_junction_tree(pg, round_no=round_no, roots=reversed(range(inst.n)))
+        assert {root: tree for _rnd, root, tree in calls} == together
+        for root, tree in together.items():
+            if tree is None:
+                continue
+            calls.clear()
+            assert min_density_junction_tree(pg, round_no=round_no, roots=[root]) == tree
+            assert calls == [(greedy_round(inst), root, tree)]
+
+
+def _open_demands(bundle) -> int:
+    return sum(1 for pairs in bundle.relations.values() if pairs)
+
+
+def test_a_root_with_one_open_demand_builds_no_lp(monkeypatch):
+    calls = []
+    for name in ("build_lp", "solve_lp"):
+        original = getattr(pcspan.junction, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(pcspan.junction, name, counting)
+    inst = gen_pcs(n=7, k=4, m=1, tau=1, regime="integer", seed=10)
+    pg = product_graph_for(inst)
+    kinds = set()
+    for rnd in (greedy_round(inst), greedy_round(inst, demands=[0, 2]), greedy_round(inst, {0}, [3])):
+        for root in range(inst.n):
+            bundle = build_label_cover(pg, rnd, root)
+            if bundle is None:
+                continue
+            single = _open_demands(bundle) == 1
+            kinds.add(single)
+            calls.clear()
+            junction_tree_for_root(pg, rnd, root, random.Random(0))
+            assert calls == ([] if single else ["build_lp", "solve_lp"])
+    assert kinds == {True, False}
+
+
+@pytest.fixture
+def digest_sets(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import report_digest
+
+    yield report_digest
+    sys.modules.pop("report_digest", None)
+
+
+def test_single_demand_roots_are_never_denser_than_the_lp_paths_fallback(
+    monkeypatch, digest_sets
+):
+    # at such a root the LP path's union-pair tree is its fallback tree, and
+    # its rounded tree one more sampled walk; the LP's normalization puts
+    # the lone demand's relation mass at exactly 1
+    bundles = []
+    original = pcspan.junction.build_label_cover
+
+    def keeping(*args):
+        bundle = original(*args)
+        bundles.append(bundle)
+        return bundle
+
+    monkeypatch.setattr(pcspan.junction, "build_label_cover", keeping)
+    calls = _record_root_trees(monkeypatch)
+    for _report in digest_sets.rcs_reports():
+        pass
+    for _report in digest_sets.pcs_reports("integer", digest_sets.integer_instances):
+        pass
+    assert len(bundles) == len(calls)
+    checked = 0
+    for bundle, (_rnd, root, tree) in zip(bundles, calls):
+        if bundle is None or _open_demands(bundle) != 1:
+            continue
+        assert tree.root == root
+        (di,) = [di for di, pairs in bundle.relations.items() if pairs]
+        reference = fallback_tree(bundle, {di: Fraction(1)})
+        assert tree.resolved.keys() == {di}
+        assert tree.density <= reference.density
+        checked += 1
+    assert checked > 100
+
+
+def test_single_pair_tree_counts_a_shared_edge_once():
+    # at root 7 the cheapest pair by closure-cost sum walks to density 8;
+    # the walk 6, 26, 6, 24 uses edge 6 twice and costs 5
+    inst = gen_pcs(
+        n=8, k=4, m=1, tau=1, regime="integer", budget_slack=1, seed=2029026002, packing=0
+    )
+    pg = product_graph_for(inst)
+    rnd = greedy_round(inst, {4, 10, 12, 26}, [1])
+    bundle = build_label_cover(pg, rnd, 7)
+    assert fallback_tree(bundle, {1: Fraction(1)}).density == 8
+    tree = junction_tree_for_root(pg, rnd, 7, random.Random(0))
+    assert tree.density == 5
+    assert tree.edges == frozenset({6, 24, 26})
+    assert tree.resolved == {1: Walk((6, 26, 6, 24))}
