@@ -92,11 +92,11 @@ def build_lp(bundle) -> LabelCoverLp:
     paths_up = {}
     for (di, lab), vid in sorted(bundle.src_attach.items()):
         if vid not in paths_up:
-            paths_up[vid] = enumerate_root_paths(bundle.up, vid, bundle.root_left, h, cap)
+            paths_up[vid] = enumerate_root_paths(bundle.closure, vid, bundle.root_left, h, cap)
     paths_down = {}
     for (di, lab), vid in sorted(bundle.snk_attach.items()):
         if vid not in paths_down:
-            paths_down[vid] = enumerate_root_paths(bundle.down, bundle.root_right, vid, h, cap)
+            paths_down[vid] = enumerate_root_paths(bundle.closure, bundle.root_right, vid, h, cap)
 
     # eq rows: normalization, then one flow row per attachment state; the
     # ub rows are numbered after them, so every row gets its index at once.
@@ -136,10 +136,7 @@ def build_lp(bundle) -> LabelCoverLp:
     # flow, and an unshared one adds its cost to its paths
     eq = 1
     g_cols = {}
-    for side, paths, levels, closure in (
-        ("up", paths_up, range(h, 0, -1), bundle.up),
-        ("down", paths_down, range(h), bundle.down),
-    ):
+    for side, paths, levels in (("up", paths_up, range(h, 0, -1)), ("down", paths_down, range(h))):
         steps = {}  # step -> [path columns through it, one list per flow]
         for vid in sorted(paths):
             # this eq row is numbered below the terminal rows written above
@@ -156,7 +153,7 @@ def build_lp(bundle) -> LabelCoverLp:
                 steps.setdefault(step, []).append(gs)
         for step, flows in steps.items():
             # every chain vertex is a closure source, so its row exists
-            cost = closure.dist[step[1]].get(step[2])
+            cost = bundle.closure.dist[step[1]].get(step[2])
             if cost is None:
                 raise InternalInvariantError("x variable on a missing closure edge")
             if not cost:
@@ -442,25 +439,24 @@ def gst_round(
     """
     bundle = cover.bundle
     targets = bucket.demands
+    # weights per (state, path): scaled flow, restricted to states that
+    # carry a surviving terminal; the same for every retry
+    weighted = {}
+    for di in targets:
+        src_states = {bundle.src_attach[(di, lab)] for lab in pruned[di].src_alive}
+        snk_states = {bundle.snk_attach[(di, lab)] for lab in pruned[di].snk_alive}
+        weighted[di] = (
+            _weighted_paths(values, cover.paths_up, src_states, "up", bucket.scale),
+            _weighted_paths(values, cover.paths_down, snk_states, "down", bucket.scale),
+        )
     best = None
     for round_no in range(1, config.rounding_retries + 1):
         up_chains = {}
         down_chains = {}
         connected = []
         for di in targets:
-            ps = pruned[di]
-            # weights per (state, path): scaled flow, restricted to states
-            # that carry a surviving terminal
-            src_states = {bundle.src_attach.get((di, lab)) for lab in ps.src_alive}
-            snk_states = {bundle.snk_attach.get((di, lab)) for lab in ps.snk_alive}
-            src_states.discard(None)
-            snk_states.discard(None)
-            up_pick = _sample_side(
-                rng, values, cover.paths_up, src_states, "up", bucket.scale
-            )
-            down_pick = _sample_side(
-                rng, values, cover.paths_down, snk_states, "down", bucket.scale
-            )
+            up_pick = _sample(rng, weighted[di][0])
+            down_pick = _sample(rng, weighted[di][1])
             if up_pick is None or down_pick is None:
                 continue
             up_chains[di] = up_pick
@@ -481,14 +477,14 @@ def gst_round(
     return best
 
 
-def _sample_side(rng, values, paths, states, side, scale):
+def _weighted_paths(values, paths, states, side, scale) -> list:
     weighted = []
     for vid in sorted(states):
         for p_idx, chain in enumerate(paths.get(vid, ())):
             w = values.flow.get((side, vid, p_idx), Fraction(0))
             if w > 0:
                 weighted.append((chain, min(Fraction(1), scale * w)))
-    return _sample(rng, weighted)
+    return weighted
 
 
 @dataclass(frozen=True)
@@ -509,12 +505,12 @@ class JunctionTree:
 
 def tree_order(tree: JunctionTree):
     """The order candidate trees are preferred in: density first; at equal
-    density more resolved demands, then root and edge ids."""
-    return (tree.density, -len(tree.resolved), tree.root, sorted(tree.edges))
+    density more resolved demands, then root, fewer edges, and edge ids."""
+    return (tree.density, -len(tree.resolved), tree.root, len(tree.edges), sorted(tree.edges))
 
 
 def assemble_junction_tree(bundle, rounded: RoundedSelection) -> JunctionTree:
-    """Expand each claimed demand's sampled chains over the closures of
+    """Expand each claimed demand's sampled chains over the closure of
     ``bundle`` (a `junction.RootedLabelCover`) into its s ~> root ~> t walk,
     check that walk against the demand's budget, and report the density of
     the union of the walks under the round's prices."""
@@ -528,8 +524,8 @@ def assemble_junction_tree(bundle, rounded: RoundedSelection) -> JunctionTree:
         # product edges point the way their base edges do on both sides, so
         # the up chain (s .. root) then the down chain (root .. t) is in order
         walk = Walk(
-            _base_edges(pg, bundle.up, rounded.up_chains[di])
-            + _base_edges(pg, bundle.down, rounded.down_chains[di])
+            _base_edges(bundle, rounded.up_chains[di])
+            + _base_edges(bundle, rounded.down_chains[di])
         )
         demand = instance.demands[di]
         if theta is None:
@@ -550,26 +546,21 @@ def assemble_junction_tree(bundle, rounded: RoundedSelection) -> JunctionTree:
     )
 
 
-def _base_edges(pg, closure, chain) -> tuple:
-    return tuple(
-        pg.edges[pidx].base_edge for u, v in zip(chain, chain[1:]) for pidx in closure.path(u, v)
-    )
+def _base_edges(bundle, chain) -> tuple:
+    edges = bundle.pg.edges
+    path = bundle.closure.path
+    return tuple(edges[pidx].base_edge for u, v in zip(chain, chain[1:]) for pidx in path(u, v))
 
 
 def _cheapest_pair_chains(bundle, di):
     """The cheapest relation-compatible terminal-root-terminal chains for one
-    demand, or None when no pair connects."""
+    demand with relation pairs at the root (each of them connects there)."""
     best = None
     for (i_lab, j_lab) in bundle.relations[di]:
-        svid = bundle.src_attach.get((di, i_lab))
-        tvid = bundle.snk_attach.get((di, j_lab))
-        if svid is None or tvid is None:
-            continue
-        c_up = bundle.up.cost(svid, bundle.root_left)
-        c_down = bundle.down.cost(bundle.root_right, tvid)
-        if c_up is None or c_down is None:
-            continue
-        key = (c_up + c_down, i_lab, j_lab)
+        svid = bundle.src_attach[(di, i_lab)]
+        tvid = bundle.snk_attach[(di, j_lab)]
+        c_up = bundle.closure.cost(svid, bundle.root_left)
+        key = (c_up + bundle.closure.cost(bundle.root_right, tvid), i_lab, j_lab)
         if best is None or key < best[0]:
             up_chain = (svid,) + (bundle.root_left,) * bundle.h
             down_chain = (bundle.root_right,) * bundle.h + (tvid,)
@@ -582,10 +573,7 @@ def _selection_from_pairs(bundle, targets) -> RoundedSelection:
     down_chains = {}
     connected = []
     for di in targets:
-        best = _cheapest_pair_chains(bundle, di)
-        if best is None:
-            continue
-        _key, up_chains[di], down_chains[di] = best
+        _key, up_chains[di], down_chains[di] = _cheapest_pair_chains(bundle, di)
         connected.append(di)
     return RoundedSelection(
         connected=tuple(connected),
@@ -623,10 +611,9 @@ def single_pair_tree(bundle, di) -> JunctionTree:
     twice once, where `fallback_tree` takes the pair of least closure-cost
     sum; its walk is one of these, so this tree is never denser than it.
     All candidates share the root and the resolved demand, so `tree_order`
-    reduces to (edge-set cost, sorted edges), and only the winner is
-    assembled.
+    reduces to (edge-set cost, edge count, sorted edges), and only the
+    winner is assembled.
     """
-    pg = bundle.pg
     prices = bundle.prices
     up_tail = (bundle.root_left,) * bundle.h
     down_head = (bundle.root_right,) * bundle.h
@@ -636,21 +623,14 @@ def single_pair_tree(bundle, di) -> JunctionTree:
     for (i_lab, j_lab) in bundle.relations[di]:
         svid = bundle.src_attach[(di, i_lab)]
         tvid = bundle.snk_attach[(di, j_lab)]
-        if (
-            bundle.up.cost(svid, bundle.root_left) is None
-            or bundle.down.cost(bundle.root_right, tvid) is None
-        ):
-            continue
         if svid not in ups:
-            ups[svid] = frozenset(_base_edges(pg, bundle.up, (svid,) + up_tail))
+            ups[svid] = frozenset(_base_edges(bundle, (svid,) + up_tail))
         if tvid not in downs:
-            downs[tvid] = frozenset(_base_edges(pg, bundle.down, down_head + (tvid,)))
+            downs[tvid] = frozenset(_base_edges(bundle, down_head + (tvid,)))
         edges = ups[svid] | downs[tvid]
-        key = (sum(prices[eid] for eid in edges), sorted(edges))
+        key = (sum(prices[eid] for eid in edges), len(edges), sorted(edges))
         if best is None or key < best[0]:
             best = (key, svid, tvid)
-    if best is None:
-        raise InternalInvariantError(f"no relation pair of demand {di} reaches the root")
     _key, svid, tvid = best
     walk = RoundedSelection(
         connected=(di,),

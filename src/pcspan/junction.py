@@ -1,16 +1,17 @@
 """Minimum-density resource-constrained junction trees.
 
-For each candidate root: product graph -> useful-state pruning -> metric
-closures -> label-cover LP over their h-step root chains -> representative
-pruning -> bucketing -> randomized rounding -> assembly.  A root where only
-one demand has relation pairs skips the LP: its best direct walk
-(`single_pair_tree`) is taken instead.  The product graph
-depends on neither the root nor the greedy round, so one graph
-(`product_graph_for`) serves a whole solve; a round supplies only its prices
-and its open demands (`Round`).  Each root draws from its own random
-stream, seeded by (seed, round, root), so its tree does not depend on which
-roots ran before it.  The best (lowest-density) tree across roots wins,
-with deterministic tie-breaking toward smaller root ids.
+A greedy round (`Round`) is its prices, its open demands, and one cost
+closure under those prices over the product states the open demands' walks
+can use.  For each candidate root: the relation pairs whose ends connect to
+the root, read off the round's closure -> label-cover LP over their h-step
+root chains -> representative pruning -> bucketing -> randomized rounding
+-> assembly.  A root where only one demand has relation pairs skips the LP:
+its best direct walk (`single_pair_tree`) is taken instead.  The product
+graph depends on neither the root nor the greedy round, so one graph
+(`product_graph_for`) serves a whole solve.  Each root draws from its own
+random stream, seeded by (seed, round, root), so its tree does not depend
+on which roots ran before it.  The best (lowest-density) tree across roots
+wins, with deterministic tie-breaking toward smaller root ids.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from .density_lp import (
 from .errors import ContractError, InternalInvariantError, RoundingFailureError
 from .layered import CostClosure, build_closure
 from .model import PcsInstance
+# bench/tracer.py wraps the three per-root searches by name, so they stay
+# importable here though the solve reads every root off the round's closure
 from .product import (
     ProductGraph,
     build_product_graph,
@@ -65,30 +68,55 @@ def product_graph_for(
 
 @dataclass(frozen=True)
 class Round:
-    """A greedy round: its open demands (original indices, ascending) and
-    each base edge's int price in units of 1 / cost_scale, bought edges 0."""
+    """A greedy round: its open demands (original indices, ascending), each
+    base edge's int price in units of 1 / cost_scale (bought edges 0), and
+    the cost closure, under those prices, of the product states the open
+    demands' walks can use."""
 
     demands: tuple
     prices: tuple
     cost_scale: int
+    closure: CostClosure
 
 
-def greedy_round(instance: PcsInstance, free=frozenset(), demands=None) -> Round:
-    """The round that prices the edges in ``free`` at 0 and leaves
-    ``demands`` open (all of them when None)."""
+def greedy_round(
+    pg: ProductGraph, free=frozenset(), demands=None, config: SolverConfig = DEFAULT_CONFIG
+) -> Round:
+    """The round on ``pg`` that prices the edges in ``free`` at 0 and leaves
+    ``demands`` open (all of them when None).  Its one closure holds the L
+    states the open demands' relation pairs start from with every state they
+    reach, and the R states they end in with every state that reaches one
+    (L and R states share no product edge).  A cheapest path between two
+    states that reach a root's L copy (or that its R copy reaches) stays
+    among such states, so a root's rows equal a closure over its own."""
+    instance = pg.instance
     costs = [Fraction(0) if eid in free else e.cost for eid, e in enumerate(instance.edges)]
     scale = common_scale(costs)
-    demands = range(len(instance.demands)) if demands is None else sorted(demands)
-    return Round(tuple(demands), tuple(to_units(c, scale) for c in costs), scale)
+    prices = tuple(to_units(c, scale) for c in costs)
+    demands = tuple(range(len(instance.demands)) if demands is None else sorted(demands))
+    sources = {i for di in demands for i, _j in pg.relation_vids[di]}
+    sinks = {j for di in demands for _i, j in pg.relation_vids[di]}
+    states = _forward_reachable(pg, sources) | _backward_reachable(pg, sinks)
+
+    def out_edges(v):
+        # parallel arcs come in base-edge order, so Dijkstra's strict < keeps
+        # the cheapest, then the smallest base edge
+        for idx in pg.out_adj[v]:
+            pe = pg.edges[idx]
+            yield idx, pe.head, prices[pe.base_edge]
+
+    closure = build_closure(states, out_edges, config.max_product_vertices)
+    return Round(demands, prices, scale, closure)
 
 
 @dataclass
 class RootedLabelCover:
     """Everything the density LP needs for one root.
 
-    The up closure covers the L states that reach the root's L copy, the down
-    closure the R states its R copy reaches.  A demand's relation labels map
-    to the states where its walk starts (up) and ends (down).
+    ``closure`` is the round's: the rows of the L states that reach the
+    root's L copy hold the up paths, those of the R states its R copy
+    reaches the down paths.  A demand's relation labels map to the states
+    where its walk starts (up) and ends (down).
     """
 
     root: int
@@ -98,8 +126,7 @@ class RootedLabelCover:
     h: int
     root_left: int  # product vid of the root's L copy
     root_right: int
-    up: CostClosure
-    down: CostClosure
+    closure: CostClosure
     src_attach: dict  # (demand_idx, label) -> L state vid
     snk_attach: dict  # (demand_idx, label) -> R state vid
     relations: dict  # demand_idx -> list of (I, J) label pairs
@@ -109,40 +136,27 @@ def build_label_cover(
     pg: ProductGraph, rnd: Round, root: int, config: SolverConfig = DEFAULT_CONFIG
 ):
     """The per-root reduction of the product graph ``pg`` to minimum-density
-    Steiner label cover over the open demands of ``rnd``, under its prices.
-
-    Returns None when no demand has a relation pair whose endpoints connect
-    to the root (such roots are skipped before any LP work).
-    """
+    Steiner label cover over the open demands of ``rnd``, under its prices:
+    a demand keeps, in label order, the relation pairs whose source state
+    reaches the root's L copy and whose target state its R copy reaches.
+    None when no demand keeps one (such roots get no LP work)."""
     root_left = pg.root_copy("L", root)
     root_right = pg.root_copy("R", root)
-    reach_left = states_reaching_root_left(pg, root)
-    reach_right = states_reachable_from_root_right(pg, root)
-    relations = connectable_relation_pairs(pg, rnd.demands, reach_left, reach_right)
-    if not any(relations.values()):
+    dist = rnd.closure.dist
+    down = dist.get(root_right, {})
+    keys = pg.vertex_keys
+    relations = {}
+    src_attach = {}
+    snk_attach = {}
+    for di in rnd.demands:
+        relations[di] = pairs = []
+        for i, j in pg.relation_vids[di]:
+            if root_left in dist[i] and j in down:
+                pairs.append((keys[i][2], keys[j][2]))
+                src_attach[(di, keys[i][2])] = i
+                snk_attach[(di, keys[j][2])] = j
+    if not src_attach:
         return None
-    instance = pg.instance
-
-    src_states = {}
-    snk_states = {}
-    for di, pairs in sorted(relations.items()):
-        d = instance.demands[di]
-        for (i_lab, j_lab) in pairs:
-            src_states[(di, i_lab)] = pg.vertex_ids[("S", "L", d.source, i_lab)]
-            snk_states[(di, j_lab)] = pg.vertex_ids[("S", "R", d.target, j_lab)]
-
-    useful_left = _forward_reachable(pg, src_states.values()) & reach_left
-    useful_right = _backward_reachable(pg, snk_states.values()) & reach_right
-    useful_left.add(root_left)
-    useful_right.add(root_right)
-
-    def out_edges(v):
-        # parallel arcs come in base-edge order, so Dijkstra's strict < keeps
-        # the cheapest, then the smallest base edge
-        for idx in pg.out_adj[v]:
-            pe = pg.edges[idx]
-            yield idx, pe.head, rnd.prices[pe.base_edge]
-
     return RootedLabelCover(
         root=root,
         pg=pg,
@@ -151,16 +165,15 @@ def build_label_cover(
         h=config.height,
         root_left=root_left,
         root_right=root_right,
-        up=build_closure(useful_left, out_edges, config.max_product_vertices),
-        down=build_closure(useful_right, out_edges, config.max_product_vertices),
-        src_attach=src_states,
-        snk_attach=snk_states,
+        closure=rnd.closure,
+        src_attach=src_attach,
+        snk_attach=snk_attach,
         relations=relations,
     )
 
 
-# the useful-state searches keep module-level names of their own so that
-# bench/tracer.py can time them apart from the root reachability
+# the round's state searches keep module-level names of their own so that
+# bench/tracer.py can time them
 def _forward_reachable(pg, seeds) -> set:
     return reachable(pg, seeds)
 
@@ -226,7 +239,7 @@ def min_density_junction_tree(
     ``pg.instance``; the tree's cost and density are under the round's
     prices.
     """
-    rnd = greedy_round(pg.instance, free, demands)
+    rnd = greedy_round(pg, free, demands, config)
     best = None
     root_list = sorted(roots) if roots is not None else range(pg.instance.n)
     for root in root_list:

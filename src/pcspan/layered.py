@@ -122,9 +122,8 @@ def enumerate_root_paths(closure: CostClosure, start, goal, h: int, cap: int):
                     f"path enumeration exceeded cap {cap}; lower h or shrink the instance"
                 )
             return
-        for nxt in sorted(dist[prefix[-1]]):
-            if goal in dist[nxt]:
-                extend(prefix + [nxt], remaining - 1)
+        for nxt in sorted(v for v in dist[prefix[-1]] if goal in dist[v]):
+            extend(prefix + [nxt], remaining - 1)
 
     extend([start], h)
     return paths

@@ -120,7 +120,7 @@ class ProductGraph:
     problem: object  # PcsInstance or ScaledInstance
     bounds: LayerBounds
     labels: tuple  # all valid labels, sorted
-    vertex_ids: dict  # ("S", side, v, label) -> int id, reached states only
+    vertex_ids: dict  # (side, v, label) -> int id, reached states only
     vertex_keys: tuple  # int id -> key
     edges: tuple  # ProductEdge
     out_adj: tuple
@@ -129,25 +129,30 @@ class ProductGraph:
     runs: dict = field(init=False, repr=False, compare=False)
     # demand -> its relation-compatible (L vid, R vid) pairs, in label order
     relation_vids: dict = field(init=False, repr=False, compare=False)
+    # demand -> its relation box (`demand_budget_units`)
+    budget_boxes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # vertex_keys is sorted by (side, v, label)
         self.runs = {}
         start = 0
-        for owner, group in groupby(self.vertex_keys, key=lambda key: key[1:3]):
+        for owner, group in groupby(self.vertex_keys, key=lambda key: key[:2]):
             stop = start + sum(1 for _ in group)
             self.runs[owner] = range(start, stop)
             start = stop
         keys = self.vertex_keys
+        demands = self.instance.demands
+        self.budget_boxes = tuple(
+            demand_budget_units(self.problem, di, self.bounds) for di in range(len(demands))
+        )
         self.relation_vids = {}
-        for di, d in enumerate(self.instance.demands):
-            box = self.budget_units(di)
+        for di, (d, box) in enumerate(zip(demands, self.budget_boxes)):
             snk = self.runs.get(("R", d.target), ())
             self.relation_vids[di] = [
                 (i, j)
                 for i in self.runs.get(("L", d.source), ())
                 for j in snk
-                if relation_holds(box, keys[i][3], keys[j][3])
+                if relation_holds(box, keys[i][2], keys[j][2])
             ]
 
     @property
@@ -163,10 +168,10 @@ class ProductGraph:
         """Id of the root's zero-label state on side "L" or "R"."""
         if not (0 <= root < self.instance.n):
             raise ContractError(f"root {root} outside vertex range")
-        return self.vertex_ids[("S", side, root, (0,) * self.instance.dim)]
+        return self.vertex_ids[(side, root, (0,) * self.instance.dim)]
 
     def budget_units(self, demand_idx: int) -> tuple:
-        return demand_budget_units(self.problem, demand_idx, self.bounds)
+        return self.budget_boxes[demand_idx]
 
 
 def _enumerate_labels(instance: PcsInstance, bounds: LayerBounds) -> list:
@@ -225,7 +230,7 @@ def build_product_graph(problem, config: SolverConfig = DEFAULT_CONFIG) -> Produ
     right = _reach_labels(instance, bounds, units, out_edges, lambda e: e.head)
     left = _reach_labels(instance, bounds, units, in_edges, lambda e: e.tail)
     vertex_keys = tuple(
-        ("S", side, v, lab)
+        (side, v, lab)
         for side, states in (("L", left), ("R", right))
         for v, lab in sorted(states)
     )
@@ -236,9 +241,9 @@ def build_product_graph(problem, config: SolverConfig = DEFAULT_CONFIG) -> Produ
     arcs = []
     for side, states in (("L", left), ("R", right)):
         for (v, lab), steps in states.items():
-            here = vertex_ids[("S", side, v, lab)]
+            here = vertex_ids[(side, v, lab)]
             for (w, nxt), eid in steps:
-                there = vertex_ids[("S", side, w, nxt)]
+                there = vertex_ids[(side, w, nxt)]
                 arcs.append((there, here, eid) if side == "L" else (here, there, eid))
     edges = tuple(ProductEdge(*arc) for arc in sorted(arcs))
     out_adj = [[] for _ in vertex_keys]
@@ -292,7 +297,7 @@ def connectable_relation_pairs(
     keys = pg.vertex_keys
     return {
         di: [
-            (keys[i][3], keys[j][3])
+            (keys[i][2], keys[j][2])
             for i, j in pg.relation_vids[di]
             if i in reach_left and j in reach_right
         ]

@@ -106,7 +106,7 @@ def label_cover(problem, root: int, config: SolverConfig = DEFAULT_CONFIG):
     a scaled instance), every demand open at the instance's own costs; None
     when the root resolves nothing."""
     pg = build_product_graph(problem, config)
-    return build_label_cover(pg, greedy_round(pg.instance), root, config)
+    return build_label_cover(pg, greedy_round(pg, config=config), root, config)
 
 
 def lp_masses(values) -> dict:

@@ -7,19 +7,22 @@ from hypothesis import strategies as st
 
 from pcspan.density_lp import (
     BucketChoice,
+    JunctionTree,
     bucket_and_scale,
     build_lp,
     fallback_tree,
     gst_round,
     median_consumption,
     prune,
+    single_pair_tree,
     solve_lp,
     sort_representatives,
     assemble_junction_tree,
+    tree_order,
 )
 from pcspan.errors import ContractError, InternalInvariantError
 from pcspan.generate import gen_pcs
-from pcspan.model import is_feasible
+from pcspan.model import Walk, is_feasible
 from pcspan.oracle import brute_force_min_density_junction
 from pcspan.product import relation_holds
 
@@ -364,3 +367,31 @@ def test_assemble_density_at_least_oracle_minimum(tri_instance):
     tree = fallback_tree(cover.bundle, lp_masses(values))
     _r, density, _e, _m = brute_force_min_density_junction(tri_instance)
     assert tree.density >= density
+
+
+def test_tree_order_prefers_fewer_edges_at_equal_density():
+    # by the sorted edge list alone, [1, 2, 3] would come before [1, 4]
+    walk = {0: Walk((1, 4))}
+    more = JunctionTree(0, frozenset({1, 2, 3}), walk, Fraction(2), Fraction(2))
+    fewer = JunctionTree(0, frozenset({1, 4}), walk, Fraction(2), Fraction(2))
+    assert tree_order(fewer) < tree_order(more)
+    assert min([more, fewer], key=tree_order) is fewer
+
+
+def test_single_pair_tree_takes_the_walk_with_fewer_edges_at_equal_cost():
+    # from root 0 the demand reaches 2 over edges 0, 1 (length 2) or over
+    # edge 2 (length 3), both at cost 1; the sorted edge list alone would
+    # take [0, 1]
+    inst = make_instance(
+        n=3,
+        edges=[(0, 1, 0, (1, 0)), (1, 2, 1, (1, 0)), (0, 2, 1, (3, 0))],
+        demands=[(0, 2, (3, 1))],
+        tau=1,
+        packing=1,
+        covering=0,
+    )
+    bundle = label_cover(inst, 0)
+    assert len(bundle.relations[0]) == 2
+    tree = single_pair_tree(bundle, 0)
+    assert tree.edges == frozenset({2})
+    assert tree.density == 1

@@ -177,11 +177,11 @@ def test_repriced_round_matches_a_fresh_build_of_its_residual(inst):
     free = set()
     remaining = list(range(len(inst.demands)))
     for it in report.iterations:
-        rnd = greedy_round(inst, free, remaining)
+        rnd = greedy_round(pg, free, remaining)
         residual = _residual(inst, free, remaining)
         fresh = build_product_graph(residual)
         for root in range(inst.n):
-            expected = _lp_arrays(fresh, greedy_round(residual), root)
+            expected = _lp_arrays(fresh, greedy_round(fresh), root)
             assert _lp_arrays(pg, rnd, root) == expected, (it.root, root)
         free |= set(it.tree_edges)
         remaining = [di for di in remaining if di not in it.resolved]

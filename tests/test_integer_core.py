@@ -155,7 +155,7 @@ def test_int_closures_and_witnesses_equal_the_fraction_reference(case):
     regime, inst, root = case
     problem = inst if regime == "integer" else scale_instance(inst, Fraction(1, 2))
     pg = build_product_graph(problem)
-    rnd = greedy_round(inst)
+    rnd = greedy_round(pg)
     scale = common_scale(e.cost for e in inst.edges)
     assert rnd.cost_scale == scale
     assert all(type(price) is int for price in rnd.prices)
@@ -166,7 +166,7 @@ def test_int_closures_and_witnesses_equal_the_fraction_reference(case):
             yield idx, pe.head, inst.edges[pe.base_edge].cost
 
     bundle = build_label_cover(pg, rnd, root)
-    for closure in () if bundle is None else (bundle.up, bundle.down):
+    for closure in () if bundle is None else (bundle.closure,):
         dist, parent = fraction_closure(closure.dist, fraction_out)
         assert closure.parent == parent
         assert closure.dist == {u: {v: c * scale for v, c in row.items()} for u, row in dist.items()}

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,14 @@ from pcspan.junction import (
 )
 from pcspan.model import Walk, is_feasible, is_theta_feasible
 from pcspan.oracle import brute_force_min_density_junction
-from pcspan.product import build_product_graph
+from pcspan.layered import build_closure
+from pcspan.product import (
+    build_product_graph,
+    connectable_relation_pairs,
+    reachable,
+    states_reachable_from_root_right,
+    states_reaching_root_left,
+)
 from pcspan.rcsp import through_root_witness
 from pcspan.reductions import essential_set_mode, is_routing_feasible, rcs_to_pcs
 
@@ -118,7 +126,7 @@ def test_assembly_rejects_a_claimed_demand_whose_walk_breaks_its_budget():
         covering=0,
     )
     bundle = label_cover(inst, 0)
-    via_1 = bundle.pg.vertex_ids[("S", "R", 2, (2, 1))]
+    via_1 = bundle.pg.vertex_ids[("R", 2, (2, 1))]
     up = (bundle.root_left,) * (bundle.h + 1)
     down = (bundle.root_right,) * bundle.h + (via_1,)
 
@@ -191,7 +199,7 @@ def test_theta_mode_with_covering_resource():
 def test_root_enumeration_completeness(tri_instance):
     # result equals the minimum over per-root runs
     pg = build_product_graph(tri_instance)
-    rnd = greedy_round(tri_instance)
+    rnd = greedy_round(pg)
     best = None
     for root in range(tri_instance.n):
         tree = junction_tree_for_root(pg, rnd, root, random.Random(0))
@@ -408,7 +416,7 @@ def test_a_roots_tree_does_not_depend_on_the_roots_searched_before_it(monkeypatc
                 continue
             calls.clear()
             assert min_density_junction_tree(pg, round_no=round_no, roots=[root]) == tree
-            assert calls == [(greedy_round(inst), root, tree)]
+            assert calls == [(greedy_round(pg), root, tree)]
 
 
 def _open_demands(bundle) -> int:
@@ -428,7 +436,7 @@ def test_a_root_with_one_open_demand_builds_no_lp(monkeypatch):
     inst = gen_pcs(n=7, k=4, m=1, tau=1, regime="integer", seed=10)
     pg = product_graph_for(inst)
     kinds = set()
-    for rnd in (greedy_round(inst), greedy_round(inst, demands=[0, 2]), greedy_round(inst, {0}, [3])):
+    for rnd in (greedy_round(pg), greedy_round(pg, demands=[0, 2]), greedy_round(pg, {0}, [3])):
         for root in range(inst.n):
             bundle = build_label_cover(pg, rnd, root)
             if bundle is None:
@@ -491,10 +499,122 @@ def test_single_pair_tree_counts_a_shared_edge_once():
         n=8, k=4, m=1, tau=1, regime="integer", budget_slack=1, seed=2029026002, packing=0
     )
     pg = product_graph_for(inst)
-    rnd = greedy_round(inst, {4, 10, 12, 26}, [1])
+    rnd = greedy_round(pg, {4, 10, 12, 26}, [1])
     bundle = build_label_cover(pg, rnd, 7)
     assert fallback_tree(bundle, {1: Fraction(1)}).density == 8
     tree = junction_tree_for_root(pg, rnd, 7, random.Random(0))
     assert tree.density == 5
     assert tree.edges == frozenset({6, 24, 26})
     assert tree.resolved == {1: Walk((6, 26, 6, 24))}
+
+
+ROUND_CASES = [
+    ("integer", gen_pcs(n=5, k=3, m=1, tau=1, regime="integer", seed=1)),
+    ("integer", gen_pcs(n=7, k=4, m=1, tau=1, regime="integer", seed=10)),
+    ("theta", gen_pcs(n=5, k=3, m=1, tau=1, regime="rational-negative", seed=6001)),
+    ("theta", gen_pcs(n=4, k=2, m=1, tau=1, regime="rational-negative", seed=6003)),
+]
+ROUND_IDS = ["int-5-seed-1", "int-7-seed-10", "theta-5-seed-6001", "theta-4-seed-6003"]
+
+
+def _first_two_rounds(mode, inst):
+    """The product graph of ``inst`` with round 0 of its greedy solve and
+    round 1, which has the first tree's edges bought and its demands closed."""
+    pg = product_graph_for(inst, mode)
+    first = solve_pcs(inst, mode).iterations[0]
+    still_open = [di for di in range(len(inst.demands)) if di not in first.resolved]
+    assert first.tree_edges and still_open
+    return pg, (greedy_round(pg), greedy_round(pg, set(first.tree_edges), still_open))
+
+
+def _per_root_cover(pg, rnd, root):
+    """(relations, source attachments, target attachments, useful L states,
+    useful R states) of ``root`` from the per-root searches of
+    `pcspan.product`, the reference the round's closure must agree with;
+    None when no relation pair connects."""
+    reach_left = states_reaching_root_left(pg, root)
+    reach_right = states_reachable_from_root_right(pg, root)
+    relations = connectable_relation_pairs(pg, rnd.demands, reach_left, reach_right)
+    if not any(relations.values()):
+        return None
+    src = {}
+    snk = {}
+    for di, pairs in relations.items():
+        d = pg.instance.demands[di]
+        for i_lab, j_lab in pairs:
+            src[(di, i_lab)] = pg.vertex_ids[("L", d.source, i_lab)]
+            snk[(di, j_lab)] = pg.vertex_ids[("R", d.target, j_lab)]
+    useful_left = reachable(pg, set(src.values())) & reach_left
+    useful_right = reachable(pg, set(snk.values()), backward=True) & reach_right
+    useful_left.add(pg.root_copy("L", root))
+    useful_right.add(pg.root_copy("R", root))
+    return relations, src, snk, useful_left, useful_right
+
+
+@pytest.mark.parametrize("mode, inst", ROUND_CASES, ids=ROUND_IDS)
+def test_relations_read_off_the_round_closure_equal_the_per_root_searches(mode, inst):
+    pg, rounds = _first_two_rounds(mode, inst)
+    outcomes = Counter()
+    for rnd in rounds:
+        for root in range(inst.n):
+            bundle = build_label_cover(pg, rnd, root)
+            reference = _per_root_cover(pg, rnd, root)
+            outcomes[bundle is None] += 1
+            if reference is None:
+                assert bundle is None
+                continue
+            relations, src, snk, _left, _right = reference
+            assert bundle.relations == relations
+            assert bundle.src_attach == src
+            assert bundle.snk_attach == snk
+    assert outcomes[False] > 0
+
+
+@pytest.mark.parametrize("mode, inst", ROUND_CASES, ids=ROUND_IDS)
+def test_round_closure_rows_equal_a_per_root_closure_on_its_useful_states(mode, inst):
+    pg, rounds = _first_two_rounds(mode, inst)
+    checked = 0
+    for rnd in rounds:
+
+        def out_edges(v, prices=rnd.prices):
+            for idx in pg.out_adj[v]:
+                pe = pg.edges[idx]
+                yield idx, pe.head, prices[pe.base_edge]
+
+        for root in range(inst.n):
+            reference = _per_root_cover(pg, rnd, root)
+            if reference is None:
+                continue
+            for useful in reference[3:]:
+                alone = build_closure(useful, out_edges)
+                for u in useful:
+                    dist = rnd.closure.dist[u]
+                    parent = rnd.closure.parent[u]
+                    assert {v: c for v, c in dist.items() if v in useful} == alone.dist[u]
+                    assert {v: p for v, p in parent.items() if v in useful} == alone.parent[u]
+                    checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("mode, inst", ROUND_CASES[1:3], ids=ROUND_IDS[1:3])
+def test_a_solve_builds_one_closure_per_round_and_searches_no_root(monkeypatch, mode, inst):
+    calls = Counter()
+    names = (
+        "build_closure",
+        "_forward_reachable",
+        "_backward_reachable",
+        "states_reaching_root_left",
+        "states_reachable_from_root_right",
+        "connectable_relation_pairs",
+    )
+    for name in names:
+        original = getattr(pcspan.junction, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(pcspan.junction, name, counting)
+    rounds = len(solve_pcs(inst, mode).iterations)
+    assert rounds > 1
+    assert calls == dict.fromkeys(names[:3], rounds)

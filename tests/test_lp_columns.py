@@ -44,11 +44,11 @@ def keyed_build_lp(bundle):
     paths_up = {}
     for (di, lab), vid in sorted(bundle.src_attach.items()):
         if vid not in paths_up:
-            paths_up[vid] = enumerate_root_paths(bundle.up, vid, bundle.root_left, h, cap)
+            paths_up[vid] = enumerate_root_paths(bundle.closure, vid, bundle.root_left, h, cap)
     paths_down = {}
     for (di, lab), vid in sorted(bundle.snk_attach.items()):
         if vid not in paths_down:
-            paths_down[vid] = enumerate_root_paths(bundle.down, bundle.root_right, vid, h, cap)
+            paths_down[vid] = enumerate_root_paths(bundle.closure, bundle.root_right, vid, h, cap)
 
     num_eq = 1 + len(paths_up) + len(paths_down)
     var_index = {}
@@ -95,9 +95,10 @@ def keyed_build_lp(bundle):
             ub += 1
 
     eq = 1
-    for side, paths, keyfn, closure in (
-        ("up", paths_up, _up_edge_keys, bundle.up),
-        ("down", paths_down, _down_edge_keys, bundle.down),
+    closure = bundle.closure
+    for side, paths, keyfn in (
+        ("up", paths_up, _up_edge_keys),
+        ("down", paths_down, _down_edge_keys),
     ):
         for vid in sorted(paths):
             put(("Z", side, vid), eq, -1)

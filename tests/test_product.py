@@ -50,8 +50,8 @@ def test_edge_label_offsets(tri_instance):
     pg = build_product_graph(tri_instance)
     inst = tri_instance
     for pe in pg.edges:
-        _, side, u, i_lab = pg.vertex_keys[pe.tail]
-        _, _s, v, j_lab = pg.vertex_keys[pe.head]
+        side, u, i_lab = pg.vertex_keys[pe.tail]
+        _s, v, j_lab = pg.vertex_keys[pe.head]
         res = inst.edges[pe.base_edge].res
         if side == "R":
             src, dst = i_lab, j_lab
@@ -107,7 +107,7 @@ def _full_product_graph(problem) -> ProductGraph:
     bounds = layer_bounds(problem)
     labels = list(product(*(range(lo, hi + 1) for lo, hi in zip(bounds.lower, bounds.upper))))
     vertex_keys = tuple(
-        ("S", side, v, lab) for side in ("L", "R") for v in range(instance.n) for lab in labels
+        (side, v, lab) for side in ("L", "R") for v in range(instance.n) for lab in labels
     )
     vertex_ids = {key: vid for vid, key in enumerate(vertex_keys)}
     arcs = []
@@ -118,8 +118,8 @@ def _full_product_graph(problem) -> ProductGraph:
             if nxt is None:
                 continue
             pairs = (
-                (("S", "R", e.tail, lab), ("S", "R", e.head, nxt)),
-                (("S", "L", e.tail, nxt), ("S", "L", e.head, lab)),
+                (("R", e.tail, lab), ("R", e.head, nxt)),
+                (("L", e.tail, nxt), ("L", e.head, lab)),
             )
             for tail_key, head_key in pairs:
                 arcs.append((vertex_ids[tail_key], vertex_ids[head_key], eid))
@@ -244,10 +244,10 @@ def test_projection_resource_dominated_by_labels(tri_instance):
     d = tri_instance.demands[0]
     # product path: (s,I,L) -> (r,0,L), then (r,0,R) -> (t,J,R)
     up = _find_product_path(
-        pg, pg.vertex_ids[("S", "L", d.source, i_lab)], pg.root_copy("L", root)
+        pg, pg.vertex_ids[("L", d.source, i_lab)], pg.root_copy("L", root)
     )
     down = _find_product_path(
-        pg, pg.root_copy("R", root), pg.vertex_ids[("S", "R", d.target, j_lab)]
+        pg, pg.root_copy("R", root), pg.vertex_ids[("R", d.target, j_lab)]
     )
     walk = Walk(tuple(pg.edges[idx].base_edge for idx in up + down))
     res = walk_resource(walk, tri_instance)
@@ -347,8 +347,8 @@ def _dump_edges(pg) -> str:
     """Debug dump: one state edge per line (side, u, I, v, J, base edge)."""
     lines = []
     for pe in pg.edges:
-        _, side, u, i_lab = pg.vertex_keys[pe.tail]
-        _, _side, v, j_lab = pg.vertex_keys[pe.head]
+        side, u, i_lab = pg.vertex_keys[pe.tail]
+        _side, v, j_lab = pg.vertex_keys[pe.head]
         lines.append(f"{side} {u} {list(i_lab)} {v} {list(j_lab)} {pe.base_edge}")
     return "\n".join(sorted(lines)) + "\n"
 
@@ -375,14 +375,14 @@ def test_parallel_arcs_are_kept_and_the_closure_takes_the_cheaper():
     for pe in pg.edges:
         parallel.setdefault((pe.tail, pe.head), []).append(pe.base_edge)
     assert parallel and all(eids == [0, 1] for eids in parallel.values())
-    target = pg.vertex_ids[("S", "R", 1, (1, 0))]
+    target = pg.vertex_ids[("R", 1, (1, 0))]
     # (free edges, base edge the closure takes, its price): the cheaper
     # under the round's prices, the smaller id when both cost the same
     for free, taken, price in ((set(), 1, 2), ({0}, 0, 0), ({1}, 1, 0), ({0, 1}, 0, 0)):
-        bundle = build_label_cover(pg, greedy_round(inst, free), 0)
-        path = bundle.down.path(bundle.root_right, target)
+        bundle = build_label_cover(pg, greedy_round(pg, free), 0)
+        path = bundle.closure.path(bundle.root_right, target)
         assert [pg.edges[idx].base_edge for idx in path] == [taken]
-        assert bundle.down.cost(bundle.root_right, target) == price
+        assert bundle.closure.cost(bundle.root_right, target) == price
 
 
 def test_relation_box_semantics():
@@ -394,8 +394,8 @@ def test_relation_box_semantics():
 
 def test_root_copy_checks_root_range(tri_instance):
     pg = build_product_graph(tri_instance)
-    assert pg.vertex_keys[pg.root_copy("L", 0)] == ("S", "L", 0, (0, 0))
-    assert pg.vertex_keys[pg.root_copy("R", 2)] == ("S", "R", 2, (0, 0))
+    assert pg.vertex_keys[pg.root_copy("L", 0)] == ("L", 0, (0, 0))
+    assert pg.vertex_keys[pg.root_copy("R", 2)] == ("R", 2, (0, 0))
     for root in (-1, tri_instance.n):
         for side in ("L", "R"):
             with pytest.raises(ContractError):

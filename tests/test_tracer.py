@@ -52,10 +52,11 @@ def test_traced_solve_reaches_the_product_hooks(tracer_module):
     assert rounds == len(traced.iterations)
     assert rounds > 1
     assert calls["product.build"] == 1  # one product graph per solve
-    # per root: two root reachabilities, the relation pairs, and (when the
-    # root resolves something) the two useful-state searches
-    assert calls["product.reach"] >= 3 * calls["junction.root"]
-    assert tr.counts["product.reached"] > 0
+    # per round: the two state searches and the one cost closure every root
+    # reads its relation pairs off
+    assert calls["product.reach"] == 2 * rounds
+    assert calls["layered.closure"] == rounds
+    assert tr.counts["layered.closure_pairs"] > 0
     assert tr.counts["product.vertices"] <= tr.counts["product.states"]
     # these read LinearProgram's eq_rows, ub_rows and num_vars
     assert tr.counts["density_lp.lp_rows"] > 0
