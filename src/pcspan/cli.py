@@ -54,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--theta", default="1/10", help="length-relaxation tolerance")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--max-product-vertices", type=int, default=10**7)
-    parser.add_argument("--rounding-retries", type=int, default=64)
     parser.add_argument("--out", help="output path (report, instance, or summary dir)")
     parser.add_argument("--report", help="report file for --mode verify")
     # generation parameters
@@ -74,7 +73,6 @@ def make_config(args) -> SolverConfig:
         theta=parse_rational(args.theta),
         seed=args.seed,
         max_product_vertices=args.max_product_vertices,
-        rounding_retries=args.rounding_retries,
     )
 
 

@@ -17,16 +17,12 @@ class SolverConfig:
     seed: int = 0
     # product graphs larger than this many vertices are rejected up front
     max_product_vertices: int = 10**7
-    # randomized rounding retries before partial acceptance / fallback
-    rounding_retries: int = 64
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ParseError("epsilon must be positive")
         if self.theta <= 0:
             raise ParseError("theta must be positive")
-        if self.rounding_retries < 1:
-            raise ParseError("rounding retries must be at least 1")
 
     @property
     def height(self) -> int:

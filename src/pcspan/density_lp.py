@@ -31,12 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import DEFAULT_CONFIG, SolverConfig
-from .errors import (
-    ContractError,
-    InternalInvariantError,
-    RoundingFailureError,
-)
+from .errors import ContractError, InternalInvariantError
 from .layered import enumerate_root_paths
 from .lpsolve import LinearProgram, solve_lp as _solve_lp_backend
 from .model import Walk, is_feasible, is_theta_feasible
@@ -318,7 +313,9 @@ def _dominated(lab, caps) -> bool:
 
 def _best_threshold_box(src_mass, snk_mass, budget_units, dim):
     """Exhaustive search over per-coordinate threshold boxes (a, B - a),
-    maximizing the smaller of the two surviving masses."""
+    maximizing the smaller of the two surviving masses.  Some box keeps both
+    masses positive: for a pair (I, J) of positive mass, a = I is a
+    candidate and J fits under B - I."""
     candidates = []
     for c in range(dim):
         vals = {lab[c] for lab in src_mass}
@@ -343,14 +340,6 @@ def _best_threshold_box(src_mass, snk_mass, budget_units, dim):
             rec(c + 1, caps + [v])
 
     rec(0, [])
-    if best is None:
-        # degenerate: fall back to the single heaviest pair's own box
-        pair = max(
-            ((m, lab) for lab, m in src_mass.items()),
-            key=lambda t: (t[0], tuple(-v for v in t[1])),
-        )[1]
-        partner_caps = tuple(budget_units[i] - pair[i] for i in range(dim))
-        return pair, partner_caps
     return best[1], best[2]
 
 
@@ -408,11 +397,9 @@ class RoundedSelection:
 
 
 def _sample(rng, weighted):
-    """Pick an item proportionally to its Fraction weight, deterministically
-    from the rng stream."""
+    """Pick an item proportionally to its positive Fraction weight,
+    deterministically from the rng stream."""
     total = sum((w for _item, w in weighted), Fraction(0))
-    if total <= 0:
-        return None
     r = Fraction(rng.random()) * total
     cum = Fraction(0)
     for item, w in weighted:
@@ -428,53 +415,34 @@ def gst_round(
     pruned: dict,
     bucket: BucketChoice,
     rng,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> RoundedSelection:
-    """Randomized path-sampling rounding over the scaled flow decomposition.
+    """Path-sampling rounding over the scaled flow decomposition, in one pass.
 
-    Each round samples, per demand in the chosen bucket and per side, one
-    root path proportionally to the scaled flow of the surviving terminals'
-    attachment states.  Rounds repeat until at least half the bucket connects
-    or the retry cap triggers partial acceptance of the best round.
+    Per demand in the chosen bucket, one root path is sampled on each side
+    (up, then down) proportionally to the scaled flow of the surviving
+    terminals' attachment states, so every bucket demand connects.  A side
+    always has such a path: its survivors carry positive y mass, the
+    terminal row makes their attachment state's flow Z at least that mass,
+    and that state's path flows sum to Z.
     """
     bundle = cover.bundle
-    targets = bucket.demands
-    # weights per (state, path): scaled flow, restricted to states that
-    # carry a surviving terminal; the same for every retry
-    weighted = {}
-    for di in targets:
+    up_chains = {}
+    down_chains = {}
+    for di in bucket.demands:
         src_states = {bundle.src_attach[(di, lab)] for lab in pruned[di].src_alive}
         snk_states = {bundle.snk_attach[(di, lab)] for lab in pruned[di].snk_alive}
-        weighted[di] = (
-            _weighted_paths(values, cover.paths_up, src_states, "up", bucket.scale),
-            _weighted_paths(values, cover.paths_down, snk_states, "down", bucket.scale),
-        )
-    best = None
-    for round_no in range(1, config.rounding_retries + 1):
-        up_chains = {}
-        down_chains = {}
-        connected = []
-        for di in targets:
-            up_pick = _sample(rng, weighted[di][0])
-            down_pick = _sample(rng, weighted[di][1])
-            if up_pick is None or down_pick is None:
-                continue
-            up_chains[di] = up_pick
-            down_chains[di] = down_pick
-            connected.append(di)
-        result = RoundedSelection(
-            connected=tuple(connected),
-            up_chains=up_chains,
-            down_chains=down_chains,
-            rounds_used=round_no,
-        )
-        if best is None or len(result.connected) > len(best.connected):
-            best = result
-        if 2 * len(connected) >= len(targets):
-            return result
-    if not best.connected:
-        raise RoundingFailureError("no demand connected within the retry cap")
-    return best
+        up = _weighted_paths(values, cover.paths_up, src_states, "up", bucket.scale)
+        down = _weighted_paths(values, cover.paths_down, snk_states, "down", bucket.scale)
+        if not up or not down:
+            raise InternalInvariantError(f"bucket demand {di} has no positive-flow root path")
+        up_chains[di] = _sample(rng, up)
+        down_chains[di] = _sample(rng, down)
+    return RoundedSelection(
+        connected=tuple(bucket.demands),
+        up_chains=up_chains,
+        down_chains=down_chains,
+        rounds_used=1,
+    )
 
 
 def _weighted_paths(values, paths, states, side, scale) -> list:

@@ -38,7 +38,9 @@ class ScaleError(ResourceLimitError):
 
 
 class RoundingFailureError(PcspanError):
-    """Randomized rounding connected zero demands within the retry cap."""
+    """Randomized rounding connected no demand.  Never raised: the rounding
+    samples once and connects every bucket demand; the name stays for the
+    benchmark tracer, which imports it."""
 
 
 class EssentialityViolationError(PcspanError):

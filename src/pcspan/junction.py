@@ -34,7 +34,7 @@ from .density_lp import (
     tree_order,
     union_pair_tree,
 )
-from .errors import ContractError, InternalInvariantError, RoundingFailureError
+from .errors import ContractError, InternalInvariantError
 from .layered import CostClosure, build_closure
 from .model import PcsInstance
 # bench/tracer.py wraps the three per-root searches by name, so they stay
@@ -208,16 +208,13 @@ def junction_tree_for_root(
         gammas[di] = gamma
         if gamma > 0:
             pruned[di] = prune(pairs, masses, pg.budget_units(di), pg.instance.dim)
-    candidates = []
-    if pruned:
-        bucket = bucket_and_scale(gammas, pg.instance.dim)
-        try:
-            rounded = gst_round(cover, values, pruned, bucket, rng, config)
-            candidates.append(assemble_junction_tree(bundle, rounded))
-        except RoundingFailureError:
-            pass
-    candidates.append(fallback_tree(bundle, gammas))
-    candidates.append(union_pair_tree(bundle))
+    bucket = bucket_and_scale(gammas, pg.instance.dim)
+    rounded = gst_round(cover, values, pruned, bucket, rng)
+    candidates = (
+        assemble_junction_tree(bundle, rounded),
+        fallback_tree(bundle, gammas),
+        union_pair_tree(bundle),
+    )
     return min(candidates, key=tree_order)
 
 

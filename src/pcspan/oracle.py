@@ -208,17 +208,15 @@ def brute_force_min_density_junction(instance: PcsInstance, cap: int = ENUM_CAP)
     bound uses that cost only grows while the resolved count is capped by the
     demands still unassigned.
     """
-    best = None  # (density, -members, root, edges frozenset, members tuple)
+    best = None  # (density, root, edges frozenset, members tuple)
+
+    def order(key):
+        # the order of density_lp.tree_order
+        density, root, edges, members = key
+        return (density, -len(members), root, len(edges), sorted(edges))
 
     def better(key, cur):
-        if cur is None:
-            return True
-        return (key[0], -len(key[3]), key[1], sorted(key[2])) < (
-            cur[0],
-            -len(cur[3]),
-            cur[1],
-            sorted(cur[2]),
-        )
+        return cur is None or order(key) < order(cur)
 
     for root in range(instance.n):
         cands = []

@@ -1,11 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
 from pcspan import density_lp
 from pcspan import io as pio
-from pcspan.cli import main
-from pcspan.config import SolverConfig
+from pcspan.cli import build_parser, main, make_config
+from pcspan.config import DEFAULT_CONFIG, SolverConfig
 from pcspan.generate import gen_pcs
 from pcspan.model import Walk, is_feasible
 from pcspan.product import build_product_graph
@@ -75,15 +76,22 @@ def test_malformed_rational_exits_2(tmp_path):
     [
         ["--epsilon", "abc"],
         ["--epsilon", "0"],
-        ["--rounding-retries", "0"],
         ["--theta", "-1"],
     ],
-    ids=["epsilon-abc", "epsilon-0", "retries-0", "theta-negative"],
+    ids=["epsilon-abc", "epsilon-0", "theta-negative"],
 )
 def test_solver_option_out_of_range_exits_2(tri_instance, tmp_path, option):
     inst_path = tmp_path / "tri.json"
     pio.write_json(str(inst_path), pio.pcs_to_dict(tri_instance))
     assert run(["--mode", "pcs-theta", str(inst_path), "--out", str(tmp_path / "r.json"), *option]) == 2
+
+
+def test_each_solver_knob_has_one_flag_and_one_default():
+    parser = build_parser()
+    assert make_config(parser.parse_args(["--mode", "pcs-int"])) == DEFAULT_CONFIG
+    dests = [action.dest for action in parser._actions]
+    for field in dataclasses.fields(SolverConfig):
+        assert dests.count(field.name) == 1, field.name
 
 
 def test_unreadable_instance_or_report_exits_2(tri_instance, tmp_path, capsys):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from pcspan.density_lp import (
     BucketChoice,
     JunctionTree,
+    LpValues,
+    _weighted_paths,
     bucket_and_scale,
     build_lp,
     fallback_tree,
@@ -22,6 +24,7 @@ from pcspan.density_lp import (
 )
 from pcspan.errors import ContractError, InternalInvariantError
 from pcspan.generate import gen_pcs
+from pcspan.junction import min_density_junction_tree, product_graph_for
 from pcspan.model import Walk, is_feasible
 from pcspan.oracle import brute_force_min_density_junction
 from pcspan.product import relation_holds
@@ -250,21 +253,27 @@ def test_bucket_requires_normalized_gammas():
         bucket_and_scale({0: Fraction(1, 3)}, dim=1)
 
 
-def scaled_capacities(x: dict, scale: Fraction) -> dict:
-    return {k: min(Fraction(1), scale * v) for k, v in sorted(x.items())}
+def test_weighted_paths_clamp_scaled_flow():
+    # state 5 has a path of flow 1/16 and one of flow 0; state 2 one of
+    # flow 1; state 7 and the down side are not asked for
+    paths = {5: [(5, 0), (5, 1, 0)], 2: [(2, 0)], 7: [(7, 0)]}
+    flow = {
+        ("up", 5, 0): Fraction(1, 16),
+        ("up", 5, 1): Fraction(0),
+        ("up", 2, 0): Fraction(1),
+        ("up", 7, 0): Fraction(1),
+        ("down", 2, 0): Fraction(1),
+    }
+    values = LpValues(y={}, flow=flow, objective=Fraction(0))
+    weighted = _weighted_paths(values, paths, {5, 2}, "up", Fraction(8))
+    assert weighted == [((2, 0), Fraction(1)), ((5, 0), Fraction(1, 2))]
 
 
-def test_scaled_capacities_clamp():
-    x = {"a": Fraction(1, 16), "b": Fraction(1)}
-    scaled = scaled_capacities(x, Fraction(8))
-    assert scaled["a"] == Fraction(1, 2)
-    assert scaled["b"] == 1
-
-
-def test_gst_round_integral_solution_returns_path(tri_instance):
+def tri_rounding_inputs(tri_instance):
+    """The LP, its values, the pruned sets and the bucket that rounding
+    takes on `tri_instance` at root 1."""
     cover = tri_cover(tri_instance)
     values = solve_lp(cover)
-    gammas = {0: Fraction(1)}
     pruned = {
         0: prune(
             cover.bundle.relations[0],
@@ -273,9 +282,13 @@ def test_gst_round_integral_solution_returns_path(tri_instance):
             tri_instance.dim,
         )
     }
-    bucket = bucket_and_scale(gammas, tri_instance.dim)
-    rng = random.Random(5)
-    rounded = gst_round(cover, values, pruned, bucket, rng)
+    bucket = bucket_and_scale({0: Fraction(1)}, tri_instance.dim)
+    return cover, values, pruned, bucket
+
+
+def test_gst_round_integral_solution_returns_path(tri_instance):
+    cover, values, pruned, bucket = tri_rounding_inputs(tri_instance)
+    rounded = gst_round(cover, values, pruned, bucket, random.Random(5))
     assert rounded.connected == (0,)
     tree = assemble_junction_tree(cover.bundle, rounded)
     assert tree.edges == frozenset({0, 1})
@@ -284,7 +297,7 @@ def test_gst_round_integral_solution_returns_path(tri_instance):
 
 
 def test_gst_round_monte_carlo_connects_bucket():
-    # over 200 seeded runs, at least half the runs connect >= half of D_{i*}
+    # every one of 200 seeded runs connects all of D_{i*} in its one pass
     inst = make_instance(
         n=4,
         edges=[
@@ -310,12 +323,22 @@ def test_gst_round_monte_carlo_connects_bucket():
         if sum(masses.values()) > 0:
             pruned[di] = prune(pairs, masses, bundle.pg.budget_units(di), inst.dim)
     bucket = bucket_and_scale(gammas, inst.dim)
-    good_runs = 0
     for seed in range(200):
         rounded = gst_round(cover, values, pruned, bucket, random.Random(seed))
-        if 2 * len(rounded.connected) >= len(bucket.demands):
-            good_runs += 1
-    assert 2 * good_runs >= 200
+        assert rounded.connected == bucket.demands
+        assert rounded.rounds_used == 1
+        assert set(rounded.up_chains) == set(rounded.down_chains) == set(bucket.demands)
+
+
+def test_gst_round_without_positive_flow_is_an_invariant_violation(tri_instance):
+    # the terminal rows make this unreachable from a solved LP, so zero the
+    # up-side flows by hand
+    cover, values, pruned, bucket = tri_rounding_inputs(tri_instance)
+    for key in values.flow:
+        if key[0] == "up":
+            values.flow[key] = Fraction(0)
+    with pytest.raises(InternalInvariantError):
+        gst_round(cover, values, pruned, bucket, random.Random(0))
 
 
 def test_assemble_two_demands_sharing_edges_halves_density():
@@ -378,11 +401,11 @@ def test_tree_order_prefers_fewer_edges_at_equal_density():
     assert min([more, fewer], key=tree_order) is fewer
 
 
-def test_single_pair_tree_takes_the_walk_with_fewer_edges_at_equal_cost():
-    # from root 0 the demand reaches 2 over edges 0, 1 (length 2) or over
-    # edge 2 (length 3), both at cost 1; the sorted edge list alone would
-    # take [0, 1]
-    inst = make_instance(
+def two_walk_instance():
+    """From root 0 the demand reaches 2 over edges 0, 1 (length 2) or over
+    edge 2 (length 3), both at cost 1; the sorted edge list alone would
+    take [0, 1]."""
+    return make_instance(
         n=3,
         edges=[(0, 1, 0, (1, 0)), (1, 2, 1, (1, 0)), (0, 2, 1, (3, 0))],
         demands=[(0, 2, (3, 1))],
@@ -390,8 +413,20 @@ def test_single_pair_tree_takes_the_walk_with_fewer_edges_at_equal_cost():
         packing=1,
         covering=0,
     )
+
+
+def test_single_pair_tree_takes_the_walk_with_fewer_edges_at_equal_cost():
+    inst = two_walk_instance()
     bundle = label_cover(inst, 0)
     assert len(bundle.relations[0]) == 2
     tree = single_pair_tree(bundle, 0)
     assert tree.edges == frozenset({2})
     assert tree.density == 1
+
+
+def test_oracle_breaks_density_ties_like_tree_order():
+    inst = two_walk_instance()
+    root, density, edges, _members = brute_force_min_density_junction(inst)
+    tree = min_density_junction_tree(product_graph_for(inst))
+    assert (root, density, edges) == (0, 1, {2})
+    assert (tree.root, tree.density, set(tree.edges)) == (root, density, edges)
