@@ -4,18 +4,19 @@ randomized rounding, and junction-tree assembly.
 The LP realizes the label-cover relaxation: y mass over relation pairs
 (normalized to 1), and per-terminal flow support to the root expressed in
 path form over chains of exactly h closure steps (the paths of the
-(h+1)-level layered graph).  Flow systems are deduplicated by attachment
-state: terminals sharing a product state share one flow value Z, which is
-LP-equivalent to per-terminal systems because flows are independent
+(h+1)-level layered graph).  A terminal is a product state (a demand's
+label I names the state (source, I, L), and J the state (target, J, R)), so
+demands that share a state share its one flow value Z, which is
+LP-equivalent to per-demand systems because flows are independent
 (capacities are not shared between terminals).
 
 It is built without the columns and rows a presolve would strip (Andersen &
 Andersen, "Presolving in linear programming", Math. Prog. 1995); none of
 these reductions changes the optimal value:
 
-- one terminal row per (demand, end, label): the y mass of its pairs stays
-  under the Z of its attachment state (a terminal's dominance variable z sat
-  in just that row and its feed row, so the two rows merge);
+- one terminal row per (demand, end state): the y mass of its pairs stays
+  under the Z of that state (a terminal's dominance variable z sat in just
+  that row and its feed row, so the two rows merge);
 - a closure step that only one flow uses would get a capacity column x in a
   single row, equal at any optimum to that row's path flow; its cost goes
   onto those path columns instead;
@@ -37,7 +38,7 @@ from .lpsolve import LinearProgram, solve_lp as _solve_lp_backend
 from .model import Walk, is_feasible, is_theta_feasible
 from .product import relation_holds
 
-# root paths one attachment state may have before the LP build gives up
+# root paths one terminal state may have before the LP build gives up
 MAX_PATHS_PER_TERMINAL = 20000
 
 
@@ -52,7 +53,7 @@ class LabelCoverLp:
     capacity rows (a flow's paths through a shared step stay under that
     step's x).  The columns come in a fixed order: y (one per relation pair,
     in sorted-demand then relation order), the flow values Z (one per
-    attachment state), then per side the path columns g of each flow and
+    terminal state), then per side the path columns g of each flow and
     the capacity columns x shared by that side's flows.  A path's cost is
     that of its unshared steps; x carries the cost of a shared one.
     `g_cols` records where each flow's path columns sit.
@@ -69,7 +70,7 @@ class LabelCoverLp:
 class LpValues:
     """Exact-rational view of a solved label-cover LP."""
 
-    y: dict  # (demand, I, J) -> Fraction, summing to exactly 1
+    y: dict  # (demand, L vid, R vid) -> Fraction, summing to exactly 1
     flow: dict  # (side, state, path_idx) -> Fraction
     objective: Fraction
 
@@ -82,44 +83,40 @@ def build_lp(bundle) -> LabelCoverLp:
     if not any(relations.values()):
         raise ContractError("no candidate relation pairs: root resolves nothing")
 
-    # enumerate per-attachment-state root paths once per side
+    # enumerate root paths once per terminal state
+    closure = bundle.rnd.closure
     cap = MAX_PATHS_PER_TERMINAL
-    paths_up = {}
-    for (di, lab), vid in sorted(bundle.src_attach.items()):
-        if vid not in paths_up:
-            paths_up[vid] = enumerate_root_paths(bundle.closure, vid, bundle.root_left, h, cap)
-    paths_down = {}
-    for (di, lab), vid in sorted(bundle.snk_attach.items()):
-        if vid not in paths_down:
-            paths_down[vid] = enumerate_root_paths(bundle.closure, bundle.root_right, vid, h, cap)
+    sources = sorted({i for pairs in relations.values() for i, _j in pairs})
+    sinks = sorted({j for pairs in relations.values() for _i, j in pairs})
+    paths_up = {i: enumerate_root_paths(closure, i, bundle.root_left, h, cap) for i in sources}
+    paths_down = {j: enumerate_root_paths(closure, bundle.root_right, j, h, cap) for j in sinks}
 
-    # eq rows: normalization, then one flow row per attachment state; the
-    # ub rows are numbered after them, so every row gets its index at once.
+    # eq rows: normalization, then one flow row per terminal state; the ub
+    # rows are numbered after them, so every row gets its index at once.
     # Every column is made in one place and its index recorded there; the
     # y columns, one per relation pair, come first.
     num_eq = 1 + len(paths_up) + len(paths_down)
     columns = [[(0, 1)] for pairs in relations.values() for _pair in pairs]
     objective = {}
 
-    # one terminal row per (demand, end, label): the y mass of its pairs
-    # stays under the flow value Z of its attachment state
+    # one terminal row per (demand, end state): the y mass of its pairs
+    # stays under the flow value Z of that state
     ub = num_eq
     flow_cols = {}
-    ends = (("up", bundle.src_attach), ("down", bundle.snk_attach))
     y = 0
     for di in sorted(relations):
         by_end = ({}, {})
-        for (i_lab, j_lab) in relations[di]:
-            by_end[0].setdefault(i_lab, []).append(y)
-            by_end[1].setdefault(j_lab, []).append(y)
+        for i, j in relations[di]:
+            by_end[0].setdefault(i, []).append(y)
+            by_end[1].setdefault(j, []).append(y)
             y += 1
-        for (side, attach), by_label in zip(ends, by_end):
-            for lab in sorted(by_label):
-                for col in by_label[lab]:
+        for side, by_state in zip(("up", "down"), by_end):
+            for vid in sorted(by_state):
+                for col in by_state[vid]:
                     columns[col].append((ub, 1))
-                flow = flow_cols.get((side, attach[(di, lab)]))
+                flow = flow_cols.get((side, vid))
                 if flow is None:
-                    flow = flow_cols[(side, attach[(di, lab)])] = len(columns)
+                    flow = flow_cols[(side, vid)] = len(columns)
                     columns.append([])
                 columns[flow].append((ub, -1))
                 ub += 1
@@ -148,7 +145,7 @@ def build_lp(bundle) -> LabelCoverLp:
                 steps.setdefault(step, []).append(gs)
         for step, flows in steps.items():
             # every chain vertex is a closure source, so its row exists
-            cost = bundle.closure.dist[step[1]].get(step[2])
+            cost = closure.dist[step[1]].get(step[2])
             if cost is None:
                 raise InternalInvariantError("x variable on a missing closure edge")
             if not cost:
@@ -171,7 +168,7 @@ def build_lp(bundle) -> LabelCoverLp:
         objective=objective,
         eq_rows=[1] + [0] * (num_eq - 1),
         ub_rows=[0] * (ub - num_eq),
-        cost_scale=bundle.cost_scale,
+        cost_scale=bundle.rnd.cost_scale,
     )
     return LabelCoverLp(
         lp=lp,
@@ -187,7 +184,7 @@ def solve_lp(cover: LabelCoverLp) -> LpValues:
     sol = _solve_lp_backend(cover.lp)
     values = sol.values
     relations = cover.bundle.relations
-    pairs = [(di, i_lab, j_lab) for di in sorted(relations) for (i_lab, j_lab) in relations[di]]
+    pairs = [(di, i, j) for di in sorted(relations) for i, j in relations[di]]
     y = dict(zip(pairs, values))  # the y columns come first
     flow = {
         (side, vid, p_idx): values[col]
@@ -419,18 +416,20 @@ def gst_round(
     """Path-sampling rounding over the scaled flow decomposition, in one pass.
 
     Per demand in the chosen bucket, one root path is sampled on each side
-    (up, then down) proportionally to the scaled flow of the surviving
-    terminals' attachment states, so every bucket demand connects.  A side
-    always has such a path: its survivors carry positive y mass, the
-    terminal row makes their attachment state's flow Z at least that mass,
-    and that state's path flows sum to Z.
+    (up, then down) proportionally to the scaled flow of the states of the
+    surviving labels, so every bucket demand connects.  A side always has
+    such a path: its survivors carry positive y mass, the terminal row makes
+    their state's flow Z at least that mass, and that state's path flows sum
+    to Z.
     """
-    bundle = cover.bundle
+    pg = cover.bundle.pg
+    ids = pg.vertex_ids
     up_chains = {}
     down_chains = {}
     for di in bucket.demands:
-        src_states = {bundle.src_attach[(di, lab)] for lab in pruned[di].src_alive}
-        snk_states = {bundle.snk_attach[(di, lab)] for lab in pruned[di].snk_alive}
+        d = pg.instance.demands[di]
+        src_states = {ids[("L", d.source, lab)] for lab in pruned[di].src_alive}
+        snk_states = {ids[("R", d.target, lab)] for lab in pruned[di].snk_alive}
         up = _weighted_paths(values, cover.paths_up, src_states, "up", bucket.scale)
         down = _weighted_paths(values, cover.paths_down, snk_states, "down", bucket.scale)
         if not up or not down:
@@ -504,7 +503,8 @@ def assemble_junction_tree(bundle, rounded: RoundedSelection) -> JunctionTree:
             raise InternalInvariantError(f"the assembled walk of demand {di} fails its budget")
         resolved[di] = walk
     edges = frozenset(eid for walk in resolved.values() for eid in walk.edges)
-    cost = Fraction(sum(bundle.prices[eid] for eid in edges), bundle.cost_scale)
+    rnd = bundle.rnd
+    cost = Fraction(sum(rnd.prices[eid] for eid in edges), rnd.cost_scale)
     return JunctionTree(
         root=bundle.root,
         edges=edges,
@@ -516,19 +516,18 @@ def assemble_junction_tree(bundle, rounded: RoundedSelection) -> JunctionTree:
 
 def _base_edges(bundle, chain) -> tuple:
     edges = bundle.pg.edges
-    path = bundle.closure.path
+    path = bundle.rnd.closure.path
     return tuple(edges[pidx].base_edge for u, v in zip(chain, chain[1:]) for pidx in path(u, v))
 
 
 def _cheapest_pair_chains(bundle, di):
     """The cheapest relation-compatible terminal-root-terminal chains for one
     demand with relation pairs at the root (each of them connects there)."""
+    closure = bundle.rnd.closure
     best = None
-    for (i_lab, j_lab) in bundle.relations[di]:
-        svid = bundle.src_attach[(di, i_lab)]
-        tvid = bundle.snk_attach[(di, j_lab)]
-        c_up = bundle.closure.cost(svid, bundle.root_left)
-        key = (c_up + bundle.closure.cost(bundle.root_right, tvid), i_lab, j_lab)
+    for svid, tvid in bundle.relations[di]:
+        c_up = closure.cost(svid, bundle.root_left)
+        key = (c_up + closure.cost(bundle.root_right, tvid), svid, tvid)
         if best is None or key < best[0]:
             up_chain = (svid,) + (bundle.root_left,) * bundle.h
             down_chain = (bundle.root_right,) * bundle.h + (tvid,)
@@ -582,15 +581,13 @@ def single_pair_tree(bundle, di) -> JunctionTree:
     reduces to (edge-set cost, edge count, sorted edges), and only the
     winner is assembled.
     """
-    prices = bundle.prices
+    prices = bundle.rnd.prices
     up_tail = (bundle.root_left,) * bundle.h
     down_head = (bundle.root_right,) * bundle.h
     ups = {}  # source state -> base edges of its path up to the root
     downs = {}
     best = None
-    for (i_lab, j_lab) in bundle.relations[di]:
-        svid = bundle.src_attach[(di, i_lab)]
-        tvid = bundle.snk_attach[(di, j_lab)]
+    for svid, tvid in bundle.relations[di]:
         if svid not in ups:
             ups[svid] = frozenset(_base_edges(bundle, (svid,) + up_tail))
         if tvid not in downs:

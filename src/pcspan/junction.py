@@ -3,8 +3,9 @@
 A greedy round (`Round`) is its prices, its open demands, and one cost
 closure under those prices over the product states the open demands' walks
 can use.  For each candidate root: the relation pairs whose ends connect to
-the root, read off the round's closure -> label-cover LP over their h-step
-root chains -> representative pruning -> bucketing -> randomized rounding
+the root, read off the round's closure and named by their two product
+states (a terminal is its state) -> label-cover LP over their h-step root
+chains -> representative pruning -> bucketing -> randomized rounding
 -> assembly.  A root where only one demand has relation pairs skips the LP:
 its best direct walk (`single_pair_tree`) is taken instead.  The product
 graph depends on neither the root nor the greedy round, so one graph
@@ -113,23 +114,19 @@ def greedy_round(
 class RootedLabelCover:
     """Everything the density LP needs for one root.
 
-    ``closure`` is the round's: the rows of the L states that reach the
-    root's L copy hold the up paths, those of the R states its R copy
-    reaches the down paths.  A demand's relation labels map to the states
-    where its walk starts (up) and ends (down).
+    A terminal is its product state: ``relations[di]`` lists the kept (L
+    state, R state) pairs of demand ``di``, where its walk starts (up) and
+    ends (down).  The rows of the round's closure hold the up paths from
+    the L states to the root's L copy and the down paths from its R copy.
     """
 
     root: int
     pg: ProductGraph
-    prices: tuple  # the round's int price per base edge
-    cost_scale: int
+    rnd: Round  # its prices, cost scale and closure
     h: int
     root_left: int  # product vid of the root's L copy
     root_right: int
-    closure: CostClosure
-    src_attach: dict  # (demand_idx, label) -> L state vid
-    snk_attach: dict  # (demand_idx, label) -> R state vid
-    relations: dict  # demand_idx -> list of (I, J) label pairs
+    relations: dict  # demand_idx -> list of (L vid, R vid) pairs
 
 
 def build_label_cover(
@@ -144,32 +141,13 @@ def build_label_cover(
     root_right = pg.root_copy("R", root)
     dist = rnd.closure.dist
     down = dist.get(root_right, {})
-    keys = pg.vertex_keys
-    relations = {}
-    src_attach = {}
-    snk_attach = {}
-    for di in rnd.demands:
-        relations[di] = pairs = []
-        for i, j in pg.relation_vids[di]:
-            if root_left in dist[i] and j in down:
-                pairs.append((keys[i][2], keys[j][2]))
-                src_attach[(di, keys[i][2])] = i
-                snk_attach[(di, keys[j][2])] = j
-    if not src_attach:
+    relations = {
+        di: [(i, j) for i, j in pg.relation_vids[di] if root_left in dist[i] and j in down]
+        for di in rnd.demands
+    }
+    if not any(relations.values()):
         return None
-    return RootedLabelCover(
-        root=root,
-        pg=pg,
-        prices=rnd.prices,
-        cost_scale=rnd.cost_scale,
-        h=config.height,
-        root_left=root_left,
-        root_right=root_right,
-        closure=rnd.closure,
-        src_attach=src_attach,
-        snk_attach=snk_attach,
-        relations=relations,
-    )
+    return RootedLabelCover(root, pg, rnd, config.height, root_left, root_right, relations)
 
 
 # the round's state searches keep module-level names of their own so that
@@ -195,19 +173,18 @@ def junction_tree_for_root(
         return single_pair_tree(bundle, open_demands[0])
     cover = build_lp(bundle)
     values = solve_lp(cover)
+    keys = pg.vertex_keys
     pruned = {}
     gammas = {}
     for di, pairs in sorted(bundle.relations.items()):
         if not pairs:
             continue
-        masses = {
-            (i_lab, j_lab): values.y.get((di, i_lab, j_lab), Fraction(0))
-            for (i_lab, j_lab) in pairs
-        }
+        # prune works on label pairs; a state's label is its key's last entry
+        masses = {(keys[i][2], keys[j][2]): values.y[(di, i, j)] for i, j in pairs}
         gamma = sum(masses.values(), Fraction(0))
         gammas[di] = gamma
         if gamma > 0:
-            pruned[di] = prune(pairs, masses, pg.budget_units(di), pg.instance.dim)
+            pruned[di] = prune(list(masses), masses, pg.budget_units(di), pg.instance.dim)
     bucket = bucket_and_scale(gammas, pg.instance.dim)
     rounded = gst_round(cover, values, pruned, bucket, rng)
     candidates = (

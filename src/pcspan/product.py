@@ -147,13 +147,18 @@ class ProductGraph:
         )
         self.relation_vids = {}
         for di, (d, box) in enumerate(zip(demands, self.budget_boxes)):
-            snk = self.runs.get(("R", d.target), ())
-            self.relation_vids[di] = [
-                (i, j)
-                for i in self.runs.get(("L", d.source), ())
-                for j in snk
-                if relation_holds(box, keys[i][2], keys[j][2])
-            ]
+            snk = [(j, keys[j][2]) for j in self.runs.get(("R", d.target), ())]
+            self.relation_vids[di] = pairs = []
+            for i in self.runs.get(("L", d.source), ()):
+                i_label = keys[i][2]
+                room = box[0] - i_label[0]
+                # the R run is in label order, entry 0 first: past the first
+                # J with J[0] > room, no J fits I's box
+                for j, j_label in snk:
+                    if j_label[0] > room:
+                        break
+                    if relation_holds(box, i_label, j_label):
+                        pairs.append((i, j))
 
     @property
     def instance(self) -> PcsInstance:

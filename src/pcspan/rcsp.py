@@ -20,6 +20,7 @@ from .errors import (
     ContractError,
     InfeasibleDemandError,
     InfeasibleWithinCapError,
+    InternalInvariantError,
 )
 from .model import (
     Demand,
@@ -255,13 +256,13 @@ def _witness(instance: PcsInstance, edges, edge_ids, demand: Demand, theta, max_
     while state != target or length != 0:
         remaining = hops - len(walk)
         if remaining == 0:
-            raise AssertionError("witness reconstruction ran out of hops")
+            raise InternalInvariantError("witness reconstruction ran out of hops")
         ahead = back[min(remaining - 1, len(back) - 1)]
         for eid, state2, step in arcs(state):
             if ahead.get(state2) == length - step:
                 break
         else:
-            raise AssertionError("witness reconstruction dead end")
+            raise InternalInvariantError("witness reconstruction dead end")
         walk.append(eid)
         state = state2
         length -= step

@@ -112,9 +112,16 @@ def label_cover(problem, root: int, config: SolverConfig = DEFAULT_CONFIG):
 def lp_masses(values) -> dict:
     """Per demand, the LP relation mass (gamma) of its pairs."""
     gammas = {}
-    for (di, _i_lab, _j_lab), w in values.y.items():
+    for (di, _i, _j), w in values.y.items():
         gammas[di] = gammas.get(di, Fraction(0)) + w
     return gammas
+
+
+def label_masses(bundle, values, di) -> dict:
+    """Demand ``di``'s LP y mass per relation pair, keyed by the (I, J)
+    labels of its two terminal states, as `prune` takes it."""
+    keys = bundle.pg.vertex_keys
+    return {(keys[i][2], keys[j][2]): values.y[(di, i, j)] for i, j in bundle.relations[di]}
 
 
 def equivalence_check(problem, root: int, config: SolverConfig = DEFAULT_CONFIG) -> dict:

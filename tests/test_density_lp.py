@@ -29,7 +29,7 @@ from pcspan.model import Walk, is_feasible
 from pcspan.oracle import brute_force_min_density_junction
 from pcspan.product import relation_holds
 
-from conftest import label_cover, lp_masses, make_instance
+from conftest import label_cover, label_masses, lp_masses, make_instance
 
 
 def tri_cover(tri_instance, root=1):
@@ -43,15 +43,11 @@ def test_build_lp_single_pair_forces_unit_mass(tri_instance):
     values = solve_lp(cover)
     assert sum(values.y.values()) == 1
     # the only connectable pair carries all mass, and the flow of each of
-    # its terminals' attachment states carries at least that mass
+    # its terminal states carries at least that mass
     ((key, mass),) = [(k, v) for k, v in values.y.items() if v > 0]
-    di, i_lab, j_lab = key
+    _di, i, j = key
     assert mass == 1
-    bundle = cover.bundle
-    for side, vid in (
-        ("up", bundle.src_attach[(di, i_lab)]),
-        ("down", bundle.snk_attach[(di, j_lab)]),
-    ):
+    for side, vid in (("up", i), ("down", j)):
         carried = [v for (s, state, _p), v in values.flow.items() if (s, state) == (side, vid)]
         assert sum(carried) >= mass
 
@@ -274,14 +270,8 @@ def tri_rounding_inputs(tri_instance):
     takes on `tri_instance` at root 1."""
     cover = tri_cover(tri_instance)
     values = solve_lp(cover)
-    pruned = {
-        0: prune(
-            cover.bundle.relations[0],
-            {pair: values.y[(0,) + tuple(pair)] for pair in map(tuple, cover.bundle.relations[0])},
-            cover.bundle.pg.budget_units(0),
-            tri_instance.dim,
-        )
-    }
+    masses = label_masses(cover.bundle, values, 0)
+    pruned = {0: prune(list(masses), masses, cover.bundle.pg.budget_units(0), tri_instance.dim)}
     bucket = bucket_and_scale({0: Fraction(1)}, tri_instance.dim)
     return cover, values, pruned, bucket
 
@@ -316,12 +306,10 @@ def test_gst_round_monte_carlo_connects_bucket():
     values = solve_lp(cover)
     gammas = lp_masses(values)
     pruned = {}
-    for di, pairs in bundle.relations.items():
-        masses = {
-            tuple(p): values.y[(di,) + tuple(p)] for p in pairs
-        }
+    for di in bundle.relations:
+        masses = label_masses(bundle, values, di)
         if sum(masses.values()) > 0:
-            pruned[di] = prune(pairs, masses, bundle.pg.budget_units(di), inst.dim)
+            pruned[di] = prune(list(masses), masses, bundle.pg.budget_units(di), inst.dim)
     bucket = bucket_and_scale(gammas, inst.dim)
     for seed in range(200):
         rounded = gst_round(cover, values, pruned, bucket, random.Random(seed))
@@ -359,16 +347,11 @@ def test_assemble_two_demands_sharing_edges_halves_density():
     cover = build_lp(bundle)
     values = solve_lp(cover)
     gammas = lp_masses(values)
-    pruned = {
-        di: prune(
-            pairs,
-            {tuple(p): values.y[(di,) + tuple(p)] for p in pairs},
-            bundle.pg.budget_units(di),
-            inst.dim,
-        )
-        for di, pairs in bundle.relations.items()
-        if sum(values.y.get((di,) + tuple(p), Fraction(0)) for p in pairs) > 0
-    }
+    pruned = {}
+    for di in bundle.relations:
+        masses = label_masses(bundle, values, di)
+        if sum(masses.values()) > 0:
+            pruned[di] = prune(list(masses), masses, bundle.pg.budget_units(di), inst.dim)
     bucket = bucket_and_scale(gammas, inst.dim)
     rounded = gst_round(cover, values, pruned, bucket, random.Random(0))
     tree = assemble_junction_tree(cover.bundle, rounded)

@@ -166,7 +166,7 @@ def test_int_closures_and_witnesses_equal_the_fraction_reference(case):
             yield idx, pe.head, inst.edges[pe.base_edge].cost
 
     bundle = build_label_cover(pg, rnd, root)
-    for closure in () if bundle is None else (bundle.closure,):
+    for closure in () if bundle is None else (bundle.rnd.closure,):
         dist, parent = fraction_closure(closure.dist, fraction_out)
         assert closure.parent == parent
         assert closure.dist == {u: {v: c * scale for v, c in row.items()} for u, row in dist.items()}

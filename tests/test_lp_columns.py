@@ -1,8 +1,9 @@
 """The density LP, built without its redundant columns, against the full LP.
 
 `keyed_build_lp` is the full label-cover LP builder: it names every column
-by a semantic key (("y", di, I, J), ("z", di, end, lab), ("Z", side, vid),
-("g", side, vid, p), ("x", (side, level, a, b))), gives every terminal a
+by a semantic key (("y", di, i, j), ("z", di, end, vid), ("Z", side, vid),
+("g", side, vid, p), ("x", (side, level, a, b)), where i, j and vid are
+product states), gives every terminal a
 dominance variable z and every closure step of every side a capacity x, and
 looks each coefficient's column up through a key index.  `build_lp` leaves
 out z, the capacities of zero-cost steps and those of steps a single flow
@@ -40,15 +41,16 @@ def keyed_build_lp(bundle):
     """(LinearProgram, column keys) of one root's label cover."""
     h = bundle.h
     relations = bundle.relations
+    closure = bundle.rnd.closure
     cap = MAX_PATHS_PER_TERMINAL
     paths_up = {}
-    for (di, lab), vid in sorted(bundle.src_attach.items()):
-        if vid not in paths_up:
-            paths_up[vid] = enumerate_root_paths(bundle.closure, vid, bundle.root_left, h, cap)
     paths_down = {}
-    for (di, lab), vid in sorted(bundle.snk_attach.items()):
-        if vid not in paths_down:
-            paths_down[vid] = enumerate_root_paths(bundle.closure, bundle.root_right, vid, h, cap)
+    for di in sorted(relations):
+        for i, j in relations[di]:
+            if i not in paths_up:
+                paths_up[i] = enumerate_root_paths(closure, i, bundle.root_left, h, cap)
+            if j not in paths_down:
+                paths_down[j] = enumerate_root_paths(closure, bundle.root_right, j, h, cap)
 
     num_eq = 1 + len(paths_up) + len(paths_down)
     var_index = {}
@@ -68,34 +70,31 @@ def keyed_build_lp(bundle):
         columns[var(key)].append((row, coefficient))
 
     for di in sorted(relations):
-        for (i_lab, j_lab) in relations[di]:
-            put(("y", di, i_lab, j_lab), 0, 1)
+        for (i, j) in relations[di]:
+            put(("y", di, i, j), 0, 1)
 
     ub = num_eq
     for di in sorted(relations):
         by_end = {"src": {}, "snk": {}}
-        for (i_lab, j_lab) in relations[di]:
-            y = ("y", di, i_lab, j_lab)
-            by_end["src"].setdefault(i_lab, []).append(y)
-            by_end["snk"].setdefault(j_lab, []).append(y)
-        for end, by_label in by_end.items():
-            for lab in sorted(by_label):
-                for y in by_label[lab]:
+        for (i, j) in relations[di]:
+            y = ("y", di, i, j)
+            by_end["src"].setdefault(i, []).append(y)
+            by_end["snk"].setdefault(j, []).append(y)
+        for end, by_state in by_end.items():
+            for vid in sorted(by_state):
+                for y in by_state[vid]:
                     put(y, ub, 1)
-                put(("z", di, end, lab), ub, -1)
+                put(("z", di, end, vid), ub, -1)
                 ub += 1
 
-    for end, side, attach in (
-        ("src", "up", bundle.src_attach),
-        ("snk", "down", bundle.snk_attach),
-    ):
-        for (di, lab), vid in sorted(attach.items()):
-            put(("z", di, end, lab), ub, 1)
+    for end, side, position in (("src", "up", 0), ("snk", "down", 1)):
+        terminals = {(di, pair[position]) for di, pairs in relations.items() for pair in pairs}
+        for di, vid in sorted(terminals):
+            put(("z", di, end, vid), ub, 1)
             put(("Z", side, vid), ub, -1)
             ub += 1
 
     eq = 1
-    closure = bundle.closure
     for side, paths, keyfn in (
         ("up", paths_up, _up_edge_keys),
         ("down", paths_down, _down_edge_keys),
@@ -129,7 +128,7 @@ def keyed_build_lp(bundle):
         objective=objective,
         eq_rows=[1] + [0] * (num_eq - 1),
         ub_rows=[0] * (ub - num_eq),
-        cost_scale=bundle.cost_scale,
+        cost_scale=bundle.rnd.cost_scale,
     )
     return lp, tuple(keys)
 
@@ -153,9 +152,9 @@ def lift(keys, cover, values) -> list:
     step by any one flow of that side."""
     h = cover.bundle.h
     mass = {}
-    for (di, i_lab, j_lab), v in values.y.items():
-        for end, lab in (("src", i_lab), ("snk", j_lab)):
-            mass[(di, end, lab)] = mass.get((di, end, lab), 0) + v
+    for (di, i, j), v in values.y.items():
+        for end, vid in (("src", i), ("snk", j)):
+            mass[(di, end, vid)] = mass.get((di, end, vid), 0) + v
     total = {}
     use = {}  # (step key, flow state) -> path flow through the step
     for side, paths, keyfn in (

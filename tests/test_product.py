@@ -380,9 +380,10 @@ def test_parallel_arcs_are_kept_and_the_closure_takes_the_cheaper():
     # under the round's prices, the smaller id when both cost the same
     for free, taken, price in ((set(), 1, 2), ({0}, 0, 0), ({1}, 1, 0), ({0, 1}, 0, 0)):
         bundle = build_label_cover(pg, greedy_round(pg, free), 0)
-        path = bundle.closure.path(bundle.root_right, target)
+        closure = bundle.rnd.closure
+        path = closure.path(bundle.root_right, target)
         assert [pg.edges[idx].base_edge for idx in path] == [taken]
-        assert bundle.closure.cost(bundle.root_right, target) == price
+        assert closure.cost(bundle.root_right, target) == price
 
 
 def test_relation_box_semantics():
@@ -390,6 +391,33 @@ def test_relation_box_semantics():
     assert relation_holds(budget, (2, 1, -1), (3, 0, 0))
     assert not relation_holds(budget, (3, 1, 0), (3, 0, -1))
     assert not relation_holds(budget, (2, 1, 0), (2, 1, -1))
+
+
+def _relation_problems():
+    for seed in range(3):
+        yield gen_pcs(n=5, k=3, m=2, tau=1, regime="integer", seed=400 + seed)
+    for seed in range(3):
+        inst = gen_pcs(n=4, k=2, m=1, tau=1, regime="rational-negative", seed=500 + seed)
+        yield scale_instance(inst, Fraction(1, 2))
+
+
+def test_relation_pairs_equal_the_full_cross_product_filter():
+    negative = 0
+    for problem in _relation_problems():
+        pg = build_product_graph(problem)
+        keys = pg.vertex_keys
+        for di, d in enumerate(pg.instance.demands):
+            box = pg.budget_units(di)
+            sources = [i for i, key in enumerate(keys) if key[:2] == ("L", d.source)]
+            targets = [j for j, key in enumerate(keys) if key[:2] == ("R", d.target)]
+            assert pg.relation_vids[di] == [
+                (i, j)
+                for i in sources
+                for j in targets
+                if relation_holds(box, keys[i][2], keys[j][2])
+            ]
+            negative += any(keys[j][2][0] < 0 for j in targets)
+    assert negative > 0
 
 
 def test_root_copy_checks_root_range(tri_instance):

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from pcspan.errors import ContractError, InfeasibleDemandError, InfeasibleWithinCapError
+import pcspan.rcsp
+from pcspan.errors import (
+    ContractError,
+    InfeasibleDemandError,
+    InfeasibleWithinCapError,
+    InternalInvariantError,
+)
 from pcspan.model import Demand, Edge, ResourceVector, is_feasible, is_theta_feasible
 from pcspan.oracle import _enumerate_walks, enumerate_feasible_walks, through_root_candidates
 from pcspan.rcsp import (
@@ -84,6 +90,25 @@ def test_witness_direct_edge():
 def test_witness_budget_forces_detour(tri_instance):
     w = feasible_witness(tri_instance, tri_instance.demands[0])
     assert w.edges == (0, 1)
+
+
+def test_a_witness_the_backward_tables_cannot_steer_is_an_invariant_violation(
+    monkeypatch, tri_instance
+):
+    # the forward search finds the walk; the backward tables, emptied here,
+    # then give the reconstruction no step to take
+    relax = pcspan.rcsp._relax
+    calls = []
+
+    def forward_only(arcs, start, max_hops):
+        tables = relax(arcs, start, max_hops)
+        calls.append(start)
+        return tables if len(calls) == 1 else [{} for _ in tables]
+
+    monkeypatch.setattr(pcspan.rcsp, "_relax", forward_only)
+    with pytest.raises(InternalInvariantError, match="dead end"):
+        feasible_witness(tri_instance, tri_instance.demands[0], max_hops=3)
+    assert len(calls) == 2
 
 
 def test_witness_absent_for_unreachable_covering():

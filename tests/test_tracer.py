@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from pcspan.generate import gen_pcs
+from pcspan.generate import gen_pcs, gen_rcs
 from pcspan.greedy import solve_pcs
+from pcspan.reductions import solve_rcs
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -61,3 +62,39 @@ def test_traced_solve_reaches_the_product_hooks(tracer_module):
     # these read LinearProgram's eq_rows, ub_rows and num_vars
     assert tr.counts["density_lp.lp_rows"] > 0
     assert tr.counts["density_lp.lp_cols"] > 0
+
+
+# each case has roots that resolve nothing in some round
+TRACED_CASES = [
+    (gen_pcs(n=5, k=3, m=1, tau=1, regime="integer", seed=3), lambda i: solve_pcs(i, "integer")),
+    (
+        gen_pcs(n=5, k=3, m=1, tau=1, regime="rational-negative", seed=6001),
+        lambda i: solve_pcs(i, "theta"),
+    ),
+    (gen_rcs(n=5, k=2, must_visit=1, avoid=1, seed=7, max_group_size=3), solve_rcs),
+]
+
+
+@pytest.mark.parametrize("inst, solve", TRACED_CASES, ids=["integer", "theta", "rcs"])
+def test_traced_solves_try_every_root_each_round_and_repeat(tracer_module, inst, solve):
+    # the benchmark's traced checks (bench/run.py): per solve, one
+    # junction.root span per round and vertex, and a second solve of the
+    # same instance in the same process records the same spans
+    tr = tracer_module.Tracer()
+    tr.install()
+    try:
+        reports = []
+        for _ in range(2):
+            with tr.solve():
+                reports.append(solve(inst))
+    finally:
+        tr.restore()
+    assert len(tr.per_solve) == 2
+    for spans, report in zip(tr.per_solve, reports):
+        rounds = report.diagnostics["rounds"]
+        assert rounds >= 1
+        assert spans["greedy.round"] == rounds
+        assert spans["junction.root"] == rounds * inst.n
+    assert tr.per_solve[0] == tr.per_solve[1]
+    assert reports[0].edges == reports[1].edges
+    assert reports[0].cost == reports[1].cost
