@@ -6,8 +6,9 @@ can use.  For each candidate root: the relation pairs whose ends connect to
 the root, read off the round's closure and named by their two product
 states (a terminal is its state) -> label-cover LP over their h-step root
 chains -> representative pruning -> bucketing -> randomized rounding
--> assembly.  A root where only one demand has relation pairs skips the LP:
-its best direct walk (`single_pair_tree`) is taken instead.  The product
+-> assembly, weighed against the union of every open demand's best direct
+walk (`union_pair_tree`).  A root where only one demand has relation pairs
+skips the LP and takes that union, its one best direct walk.  The product
 graph depends on neither the root nor the greedy round, so one graph
 (`product_graph_for`) serves a whole solve.  Each root draws from its own
 random stream, seeded by (seed, round, root), so its tree does not depend
@@ -27,10 +28,9 @@ from .density_lp import (
     assemble_junction_tree,
     bucket_and_scale,
     build_lp,
-    fallback_tree,
+    fallback_tree,  # bench/tracer.py wraps it by name; the solve never calls it
     gst_round,
     prune,
-    single_pair_tree,
     solve_lp,
     tree_order,
     union_pair_tree,
@@ -169,8 +169,9 @@ def junction_tree_for_root(
     if bundle is None:
         return None
     open_demands = [di for di, pairs in bundle.relations.items() if pairs]
+    direct = union_pair_tree(bundle, open_demands)
     if len(open_demands) == 1:
-        return single_pair_tree(bundle, open_demands[0])
+        return direct
     cover = build_lp(bundle)
     values = solve_lp(cover)
     keys = pg.vertex_keys
@@ -187,12 +188,7 @@ def junction_tree_for_root(
             pruned[di] = prune(list(masses), masses, pg.budget_units(di), pg.instance.dim)
     bucket = bucket_and_scale(gammas, pg.instance.dim)
     rounded = gst_round(cover, values, pruned, bucket, rng)
-    candidates = (
-        assemble_junction_tree(bundle, rounded),
-        fallback_tree(bundle, gammas),
-        union_pair_tree(bundle),
-    )
-    return min(candidates, key=tree_order)
+    return min((assemble_junction_tree(bundle, rounded), direct), key=tree_order)
 
 
 def min_density_junction_tree(

@@ -1,5 +1,7 @@
 import heapq
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,19 @@ from pcspan.reductions import (
     RcsInstance,
 )
 from pcspan.scaling import ScaledInstance
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.fixture
+def digest_sets(monkeypatch):
+    """`scripts/report_digest.py` as a module: its seeded sets and `main`."""
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import report_digest
+
+    yield report_digest
+    sys.modules.pop("report_digest", None)
 
 
 def fr(x) -> Fraction:

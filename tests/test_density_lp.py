@@ -16,11 +16,11 @@ from pcspan.density_lp import (
     gst_round,
     median_consumption,
     prune,
-    single_pair_tree,
     solve_lp,
     sort_representatives,
     assemble_junction_tree,
     tree_order,
+    union_pair_tree,
 )
 from pcspan.errors import ContractError, InternalInvariantError
 from pcspan.generate import gen_pcs
@@ -402,7 +402,7 @@ def test_single_pair_tree_takes_the_walk_with_fewer_edges_at_equal_cost():
     inst = two_walk_instance()
     bundle = label_cover(inst, 0)
     assert len(bundle.relations[0]) == 2
-    tree = single_pair_tree(bundle, 0)
+    tree = union_pair_tree(bundle, [0])
     assert tree.edges == frozenset({2})
     assert tree.density == 1
 

@@ -1,18 +1,18 @@
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
+import pcspan.density_lp
 import pcspan.junction
 from pcspan.config import DEFAULT_CONFIG, SolverConfig
 from pcspan.density_lp import (
     RoundedSelection,
     assemble_junction_tree,
     build_lp,
-    fallback_tree,
+    tree_order,
+    union_pair_tree,
 )
 from pcspan.errors import ContractError, EssentialityViolationError, InternalInvariantError
 from pcspan.generate import gen_pcs
@@ -379,9 +379,6 @@ def test_out_of_range_root_still_rejected(tri_instance):
         min_density_junction_tree(pg, roots=[-1, 0])
 
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
 def _record_root_trees(monkeypatch):
     """Wrap `junction_tree_for_root` so that every call appends its
     (round, root, tree) to the returned list."""
@@ -449,21 +446,39 @@ def test_a_root_with_one_open_demand_builds_no_lp(monkeypatch):
     assert kinds == {True, False}
 
 
-@pytest.fixture
-def digest_sets(monkeypatch):
-    monkeypatch.syspath_prepend(str(SCRIPTS))
-    import report_digest
+def closure_sum_pair_tree(bundle, di):
+    """The reference direct-walk tree of demand ``di``: its relation pair
+    of least closure-cost sum up to the root and down again, ties toward
+    smaller state ids.  `union_pair_tree` scores the same walks by the cost
+    of their edge sets, so its walk is never dearer than this one."""
+    closure = bundle.rnd.closure
 
-    yield report_digest
-    sys.modules.pop("report_digest", None)
+    def closure_sum(pair):
+        svid, tvid = pair
+        cost = closure.cost(svid, bundle.root_left) + closure.cost(bundle.root_right, tvid)
+        return cost, pair
+
+    svid, tvid = min(bundle.relations[di], key=closure_sum)
+    walks = RoundedSelection(
+        connected=(di,),
+        up_chains={di: (svid,) + (bundle.root_left,) * bundle.h},
+        down_chains={di: (bundle.root_right,) * bundle.h + (tvid,)},
+        rounds_used=0,
+    )
+    return assemble_junction_tree(bundle, walks)
+
+
+def _edge_set_price(bundle, walk) -> int:
+    return sum(bundle.rnd.prices[eid] for eid in set(walk.edges))
 
 
 def test_single_demand_roots_are_never_denser_than_the_lp_paths_fallback(
     monkeypatch, digest_sets
 ):
-    # at such a root the LP path's union-pair tree is its fallback tree, and
-    # its rounded tree one more sampled walk; the LP's normalization puts
-    # the lone demand's relation mass at exactly 1
+    # the closure-cost-sum walk is one of a demand's direct walks, so at
+    # every root each demand's walk in the union-pair tree costs no more as
+    # an edge set, and a root with one open demand is never denser than it;
+    # an LP root's tree is never worse than its union-pair tree
     bundles = []
     original = pcspan.junction.build_label_cover
 
@@ -480,16 +495,30 @@ def test_single_demand_roots_are_never_denser_than_the_lp_paths_fallback(
         pass
     assert len(bundles) == len(calls)
     checked = 0
+    lp_roots = 0
     for bundle, (_rnd, root, tree) in zip(bundles, calls):
-        if bundle is None or _open_demands(bundle) != 1:
+        if bundle is None:
+            continue
+        open_demands = [di for di, pairs in bundle.relations.items() if pairs]
+        union = union_pair_tree(bundle, open_demands)
+        assert union.resolved.keys() == set(open_demands)
+        for di in open_demands:
+            reference = closure_sum_pair_tree(bundle, di).resolved[di]
+            assert _edge_set_price(bundle, union.resolved[di]) <= _edge_set_price(
+                bundle, reference
+            )
+        if len(open_demands) != 1:
+            assert tree_order(tree) <= tree_order(union)
+            lp_roots += 1
             continue
         assert tree.root == root
-        (di,) = [di for di, pairs in bundle.relations.items() if pairs]
-        reference = fallback_tree(bundle, {di: Fraction(1)})
+        (di,) = open_demands
+        reference = closure_sum_pair_tree(bundle, di)
         assert tree.resolved.keys() == {di}
         assert tree.density <= reference.density
         checked += 1
     assert checked > 100
+    assert lp_roots > 100
 
 
 def test_single_pair_tree_counts_a_shared_edge_once():
@@ -501,11 +530,26 @@ def test_single_pair_tree_counts_a_shared_edge_once():
     pg = product_graph_for(inst)
     rnd = greedy_round(pg, {4, 10, 12, 26}, [1])
     bundle = build_label_cover(pg, rnd, 7)
-    assert fallback_tree(bundle, {1: Fraction(1)}).density == 8
+    assert closure_sum_pair_tree(bundle, 1).density == 8
     tree = junction_tree_for_root(pg, rnd, 7, random.Random(0))
     assert tree.density == 5
     assert tree.edges == frozenset({6, 24, 26})
     assert tree.resolved == {1: Walk((6, 26, 6, 24))}
+
+
+def test_no_solve_calls_fallback_tree(monkeypatch, digest_sets):
+    # fallback_tree stays importable only for bench/tracer.py, which wraps it
+    # by name
+    def unused(*args):
+        raise AssertionError("the solve called fallback_tree")
+
+    monkeypatch.setattr(pcspan.junction, "fallback_tree", unused)
+    monkeypatch.setattr(pcspan.density_lp, "fallback_tree", unused)
+    for _report in digest_sets.rcs_reports():
+        pass
+    for _name, mode, instances in digest_sets.PCS_SETS:
+        for _report in digest_sets.pcs_reports(mode, instances):
+            pass
 
 
 ROUND_CASES = [
