@@ -483,17 +483,25 @@ def assemble_junction_tree(bundle, rounded: RoundedSelection) -> JunctionTree:
     the union of the walks under the round's prices."""
     if not rounded.connected:
         raise InternalInvariantError("assembly needs at least one connected demand")
+    # product edges point the way their base edges do on both sides, so the
+    # up chain (s .. root) then the down chain (root .. t) is in order
+    return _checked_tree(bundle, {
+        di: _base_edges(bundle, rounded.up_chains[di])
+        + _base_edges(bundle, rounded.down_chains[di])
+        for di in rounded.connected
+    })
+
+
+def _checked_tree(bundle, walks: dict) -> JunctionTree:
+    """The tree of ``walks`` (demand -> base-edge tuple, in walk order) at the
+    root of ``bundle``: each walk is checked against its demand's budget, and
+    the density is that of the union of the walks under the round's prices."""
     pg = bundle.pg
     instance = pg.instance
     theta = pg.theta
     resolved = {}
-    for di in rounded.connected:
-        # product edges point the way their base edges do on both sides, so
-        # the up chain (s .. root) then the down chain (root .. t) is in order
-        walk = Walk(
-            _base_edges(bundle, rounded.up_chains[di])
-            + _base_edges(bundle, rounded.down_chains[di])
-        )
+    for di, edges in walks.items():
+        walk = Walk(edges)
         demand = instance.demands[di]
         if theta is None:
             ok = is_feasible(walk, demand, instance)
@@ -530,30 +538,30 @@ def union_pair_tree(bundle, demands) -> JunctionTree:
 
     Where a root has one open demand, every tree there resolves it alone, so
     this is that root's best tree and needs no LP.  Each source and target
-    state's path is expanded once per call.
+    state's path is expanded once per call, and the chosen walks are built
+    from those expansions.
     """
     prices = bundle.rnd.prices
     up_tail = (bundle.root_left,) * bundle.h
     down_head = (bundle.root_right,) * bundle.h
-    ups = {}  # source state -> base edges of its path up to the root
+    ups = {}  # source state -> (base edges of its path up to the root, their set)
     downs = {}
-    up_chains = {}
-    down_chains = {}
+    walks = {}
     for di in demands:
         best = None
         for svid, tvid in bundle.relations[di]:
             if svid not in ups:
-                ups[svid] = frozenset(_base_edges(bundle, (svid,) + up_tail))
+                up = _base_edges(bundle, (svid,) + up_tail)
+                ups[svid] = (up, frozenset(up))
             if tvid not in downs:
-                downs[tvid] = frozenset(_base_edges(bundle, down_head + (tvid,)))
-            edges = ups[svid] | downs[tvid]
+                down = _base_edges(bundle, down_head + (tvid,))
+                downs[tvid] = (down, frozenset(down))
+            edges = ups[svid][1] | downs[tvid][1]
             key = (sum(prices[eid] for eid in edges), len(edges), sorted(edges))
             if best is None or key < best[0]:
                 best = (key, svid, tvid)
-        up_chains[di] = (best[1],) + up_tail
-        down_chains[di] = down_head + (best[2],)
-    walks = RoundedSelection(tuple(demands), up_chains, down_chains, rounds_used=0)
-    return assemble_junction_tree(bundle, walks)
+        walks[di] = ups[best[1]][0] + downs[best[2]][0]
+    return _checked_tree(bundle, walks)
 
 
 # bench/tracer.py wraps fallback_tree by name, so it stays importable though

@@ -45,6 +45,7 @@ from .product import (
     build_product_graph,
     connectable_relation_pairs,
     reachable,
+    require_feasible_demands,
     states_reachable_from_root_right,
     states_reaching_root_left,
 )
@@ -55,16 +56,25 @@ from .scaling import scale_instance
 def product_graph_for(
     instance: PcsInstance, mode: str = "integer", config: SolverConfig = DEFAULT_CONFIG
 ) -> ProductGraph:
-    """The product graph one solve shares across its rounds.  Mode "theta"
-    scales lengths once, for all demands: a residual demand set has a Delta
-    no smaller and a hop bound no larger, so every demand keeps the scaling
+    """The product graph one solve shares across its rounds, returned only
+    when every demand admits a feasible walk.  Each mode decides that from
+    work the solve needs anyway.  In mode "integer" the graph holds the walk
+    relation exactly, and `require_feasible_demands` reads it (raising
+    `InfeasibleDemandError`).  Mode "theta" scales lengths once, for all
+    demands, and the hop bound the scaling needs raises
+    `InfeasibleWithinCapError` for a demand no walk satisfies.  Scaling once
+    is sound for every round: a residual demand set has a Delta no smaller
+    and a hop bound no larger, so every demand keeps the scaling
     guarantee."""
     if not instance.demands:
         raise ContractError("junction solving needs at least one demand")
     if mode not in ("integer", "theta"):
         raise ContractError(f"unknown mode {mode!r}")
-    problem = scale_instance(instance, config.theta) if mode == "theta" else instance
-    return build_product_graph(problem, config)
+    if mode == "theta":
+        return build_product_graph(scale_instance(instance, config.theta), config)
+    pg = build_product_graph(instance, config)
+    require_feasible_demands(pg)
+    return pg
 
 
 @dataclass(frozen=True)

@@ -80,8 +80,10 @@ class PcsInstance:
     """Directed graph with edge costs, resource vectors, and budgeted demands.
 
     Immutable after construction; all operations over it are pure functions.
-    Validation of walk-level feasibility of each demand happens separately at
-    load time (see `pcspan.rcsp.validate_demands`) because it needs the oracle.
+    Construction does not check that each demand admits a feasible walk,
+    because that needs a search: the solve decides it before its first round
+    (`pcspan.junction.product_graph_for`), and `pcspan.rcsp.validate_demands`
+    decides it without solving (for generated instances).
     """
 
     n: int

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import groupby
 
 from .config import DEFAULT_CONFIG, SolverConfig
-from .errors import ContractError, ResourceLimitError
+from .errors import ContractError, InfeasibleDemandError, ResourceLimitError
 from .model import PcsInstance, theta_relaxed_bound
 from .rcsp import _enumerate_configs, config_bounds, step_config
 from .scaling import ScaledInstance
@@ -281,6 +281,30 @@ def reachable(pg: ProductGraph, seeds, backward: bool = False) -> set:
                 seen.add(w)
                 stack.append(w)
     return seen
+
+
+def require_feasible_demands(pg: ProductGraph) -> None:
+    """Raise `InfeasibleDemandError` for a demand that no walk satisfies.
+
+    In the integer regime the graph holds the walk relation exactly: demand
+    (s, t) has a feasible walk iff (s, 0, R) reaches a state (t, J, R) that
+    pairs with (s, 0, L) in its relation, i.e. J fits the demand's box.  One
+    reach search per distinct source; demands are checked by ascending
+    source, then in instance order, as `rcsp.validate_demands` checks them,
+    so the same demand is named first.
+    """
+    by_source = {}
+    for di, d in enumerate(pg.instance.demands):
+        by_source.setdefault(d.source, []).append(di)
+    for source in sorted(by_source):
+        left = pg.root_copy("L", source)
+        reached = reachable(pg, (pg.root_copy("R", source),))
+        for di in by_source[source]:
+            if not any(i == left and j in reached for i, j in pg.relation_vids[di]):
+                d = pg.instance.demands[di]
+                raise InfeasibleDemandError(
+                    f"demand ({d.source},{d.target}) admits no feasible walk"
+                )
 
 
 def states_reaching_root_left(pg: ProductGraph, root: int) -> set:

@@ -27,7 +27,6 @@ from .errors import (
 from .greedy import SolveReport, solve_pcs
 from .layered import build_closure
 from .model import Demand, Edge, PcsInstance, ResourceVector, Walk
-from .rcsp import validate_demands
 
 MUST_VISIT = "must_visit"
 AVOID = "avoid"
@@ -219,7 +218,6 @@ def rcs_to_pcs(rcs: RcsInstance) -> tuple:
 def solve_rcs(rcs: RcsInstance, config: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
     """Reduce, solve, and re-verify every demand in routing terms."""
     instance, _mapping = rcs_to_pcs(rcs)
-    validate_demands(instance)
     report = solve_pcs(instance, "integer", config)
     for di, d in enumerate(rcs.demands):
         witness = report.witnesses.get(di)
@@ -235,8 +233,9 @@ def essential_set_mode(rcs, essential_vertices, config: SolverConfig = DEFAULT_C
     """Solve with roots restricted to an essential vertex set.
 
     Iterates junction trees rooted inside the set on the reduced instance
-    until every demand resolves; demands unresolvable from every essential
-    root raise EssentialityViolationError.
+    until every demand resolves.  A demand with no feasible walk raises
+    InfeasibleDemandError before the first round; demands unresolvable from
+    every essential root raise EssentialityViolationError.
     """
     instance, _mapping = rcs_to_pcs(rcs)
     roots = sorted(set(essential_vertices))
@@ -352,7 +351,6 @@ def solve_hopset(hs: HopsetInstance, config: SolverConfig = DEFAULT_CONFIG) -> d
     edges stay available for free in verification.
     """
     instance, closure = hopset_to_pcs(hs)
-    validate_demands(instance)
     report = solve_pcs(instance, "integer", config)
     added = tuple(
         (closure.edges[eid].tail, closure.edges[eid].head, closure.edges[eid].weight)

@@ -175,6 +175,45 @@ def test_infeasible_demand_exits_3(tmp_path):
     assert run(["--mode", "pcs-int", str(bad)]) == 3
 
 
+_INFEASIBLE_PCS = {
+    "n": 2, "m": 1, "tau": 1, "packing": 1, "covering": 0,
+    "edges": [{"u": 0, "v": 1, "cost": 1, "res": ["5/2", 0]}],
+    "demands": [{"s": 0, "t": 1, "budget": [1, 1]}],
+}
+
+
+@pytest.mark.parametrize(
+    "mode, payload, message",
+    [
+        # theta mode's hop bound is the check: it finds no walk within its cap
+        ("pcs-theta", _INFEASIBLE_PCS, "demand (0,1) has no feasible walk within"),
+        ("junction", {**_INFEASIBLE_PCS, "edges": [{"u": 0, "v": 1, "cost": 1, "res": [5, 0]}]},
+         "demand (0,1) admits no feasible walk"),
+        # the walk 0 -> 1 -> 2 visits the required vertex 1 but is too long
+        ("rcs", {
+            "n": 3,
+            "edges": [{"u": 0, "v": 1, "cost": 1, "len": 1}, {"u": 1, "v": 2, "cost": 1, "len": 1}],
+            "groups": [{"kind": "must_visit", "members": [1]}],
+            "demands": [{"s": 0, "t": 2, "ctrl": [1, 1]}],
+        }, "demand (0,2) admits no feasible walk"),
+        # the distance bound is below the graph distance
+        ("hopset", {
+            "n": 3, "beta": 2,
+            "edges": [{"u": 0, "v": 1, "len": 2}, {"u": 1, "v": 2, "len": 2}],
+            "demands": [{"s": 0, "t": 2, "dist": 1}],
+        }, "demand (0,2) admits no feasible walk"),
+    ],
+    ids=["pcs-theta", "junction", "rcs", "hopset"],
+)
+def test_infeasible_input_exits_3_in_every_solving_mode(tmp_path, capsys, mode, payload, message):
+    bad = tmp_path / "infeasible.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "out.json"
+    assert run(["--mode", mode, str(bad), "--out", str(out)]) == 3
+    assert f"infeasible: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_empty_demand_list_solves_to_zero(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+import pcspan.greedy
 from pcspan.config import SolverConfig
 from pcspan.density_lp import build_lp
+from pcspan.errors import InfeasibleDemandError
 from pcspan.generate import gen_pcs
 from pcspan.greedy import solve_pcs
 from pcspan.junction import build_label_cover, greedy_round, product_graph_for
@@ -20,6 +22,26 @@ def test_single_demand_single_iteration(tri_instance):
     assert len(report.iterations) == 1
     assert report.cost == 2
     assert report.verified
+
+
+def test_an_infeasible_demand_is_rejected_before_any_round(monkeypatch):
+    # demand (0,1) is feasible and demand (1,2) is not: edge 1 -> 2 is too long
+    inst = make_instance(
+        n=3,
+        edges=[(0, 1, 1, (1, 0)), (1, 2, 1, (5, 0))],
+        demands=[(0, 1, (1, 1)), (1, 2, (2, 1))],
+        tau=1,
+        packing=1,
+        covering=0,
+    )
+
+    def no_round(*args, **kwargs):
+        raise AssertionError("a greedy round ran")
+
+    monkeypatch.setattr(pcspan.greedy, "min_density_junction_tree", no_round)
+    with pytest.raises(InfeasibleDemandError) as exc:
+        solve_pcs(inst, "integer")
+    assert str(exc.value) == "demand (1,2) admits no feasible walk"
 
 
 def test_tri_instance_matches_brute_force(tri_instance):

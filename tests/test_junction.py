@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -14,7 +15,12 @@ from pcspan.density_lp import (
     tree_order,
     union_pair_tree,
 )
-from pcspan.errors import ContractError, EssentialityViolationError, InternalInvariantError
+from pcspan.errors import (
+    ContractError,
+    EssentialityViolationError,
+    InfeasibleDemandError,
+    InternalInvariantError,
+)
 from pcspan.generate import gen_pcs
 from pcspan.greedy import solve_pcs
 from pcspan.junction import (
@@ -280,6 +286,19 @@ def test_essential_set_violation():
     inst_rcs = _two_component_rcs()
     with pytest.raises(EssentialityViolationError):
         essential_set_mode(inst_rcs, {3})  # vertex 3 cannot reach the demand
+
+
+def test_essential_set_of_every_vertex_rejects_an_infeasible_demand():
+    from pcspan.reductions import RcsDemand
+
+    feasible = _two_component_rcs()
+    # no edge leads from vertex 0 to vertex 3
+    rcs = dataclasses.replace(
+        feasible, demands=feasible.demands + (RcsDemand(0, 3, (3, 0)),)
+    )
+    with pytest.raises(InfeasibleDemandError) as exc:
+        essential_set_mode(rcs, set(range(rcs.n)))
+    assert str(exc.value) == "demand (0,3) admits no feasible walk"
 
 
 def _two_component_rcs():

@@ -1,13 +1,16 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcspan.config import SolverConfig
-from pcspan.errors import ContractError, ResourceLimitError
+from pcspan.errors import ContractError, InfeasibleDemandError, ResourceLimitError
 from pcspan.generate import gen_pcs, gen_rcs
-from pcspan.junction import build_label_cover, greedy_round
-from pcspan.model import Walk, is_feasible, walk_resource
+from pcspan.junction import build_label_cover, greedy_round, product_graph_for
+from pcspan.model import Demand, ResourceVector, Walk, is_feasible, walk_resource
 from pcspan.product import (
     ProductEdge,
     ProductGraph,
@@ -19,7 +22,7 @@ from pcspan.product import (
     states_reaching_root_left,
     step_label,
 )
-from pcspan.rcsp import config_count
+from pcspan.rcsp import config_count, validate_demands
 from pcspan.reductions import rcs_to_pcs
 from pcspan.scaling import ScaledInstance, scale_instance
 
@@ -432,3 +435,68 @@ def test_root_copy_checks_root_range(tri_instance):
             states_reaching_root_left(pg, root)
         with pytest.raises(ContractError):
             equivalence_check(tri_instance, root)
+
+
+def _infeasible_message(check, instance):
+    """The message of the `InfeasibleDemandError` ``check(instance)`` raises,
+    or None when it raises none."""
+    try:
+        check(instance)
+    except InfeasibleDemandError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(["packing", "covering", "mixed", "rcs"]),
+    tighten=st.lists(
+        st.sampled_from(["none", "length", "resources"]), min_size=3, max_size=3
+    ),
+)
+def test_the_product_graph_decides_feasibility_as_validate_demands_does(seed, kind, tighten):
+    # tightened copies of generated instances, about two in three of them
+    # infeasible, and some with infeasible demands at several sources: a
+    # demand loses one unit of length budget, or takes the tightest resource
+    # budgets (0 packing, -tau covering)
+    if kind == "rcs":
+        inst, _ = rcs_to_pcs(gen_rcs(n=5, k=3, must_visit=1, avoid=1, seed=seed))
+    else:
+        packing = {"packing": 2, "covering": 0, "mixed": 1}[kind]
+        inst = gen_pcs(n=5, k=3, m=2, tau=1, regime="integer", seed=seed, packing=packing)
+    tightest = (0,) * inst.packing + (-inst.tau,) * inst.covering
+    demands = []
+    for d, how in zip(inst.demands, tighten):
+        budget = d.budget.entries
+        if how == "length":
+            budget = (budget[0] - 1, *budget[1:])
+        elif how == "resources":
+            budget = (budget[0], *tightest)
+        demands.append(Demand(d.source, d.target, ResourceVector(budget)))
+    case = replace(inst, demands=demands)
+    assert _infeasible_message(product_graph_for, case) == _infeasible_message(
+        validate_demands, case
+    )
+
+
+def test_feasibility_reads_only_the_source_zero_label_copy():
+    # demand (0,2) must enter vertex 1 (covering) within length 2; the only
+    # such walk, 0 -> 1 -> 0 -> 2, has length 7.  The relation still pairs
+    # (0, I, L), with I = (1, -1) the consumption of the half walk 0 -> 1,
+    # with the state (2, (1, 0), R) that (0, 0, R) reaches, so the rule must
+    # take the zero-label copy's pairs only
+    inst = make_instance(
+        n=3,
+        edges=[(0, 1, 1, (1, -1)), (1, 0, 1, (5, 0)), (0, 2, 1, (1, 0))],
+        demands=[(0, 2, (2, -1))],
+        tau=1,
+        packing=0,
+        covering=1,
+    )
+    pg = build_product_graph(inst)
+    left = pg.vertex_ids[("L", 0, (1, -1))]
+    assert any(i == left for i, _j in pg.relation_vids[0])
+    message = "demand (0,2) admits no feasible walk"
+    assert _infeasible_message(validate_demands, inst) == message
+    assert _infeasible_message(product_graph_for, inst) == message
