@@ -3,11 +3,17 @@
 brute-force optimum and the minimum junction-tree density."""
 
 import argparse
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from pcspan.generate import gen_pcs
 from pcspan.greedy import solve_pcs
-from pcspan.oracle import brute_force_min_density_junction, brute_force_opt
+from pcspan.oracle import brute_force_opt
+
+# the junction-density oracle is the tests' reference and lives with them
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from junction_oracle import brute_force_min_density_junction  # noqa: E402
 
 
 def main():

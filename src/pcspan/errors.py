@@ -49,3 +49,9 @@ class EssentialityViolationError(PcspanError):
 
 class InternalInvariantError(PcspanError):
     """A property guaranteed by construction failed; indicates a bug."""
+
+
+class NoResolvingRootError(InternalInvariantError):
+    """No candidate root resolves an open demand.  With every root a
+    candidate this is a bug; with the roots restricted to an essential set
+    it means the set misses some demand's walks."""

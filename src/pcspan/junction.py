@@ -1,19 +1,22 @@
 """Minimum-density resource-constrained junction trees.
 
-A greedy round (`Round`) is its prices, its open demands, and one cost
-closure under those prices over the product states the open demands' walks
-can use.  For each candidate root: the relation pairs whose ends connect to
-the root, read off the round's closure and named by their two product
-states (a terminal is its state) -> label-cover LP over their h-step root
-chains -> representative pruning -> bucketing -> randomized rounding
--> assembly, weighed against the union of every open demand's best direct
-walk (`union_pair_tree`).  A root where only one demand has relation pairs
-skips the LP and takes that union, its one best direct walk.  The product
-graph depends on neither the root nor the greedy round, so one graph
-(`product_graph_for`) serves a whole solve.  Each root draws from its own
-random stream, seeded by (seed, round, root), so its tree does not depend
-on which roots ran before it.  The best (lowest-density) tree across roots
-wins, with deterministic tie-breaking toward smaller root ids.
+A greedy round (`Round`) is its prices, its open demands, one cost closure
+under those prices over the product states the open demands' walks can use,
+and per root, the relation pairs that connect there (named by their two
+product states: a terminal is its state) with a lower bound on the density
+of any tree rooted there.  The roots are visited best-first, by ascending
+(bound, root).  A root whose bound lies strictly above the best density
+found so far cannot win and returns None at once.  Every other root runs:
+label-cover LP over its relation pairs' h-step root chains -> representative
+pruning -> bucketing -> randomized rounding -> assembly, weighed against the
+union of every open demand's best direct walk (`union_pair_tree`).  A root
+where only one demand has relation pairs skips the LP and takes that union,
+its one best direct walk.  The product graph depends on neither the root nor
+the greedy round, so one graph (`product_graph_for`) serves a whole solve.
+Each root draws from its own random stream, seeded by (seed, round, root),
+so its tree does not depend on which roots ran, or were cut off, before it.
+The best tree across roots under `tree_order` (lowest density, ties toward
+more resolved demands, then smaller root ids) wins.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import layered
 from .config import DEFAULT_CONFIG, SolverConfig
 from .density_lp import (
     JunctionTree,
@@ -35,7 +39,7 @@ from .density_lp import (
     tree_order,
     union_pair_tree,
 )
-from .errors import ContractError, InternalInvariantError
+from .errors import ContractError, NoResolvingRootError
 from .layered import CostClosure, build_closure
 from .model import PcsInstance
 # bench/tracer.py wraps the three per-root searches by name, so they stay
@@ -80,14 +84,18 @@ def product_graph_for(
 @dataclass(frozen=True)
 class Round:
     """A greedy round: its open demands (original indices, ascending), each
-    base edge's int price in units of 1 / cost_scale (bought edges 0), and
-    the cost closure, under those prices, of the product states the open
-    demands' walks can use."""
+    base edge's int price in units of 1 / cost_scale (bought edges 0), the
+    cost closure, under those prices, of the product states the open
+    demands' walks can use, and per root, the relation pairs that connect
+    there (`_relations_at_root`) and a lower bound on the density of its
+    trees (`_root_bounds`)."""
 
     demands: tuple
     prices: tuple
     cost_scale: int
     closure: CostClosure
+    relations: tuple  # root -> {demand: [(L vid, R vid), ...]}
+    bounds: tuple  # root -> Fraction, or None where no demand has a pair
 
 
 def greedy_round(
@@ -99,7 +107,8 @@ def greedy_round(
     reach, and the R states they end in with every state that reaches one
     (L and R states share no product edge).  A cheapest path between two
     states that reach a root's L copy (or that its R copy reaches) stays
-    among such states, so a root's rows equal a closure over its own."""
+    among such states, so a root's rows equal a closure over its own.  Every
+    root's relation pairs and density bound are computed here, once."""
     instance = pg.instance
     costs = [Fraction(0) if eid in free else e.cost for eid, e in enumerate(instance.edges)]
     scale = common_scale(costs)
@@ -117,7 +126,57 @@ def greedy_round(
             yield idx, pe.head, prices[pe.base_edge]
 
     closure = build_closure(states, out_edges, config.max_product_vertices)
-    return Round(demands, prices, scale, closure)
+    relations = tuple(
+        _relations_at_root(pg, closure, demands, root) for root in range(instance.n)
+    )
+    return Round(
+        demands, prices, scale, closure, relations, _root_bounds(pg, prices, scale, relations)
+    )
+
+
+def _relations_at_root(pg: ProductGraph, closure: CostClosure, demands, root: int) -> dict:
+    """Per demand of ``demands``, in label order, the relation pairs that
+    connect at ``root`` in ``closure``: the source state reaches the root's
+    L copy and the root's R copy reaches the target state."""
+    root_left = pg.root_copy("L", root)
+    dist = closure.dist
+    down = dist.get(pg.root_copy("R", root), {})
+    return {
+        di: [(i, j) for i, j in pg.relation_vids[di] if root_left in dist[i] and j in down]
+        for di in demands
+    }
+
+
+def _root_bounds(pg: ProductGraph, prices, scale: int, relations) -> tuple:
+    """Per root r, a lower bound on the density of every tree at r, or None
+    when no demand has a relation pair there (``relations[r]``).
+
+    A tree at r that resolves demand d holds, in its edge set, a base-graph
+    path from d's source to r and one from r to its target, so it costs at
+    least c_r(d) = max(dist(s, r), dist(r, t)) under the round's prices.
+    The k demands it resolves cost at least the k-th smallest c_r, so its
+    density is at least min over k of c_(k) / k.  The distances are plain
+    Dijkstra on the base graph: a product walk may use a base edge twice,
+    and its closure cost then exceeds the cost of its edge set.  The
+    closure is built through the `layered` module so that the benchmark's
+    tracer, which wraps `build_closure` here, sees one closure per round."""
+    instance = pg.instance
+
+    def out_edges(v):
+        for eid in instance.out_edges(v):
+            yield eid, instance.edges[eid].head, prices[eid]
+
+    dist = layered.build_closure(range(instance.n), out_edges).dist
+    bounds = []
+    for root, at_root in enumerate(relations):
+        costs = sorted(
+            max(dist[d.source][root], dist[root][d.target])
+            for d in (instance.demands[di] for di, pairs in at_root.items() if pairs)
+        )
+        bounds.append(
+            min((Fraction(c, k * scale) for k, c in enumerate(costs, 1)), default=None)
+        )
+    return tuple(bounds)
 
 
 @dataclass
@@ -149,12 +208,7 @@ def build_label_cover(
     None when no demand keeps one (such roots get no LP work)."""
     root_left = pg.root_copy("L", root)
     root_right = pg.root_copy("R", root)
-    dist = rnd.closure.dist
-    down = dist.get(root_right, {})
-    relations = {
-        di: [(i, j) for i, j in pg.relation_vids[di] if root_left in dist[i] and j in down]
-        for di in rnd.demands
-    }
+    relations = rnd.relations[root]
     if not any(relations.values()):
         return None
     return RootedLabelCover(root, pg, rnd, config.height, root_left, root_right, relations)
@@ -171,10 +225,21 @@ def _backward_reachable(pg, seeds) -> set:
 
 
 def junction_tree_for_root(
-    pg: ProductGraph, rnd: Round, root: int, rng: random.Random, config=DEFAULT_CONFIG
+    pg: ProductGraph,
+    rnd: Round,
+    root: int,
+    rng: random.Random,
+    config=DEFAULT_CONFIG,
+    incumbent=None,
 ):
     """Pipeline for one root of the product graph ``pg`` in round ``rnd``,
-    drawing from ``rng``; None when the root resolves nothing."""
+    drawing from ``rng``; None when the root resolves nothing.  Given
+    ``incumbent``, the best density found so far, it returns None before any
+    work or draw when the root's density bound lies strictly above it (or
+    the root has no bound, resolving nothing): no tree here could beat it."""
+    bound = rnd.bounds[root]
+    if incumbent is not None and (bound is None or bound > incumbent):
+        return None
     bundle = build_label_cover(pg, rnd, root, config)
     if bundle is None:
         return None
@@ -213,24 +278,38 @@ def min_density_junction_tree(
     `product_graph_for`) in the round that prices the base edges in ``free``
     at 0 and leaves the demands ``demands`` open (all of them when None).
 
+    Roots are visited best-first, by ascending (density bound, root), and
+    each is handed the best density found so far: a root whose bound lies
+    strictly above it returns None without building its LP, as no tree
+    there could win, not even on `tree_order`'s ties.  Every root still
+    gets its `junction_tree_for_root` call, so a tracer that wraps it sees
+    each round's every root.
+
     ``round_no`` numbers the greedy round; root r draws from the stream
     seeded by the string "seed/round_no/r" (str seeds hash the same in every
-    process, unlike ``hash()``).  Resolved demands keep their indices in
-    ``pg.instance``; the tree's cost and density are under the round's
-    prices.
+    process, unlike ``hash()``), so a bounded root takes no draw from
+    another root and the winner does not depend on the visiting order.
+    Resolved demands keep their indices in ``pg.instance``; the tree's cost
+    and density are under the round's prices.
     """
     rnd = greedy_round(pg, free, demands, config)
-    best = None
-    root_list = sorted(roots) if roots is not None else range(pg.instance.n)
+    n = pg.instance.n
+    root_list = range(n) if roots is None else list(roots)
     for root in root_list:
+        if not 0 <= root < n:
+            raise ContractError(f"root {root} outside vertex range")
+    bounds = rnd.bounds
+    best = None
+    for root in sorted(root_list, key=lambda r: (bounds[r] is None, bounds[r] or 0, r)):
         rng = random.Random(f"{config.seed}/{round_no}/{root}")
-        tree = junction_tree_for_root(pg, rnd, root, rng, config)
+        incumbent = None if best is None else best.density
+        tree = junction_tree_for_root(pg, rnd, root, rng, config, incumbent)
         if tree is None:
             continue
         if best is None or tree_order(tree) < tree_order(best):
             best = tree
     if best is None:
-        raise InternalInvariantError(
+        raise NoResolvingRootError(
             "no root resolves any demand; feasible instances always admit one"
         )
     return best

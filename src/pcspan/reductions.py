@@ -22,6 +22,7 @@ from .errors import (
     EssentialityViolationError,
     InfeasibleDemandError,
     InternalInvariantError,
+    NoResolvingRootError,
     ParseError,
 )
 from .greedy import SolveReport, solve_pcs
@@ -244,7 +245,7 @@ def essential_set_mode(rcs, essential_vertices, config: SolverConfig = DEFAULT_C
             raise ContractError(f"essential vertex {r} outside the graph")
     try:
         return solve_pcs(instance, "integer", config, roots)
-    except InternalInvariantError as exc:
+    except NoResolvingRootError as exc:
         raise EssentialityViolationError(
             f"some demand is unresolvable from the essential set: {exc}"
         ) from exc

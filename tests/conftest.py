@@ -8,7 +8,7 @@ import pytest
 from pcspan.config import DEFAULT_CONFIG, SolverConfig
 from pcspan.junction import build_label_cover, greedy_round
 from pcspan.model import Demand, Edge, PcsInstance, ResourceVector
-from pcspan.oracle import ENUM_CAP, brute_force_min_density_junction, brute_force_opt
+from pcspan.oracle import ENUM_CAP, brute_force_opt
 from pcspan.product import (
     build_product_graph,
     connectable_relation_pairs,
@@ -25,6 +25,8 @@ from pcspan.reductions import (
     RcsInstance,
 )
 from pcspan.scaling import ScaledInstance
+
+from junction_oracle import brute_force_min_density_junction
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"

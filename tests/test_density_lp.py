@@ -26,10 +26,10 @@ from pcspan.errors import ContractError, InternalInvariantError
 from pcspan.generate import gen_pcs
 from pcspan.junction import min_density_junction_tree, product_graph_for
 from pcspan.model import Walk, is_feasible
-from pcspan.oracle import brute_force_min_density_junction
 from pcspan.product import relation_holds
 
 from conftest import label_cover, label_masses, lp_masses, make_instance
+from junction_oracle import brute_force_min_density_junction
 
 
 def tri_cover(tri_instance, root=1):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 
 import pcspan.density_lp
 import pcspan.junction
+import pcspan.lpsolve
 from pcspan.config import DEFAULT_CONFIG, SolverConfig
 from pcspan.density_lp import (
     RoundedSelection,
@@ -31,7 +33,6 @@ from pcspan.junction import (
     product_graph_for,
 )
 from pcspan.model import Walk, is_feasible, is_theta_feasible
-from pcspan.oracle import brute_force_min_density_junction
 from pcspan.layered import build_closure
 from pcspan.product import (
     build_product_graph,
@@ -44,6 +45,7 @@ from pcspan.rcsp import through_root_witness
 from pcspan.reductions import essential_set_mode, is_routing_feasible, rcs_to_pcs
 
 from conftest import label_cover, make_instance
+from junction_oracle import brute_force_min_density_junction
 
 
 def test_direct_edge_density_at_most_cost():
@@ -301,6 +303,18 @@ def test_essential_set_of_every_vertex_rejects_an_infeasible_demand():
     assert str(exc.value) == "demand (0,3) admits no feasible walk"
 
 
+def test_essential_set_mode_lets_a_solver_fault_through(monkeypatch):
+    # only "no essential root resolves a demand" is an essentiality
+    # violation; a failed assembly check is a bug and stays one (exit 4)
+    def failing(*args):
+        raise InternalInvariantError("assembly check failed")
+
+    monkeypatch.setattr(pcspan.junction, "assemble_junction_tree", failing)
+    with pytest.raises(InternalInvariantError, match="assembly check failed") as exc:
+        essential_set_mode(_two_hub_rcs(), {1, 2})
+    assert not isinstance(exc.value, EssentialityViolationError)
+
+
 def _two_component_rcs():
     from pcspan.reductions import MUST_VISIT, RcsDemand, RcsEdge, RcsGroup, RcsInstance
 
@@ -316,12 +330,12 @@ def _two_component_rcs():
     )
 
 
-def test_two_vertex_essential_cut_cost_bound():
-    # both hubs 1 and 2 cut all walks; essential solving pays at most the
-    # sum of the two best single-root trees
+def _two_hub_rcs():
+    """Hubs 1 and 2 cut every walk of the two demands, and hub 2 serves
+    both of them."""
     from pcspan.reductions import MUST_VISIT, RcsDemand, RcsEdge, RcsGroup, RcsInstance
 
-    rcs = RcsInstance(
+    return RcsInstance(
         n=5,
         edges=(
             RcsEdge(0, 1, Fraction(1), 1),
@@ -333,6 +347,12 @@ def test_two_vertex_essential_cut_cost_bound():
         groups=(RcsGroup(MUST_VISIT, frozenset({1, 2})),),
         demands=(RcsDemand(0, 4, (5, 1)), RcsDemand(0, 3, (4, 1))),
     )
+
+
+def test_two_vertex_essential_cut_cost_bound():
+    # both hubs 1 and 2 cut all walks; essential solving pays at most the
+    # sum of the two best single-root trees
+    rcs = _two_hub_rcs()
     report = essential_set_mode(rcs, {1, 2})
     instance, _ = rcs_to_pcs(rcs)
     single = solve_pcs(instance, "integer")
@@ -398,14 +418,15 @@ def test_out_of_range_root_still_rejected(tri_instance):
         min_density_junction_tree(pg, roots=[-1, 0])
 
 
-def _record_root_trees(monkeypatch):
+def _record_root_trees(monkeypatch, unbounded=False):
     """Wrap `junction_tree_for_root` so that every call appends its
-    (round, root, tree) to the returned list."""
+    (round, root, tree) to the returned list.  With ``unbounded`` each root
+    is run with no incumbent, so no root is cut off by its bound."""
     calls = []
     original = pcspan.junction.junction_tree_for_root
 
-    def recording(pg, rnd, root, rng, config=DEFAULT_CONFIG):
-        tree = original(pg, rnd, root, rng, config)
+    def recording(pg, rnd, root, rng, config=DEFAULT_CONFIG, incumbent=None):
+        tree = original(pg, rnd, root, rng, config, None if unbounded else incumbent)
         calls.append((rnd, root, tree))
         return tree
 
@@ -433,6 +454,106 @@ def test_a_roots_tree_does_not_depend_on_the_roots_searched_before_it(monkeypatc
             calls.clear()
             assert min_density_junction_tree(pg, round_no=round_no, roots=[root]) == tree
             assert calls == [(greedy_round(pg), root, tree)]
+
+
+def _rounds(calls) -> list:
+    """The recorded root calls grouped by round, in call order."""
+    rounds = []
+    for rnd, root, tree in calls:
+        if not rounds or rounds[-1][0][0] is not rnd:
+            rounds.append([])
+        rounds[-1].append((rnd, root, tree))
+    return rounds
+
+
+class _ModelHashes(list):
+    """A digest for `report_digest.hash_models` that keeps the SHA-256 of
+    each array it is fed: six per model, in build order."""
+
+    def update(self, data):
+        self.append(hashlib.sha256(data).digest())
+
+
+def _digest_set_solves(monkeypatch, digest_sets, unbounded):
+    """The reports of the rcs, integer and theta sets of
+    `scripts/report_digest.py`, each round's (round, root, tree) calls, and
+    the hashes of the HiGHS models built, in order; with ``unbounded`` every
+    root runs with no incumbent."""
+    hashes = _ModelHashes()
+    with monkeypatch.context() as patch:
+        calls = _record_root_trees(patch, unbounded)
+        original = digest_sets.hash_models(hashes, [0] * 4)
+        try:
+            reports = list(digest_sets.rcs_reports())
+            for _name, mode, instances in digest_sets.PCS_SETS:
+                reports += digest_sets.pcs_reports(mode, instances)
+        finally:
+            pcspan.lpsolve.highs_model = original
+    models = [tuple(hashes[i : i + 6]) for i in range(0, len(hashes), 6)]
+    return reports, _rounds(calls), models
+
+
+def test_the_root_bound_cuts_off_only_roots_that_cannot_win(monkeypatch, digest_sets):
+    reports, rounds, models = _digest_set_solves(monkeypatch, digest_sets, unbounded=True)
+    bounded_reports, bounded_rounds, bounded_models = _digest_set_solves(
+        monkeypatch, digest_sets, unbounded=False
+    )
+    assert bounded_reports == reports
+    # the bounded run builds a subset of the LPs, in the same order
+    remaining = iter(models)
+    assert all(model in remaining for model in bounded_models)
+    assert len(bounded_models) < len(models)
+    assert len(bounded_rounds) == len(rounds)
+    cut_off = 0
+    for calls, bounded_calls in zip(rounds, bounded_rounds):
+        rnd = calls[0][0]
+        assert (bounded_calls[0][0].demands, bounded_calls[0][0].prices) == (
+            rnd.demands,
+            rnd.prices,
+        )
+        # every root is still called, best-first by its bound
+        roots = [root for _rnd, root, _tree in bounded_calls]
+        assert sorted(roots) == list(range(len(rnd.bounds)))
+        bounds = rnd.bounds
+        assert roots == sorted(roots, key=lambda r: (bounds[r] is None, bounds[r] or 0, r))
+        trees = {root: tree for _rnd, root, tree in calls}
+        winner = min((tree for tree in trees.values() if tree is not None), key=tree_order)
+        for root, tree in trees.items():
+            # (a) the bound never exceeds the density of a root's tree
+            if tree is not None:
+                assert bounds[root] is not None and bounds[root] <= tree.density
+        for _rnd, root, bounded in bounded_calls:
+            unbounded = trees[root]
+            if bounded is None and unbounded is not None:
+                # (b) a root the bound cuts off could not have won
+                assert tree_order(unbounded) > tree_order(winner)
+                cut_off += 1
+            else:
+                assert bounded == unbounded
+    assert cut_off > 0
+
+
+def test_a_root_whose_bound_equals_the_incumbent_is_still_run(monkeypatch):
+    # one edge 0 -> 1 of cost 1: both roots bound the density by 1, and both
+    # reach it; root 1 runs after root 0 and must not be cut off
+    inst = make_instance(
+        n=2,
+        edges=[(0, 1, 1, (1, 0))],
+        demands=[(0, 1, (1, 1))],
+        tau=1,
+        packing=1,
+        covering=0,
+    )
+    pg = product_graph_for(inst)
+    rnd = greedy_round(pg)
+    assert rnd.bounds == (1, 1)
+    calls = _record_root_trees(monkeypatch)
+    tree = min_density_junction_tree(pg)
+    assert tree.root == 0 and tree.density == 1
+    assert [root for _rnd, root, _tree in calls] == [0, 1]
+    assert calls[1][2] is not None and calls[1][2].density == 1
+    assert junction_tree_for_root(pg, rnd, 1, random.Random(0), incumbent=Fraction(1)) is not None
+    assert junction_tree_for_root(pg, rnd, 1, random.Random(0), incumbent=Fraction(99, 100)) is None
 
 
 def _open_demands(bundle) -> int:
@@ -507,7 +628,8 @@ def test_single_demand_roots_are_never_denser_than_the_lp_paths_fallback(
         return bundle
 
     monkeypatch.setattr(pcspan.junction, "build_label_cover", keeping)
-    calls = _record_root_trees(monkeypatch)
+    # unbounded, so that every root builds its cover
+    calls = _record_root_trees(monkeypatch, unbounded=True)
     for _report in digest_sets.rcs_reports():
         pass
     for _report in digest_sets.pcs_reports("integer", digest_sets.integer_instances):

@@ -4,14 +4,10 @@ import pytest
 
 from pcspan.errors import ScaleError
 from pcspan.model import Walk, is_feasible
-from pcspan.oracle import (
-    brute_force_min_density_junction,
-    brute_force_opt,
-    enumerate_feasible_walks,
-    through_root_candidates,
-)
+from pcspan.oracle import brute_force_opt, enumerate_feasible_walks
 
 from conftest import make_instance
+from junction_oracle import brute_force_min_density_junction, through_root_candidates
 
 
 def test_single_direct_edge_catalog():

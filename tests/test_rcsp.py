@@ -11,7 +11,7 @@ from pcspan.errors import (
     InternalInvariantError,
 )
 from pcspan.model import Demand, Edge, ResourceVector, is_feasible, is_theta_feasible
-from pcspan.oracle import _enumerate_walks, enumerate_feasible_walks, through_root_candidates
+from pcspan.oracle import _enumerate_walks, enumerate_feasible_walks
 from pcspan.rcsp import (
     config_feasible,
     feasible_witness,
@@ -24,6 +24,7 @@ from pcspan.rcsp import (
 from pcspan.generate import gen_pcs
 
 from conftest import make_instance
+from junction_oracle import through_root_candidates
 
 
 def test_source_row_zero(tri_instance):

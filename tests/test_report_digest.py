@@ -9,8 +9,8 @@ rcs: 316
 pcs-integer: 194
 pcs-theta: 124
 junction: 4a50177e4a232663a24216d550dcbbc0fc36146d6e0e4b936b2d057b0ef1e9b9
-models: ecd5ef2044c6858c99bb6ada3f6c5d985fdbe84405a2d4b6eaabf27866088e3c
-model size: 218 LPs, 82583 rows, 120899 columns, 293439 nonzeros
+models: 4d4f8f656001d20037ebb6a39e803bca55483b081676e9cacfb8f1ea03e36ec3
+model size: 196 LPs, 69182 rows, 101316 columns, 244929 nonzeros
 """
 
 
