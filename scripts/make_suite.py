@@ -6,7 +6,7 @@ import os
 
 from pcspan import io as pio
 from pcspan.generate import gen_pcs
-from pcspan.rcsp import validate_demands
+from pcspan.rcsp import hop_bound
 
 
 def main():
@@ -28,7 +28,7 @@ def main():
             seed=seed,
             budget_slack=1,
         )
-        validate_demands(inst)
+        hop_bound(inst)  # raises for a demand without a feasible walk
         path = os.path.join(args.outdir, f"pcs-{regime}-{seed:03d}.json")
         pio.write_json(path, pio.pcs_to_dict(inst))
         print(path)

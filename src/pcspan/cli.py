@@ -29,7 +29,7 @@ from .junction import min_density_junction_tree, product_graph_for
 from .model import is_feasible, is_theta_feasible
 from .oracle import brute_force_opt
 from .rational import format_rational, parse_rational
-from .rcsp import validate_demands, verify_solution
+from .rcsp import hop_bound, verify_solution
 from .reductions import solve_hopset, solve_rcs
 
 log = logging.getLogger("pcspan")
@@ -155,7 +155,7 @@ def cmd_gen(args, config: SolverConfig) -> int:
         instance = gen_pcs(
             n=args.n, k=args.k, m=args.m, tau=args.tau, regime=args.regime, seed=args.seed
         )
-        validate_demands(instance)
+        hop_bound(instance)  # raises for a demand without a feasible walk
         pio.write_json(out, pio.pcs_to_dict(instance))
     elif args.kind == "rcs":
         rcs = gen_rcs(n=args.n, k=args.k, must_visit=max(1, args.m // 2), avoid=args.m - max(1, args.m // 2), seed=args.seed)

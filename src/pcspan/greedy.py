@@ -10,7 +10,10 @@ from fractions import Fraction
 from .config import DEFAULT_CONFIG, SolverConfig
 from .junction import min_density_junction_tree, product_graph_for
 from .model import PcsInstance
-from .rcsp import feasible_witness
+from .rcsp import (
+    feasible_witness,  # bench/tracer.py wraps it by name; the solve calls verify_solution
+    verify_solution,
+)
 
 
 @dataclass
@@ -72,14 +75,9 @@ def solve_pcs(
         selected |= tree.edges
         remaining = [i for i in remaining if i not in tree.resolved]
     theta = config.theta if mode == "theta" else None
-    witnesses = {}
-    verified = True
-    for di, d in enumerate(instance.demands):
-        w = feasible_witness(instance, d, theta=theta, edge_subset=sorted(selected))
-        if w is None:
-            verified = False
-        else:
-            witnesses[di] = w
+    results = verify_solution(instance, selected, theta)
+    witnesses = {di: r["witness"] for di, r in results.items() if r["feasible"]}
+    verified = all(r["feasible"] for r in results.values())
     return SolveReport(
         mode=mode,
         seed=config.seed,

@@ -82,7 +82,7 @@ class PcsInstance:
     Immutable after construction; all operations over it are pure functions.
     Construction does not check that each demand admits a feasible walk,
     because that needs a search: the solve decides it before its first round
-    (`pcspan.junction.product_graph_for`), and `pcspan.rcsp.validate_demands`
+    (`pcspan.junction.product_graph_for`), and `pcspan.rcsp.hop_bound`
     decides it without solving (for generated instances).
     """
 

@@ -290,8 +290,8 @@ def require_feasible_demands(pg: ProductGraph) -> None:
     (s, t) has a feasible walk iff (s, 0, R) reaches a state (t, J, R) that
     pairs with (s, 0, L) in its relation, i.e. J fits the demand's box.  One
     reach search per distinct source; demands are checked by ascending
-    source, then in instance order, as `rcsp.validate_demands` checks them,
-    so the same demand is named first.
+    source, then in instance order, as `rcsp.hop_bound` checks them, so the
+    same demand is named first.
     """
     by_source = {}
     for di, d in enumerate(pg.instance.demands):

@@ -1,4 +1,10 @@
-"""Resource-constrained shortest-walk engine.
+"""Resource-constrained shortest-walk engine: the walk oracle.
+
+Every walk question is answered by one hop-bounded relaxation (`relax`):
+the witness search (`feasible_witness`, `verify_solution`,
+`through_root_witness`), the hop bound of the scaling (`hop_bound`, which
+also decides whether every demand has a feasible walk), and, over plain
+vertices, `reductions.verify_hopset`.
 
 States are (vertex, config) pairs where a config tracks resources 1..m with
 the covering coordinates clamped at -tau (clamping is absorbing: once a walk
@@ -13,12 +19,10 @@ budget becomes the largest whole number of units within it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     ContractError,
-    InfeasibleDemandError,
     InfeasibleWithinCapError,
     InternalInvariantError,
 )
@@ -92,22 +96,6 @@ def default_hop_cap(instance: PcsInstance) -> int:
     )
 
 
-@dataclass(frozen=True)
-class LabelTable:
-    """Per-hop minimal lengths from a fixed source over (vertex, config)
-    states, as ints in units of 1 / `scale`."""
-
-    source: int
-    by_hops: tuple  # tuple of dicts: state -> int units, index = max hops used
-    lengths: dict  # state -> overall minimal length in units
-    scale: int  # model.length_scale of the instance
-
-    def length(self, vertex: int, cfg: tuple):
-        """The exact minimal length (a Fraction), or None if unreached."""
-        units = self.lengths.get((vertex, cfg))
-        return None if units is None else Fraction(units, self.scale)
-
-
 def _limit(bound, scale: int) -> int:
     """The largest int number of 1 / `scale` units within `bound`."""
     return math.floor(bound * scale)
@@ -167,8 +155,9 @@ def _successors(instance: PcsInstance, edges, edge_ids, scale: int):
     return arcs, expanded
 
 
-def _relax(arcs, start, max_hops: int) -> list:
-    """Hop-bounded Bellman-Ford from `start` over `arcs(state)`.
+def relax(arcs, start, max_hops: int) -> list:
+    """Hop-bounded Bellman-Ford from `start` over `arcs(state)`, which
+    lists (edge id, next state, length) triples.
 
     `tables[h]` maps every state reached by a walk of at most h arcs to the
     minimal length of such a walk.  Each hop re-relaxes only the states the
@@ -196,28 +185,6 @@ def _relax(arcs, start, max_hops: int) -> list:
     return tables
 
 
-def shortest_lengths_from(
-    instance: PcsInstance,
-    source: int,
-    max_hops: int | None = None,
-    edge_subset=None,
-) -> LabelTable:
-    """Hop-bounded relaxation over (vertex, config) states.
-
-    `by_hops[h]` holds the minimal length over walks with at most h edges;
-    unreachable states are absent.
-    """
-    if max_hops is None:
-        max_hops = default_hop_cap(instance)
-    scale = length_scale(instance)
-    edge_ids = _allowed_edges(instance, edge_subset)
-    arcs, _ = _successors(instance, instance.edges, edge_ids, scale)
-    tables = _relax(arcs, (source, zero_config(instance)), max_hops)
-    return LabelTable(
-        source=source, by_hops=tuple(tables), lengths=dict(tables[-1]), scale=scale
-    )
-
-
 def _witness(instance: PcsInstance, edges, edge_ids, demand: Demand, theta, max_hops):
     """Edge ids of the canonical feasible walk over `edges`, or None.
 
@@ -237,7 +204,7 @@ def _witness(instance: PcsInstance, edges, edge_ids, demand: Demand, theta, max_
     arcs, expanded = _successors(instance, edges, edge_ids, scale)
     start = (demand.source, zero_config(instance))
     best = None
-    for h, tab in enumerate(_relax(arcs, start, max_hops)):
+    for h, tab in enumerate(relax(arcs, start, max_hops)):
         for cfg, length in _within_budget(instance, demand, bound, tab):
             key = (length, h, cfg)
             if best is None or key < best:
@@ -250,7 +217,7 @@ def _witness(instance: PcsInstance, edges, edge_ids, demand: Demand, theta, max_
     for state, out in expanded.items():
         for eid, state2, step in out:
             reverse.setdefault(state2, []).append((eid, state, step))
-    back = _relax(lambda s: reverse.get(s, ()), target, hops)
+    back = relax(lambda s: reverse.get(s, ()), target, hops)
     walk = []
     state = start
     while state != target or length != 0:
@@ -289,47 +256,34 @@ def feasible_witness(
     return None if walk is None else Walk(walk)
 
 
-def _demand_tables(instance: PcsInstance):
-    """Each demand with the hop tables from its source and its length limit
-    in their units, by ascending source; demands sharing a source share one
-    table, and only one table is alive at a time."""
+def hop_bound(instance: PcsInstance) -> int:
+    """Smallest H such that every demand has a feasible walk with < H edges.
+
+    One relaxation per distinct source, ascending, over one arc map: a
+    state's arcs do not depend on the source.  Demands are checked by
+    ascending source, then in instance order.
+    """
+    cap = default_hop_cap(instance)
+    scale = length_scale(instance)
+    arcs, _ = _successors(instance, instance.edges, range(len(instance.edges)), scale)
     by_source = {}
     for d in instance.demands:
         by_source.setdefault(d.source, []).append(d)
-    for source in sorted(by_source):
-        table = shortest_lengths_from(instance, source)
-        for d in by_source[source]:
-            yield d, table, _limit(d.budget[0], table.scale)
-
-
-def hop_bound(instance: PcsInstance) -> int:
-    """Smallest H such that every demand has a feasible walk with < H edges."""
     worst = 0
-    for d, table, limit in _demand_tables(instance):
-        h_min = next(
-            (h for h, tab in enumerate(table.by_hops) if _within_budget(instance, d, limit, tab)),
-            None,
-        )
-        if h_min is None:
-            raise InfeasibleWithinCapError(
-                f"demand ({d.source},{d.target}) has no feasible walk within "
-                f"{default_hop_cap(instance)} hops"
+    for source in sorted(by_source):
+        tables = relax(arcs, (source, zero_config(instance)), cap)
+        for d in by_source[source]:
+            limit = _limit(d.budget[0], scale)
+            h_min = next(
+                (h for h, tab in enumerate(tables) if _within_budget(instance, d, limit, tab)),
+                None,
             )
-        worst = max(worst, h_min)
+            if h_min is None:
+                raise InfeasibleWithinCapError(
+                    f"demand ({d.source},{d.target}) has no feasible walk within {cap} hops"
+                )
+            worst = max(worst, h_min)
     return worst + 1
-
-
-def validate_demands(instance: PcsInstance):
-    """Reject instances with an infeasible demand (problem undefined).
-
-    A demand is feasible iff its target holds a state within budget (the
-    tables are cumulative, so the last one decides).
-    """
-    for d, table, limit in _demand_tables(instance):
-        if not _within_budget(instance, d, limit, table.lengths):
-            raise InfeasibleDemandError(
-                f"demand ({d.source},{d.target}) admits no feasible walk"
-            )
 
 
 def verify_solution(

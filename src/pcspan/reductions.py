@@ -28,6 +28,7 @@ from .errors import (
 from .greedy import SolveReport, solve_pcs
 from .layered import build_closure
 from .model import Demand, Edge, PcsInstance, ResourceVector, Walk
+from .rcsp import relax
 
 MUST_VISIT = "must_visit"
 AVOID = "avoid"
@@ -371,20 +372,15 @@ def solve_hopset(hs: HopsetInstance, config: SolverConfig = DEFAULT_CONFIG) -> d
 
 def verify_hopset(hs: HopsetInstance, added_edges) -> dict:
     """Per demand: does G plus the added edges admit a path with at most
-    beta hops and length within the demand bound?  (Hop-bounded Bellman-Ford.)"""
+    beta hops and length within the demand bound?  (`rcsp.relax` over the
+    vertices, up to the demand's beta.)"""
     combined = list(hs.edges) + [tuple(e) for e in added_edges]
+    out_arcs = {}
+    for idx, (u, v, length) in enumerate(combined):
+        out_arcs.setdefault(u, []).append((idx, v, length))
     out = {}
     for di, d in enumerate(hs.demands):
-        beta = hs.demand_beta(d)
-        dist = {d.source: 0}
-        for _hop in range(beta):
-            nxt = dict(dist)
-            for (u, v, length) in combined:
-                if u in dist:
-                    cand = dist[u] + length
-                    if v not in nxt or cand < nxt[v]:
-                        nxt[v] = cand
-            dist = nxt
+        dist = relax(lambda u: out_arcs.get(u, ()), d.source, hs.demand_beta(d))[-1]
         feasible = d.target in dist and dist[d.target] <= d.dist_bound
         out[di] = {"feasible": feasible, "length": dist.get(d.target)}
     return out

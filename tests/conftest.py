@@ -32,13 +32,14 @@ from junction_oracle import brute_force_min_density_junction
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-@pytest.fixture
-def digest_sets(monkeypatch):
+@pytest.fixture(scope="session")
+def digest_sets():
     """`scripts/report_digest.py` as a module: its seeded sets and `main`."""
-    monkeypatch.syspath_prepend(str(SCRIPTS))
-    import report_digest
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(SCRIPTS))
+        import report_digest
 
-    yield report_digest
+        yield report_digest
     sys.modules.pop("report_digest", None)
 
 

@@ -1,16 +1,22 @@
 import dataclasses
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
+import pcspan.cli
 from pcspan import density_lp
 from pcspan import io as pio
 from pcspan.cli import build_parser, main, make_config
 from pcspan.config import DEFAULT_CONFIG, SolverConfig
 from pcspan.generate import gen_pcs
-from pcspan.model import Walk, is_feasible
+from pcspan.model import Demand, ResourceVector, Walk, is_feasible
 from pcspan.product import build_product_graph
-from pcspan.rcsp import verify_solution
+from pcspan.rcsp import hop_bound, verify_solution
+
+from conftest import SCRIPTS
+from walk_reference import validate_demands
 
 
 def run(args):
@@ -39,9 +45,35 @@ def test_gen_integer_regime_lengths(tmp_path):
 
 def test_generated_demands_pass_oracle():
     inst = gen_pcs(n=5, k=3, m=2, tau=1, regime="rational-negative", seed=9)
-    from pcspan.rcsp import validate_demands
-
     validate_demands(inst)  # raises on any infeasible demand
+
+
+def test_gen_exits_3_on_an_infeasible_instance(tri_instance, tmp_path, monkeypatch, capsys):
+    # the only walk within the length budget 2 is 0 -> 1 -> 2; budget 1 has none
+    (d,) = tri_instance.demands
+    tight = Demand(d.source, d.target, ResourceVector((Fraction(1), *d.budget.entries[1:])))
+    infeasible = dataclasses.replace(tri_instance, demands=(tight,))
+    monkeypatch.setattr(pcspan.cli, "gen_pcs", lambda **kwargs: infeasible)
+    out = tmp_path / "g.json"
+    assert run(["--mode", "gen", "--kind", "pcs", "--out", str(out)]) == 3
+    assert "demand (0,2) has no feasible walk" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_make_suite_writes_instances_that_pass_the_hop_bound(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import make_suite
+
+    monkeypatch.setattr(sys, "argv", ["make_suite.py", str(tmp_path), "--count", "3"])
+    try:
+        make_suite.main()
+    finally:
+        sys.modules.pop("make_suite", None)
+    written = capsys.readouterr().out.split()
+    assert sorted(written) == sorted(str(path) for path in tmp_path.iterdir())
+    assert len(written) == 3
+    for path in written:
+        hop_bound(pio.pcs_from_dict(pio.load_json(path)))
 
 
 def test_solve_and_report_round_trip(tri_instance, tmp_path):

@@ -22,10 +22,11 @@ from pcspan.rcsp import (
     config_feasible,
     default_hop_cap,
     feasible_witness,
-    shortest_lengths_from,
     step_config,
 )
 from pcspan.scaling import scale_instance
+
+from walk_reference import lengths_from
 
 
 def fraction_closure(vertices, out_edges):
@@ -175,10 +176,11 @@ def test_int_closures_and_witnesses_equal_the_fraction_reference(case):
     assert all((e.res[0] * length_scale(inst)).denominator == 1 for e in inst.edges)
     cap = default_hop_cap(inst)
     for source in {d.source for d in inst.demands}:
-        table = shortest_lengths_from(inst, source)
-        assert all(type(units) is int for units in table.lengths.values())
+        lengths = lengths_from(inst, source)[-1]
+        assert all(type(units) is int for units in lengths.values())
         expected = fraction_tables(fraction_arcs(inst), (source, (0,) * inst.m), cap)[-1]
-        assert {state: table.length(*state) for state in table.lengths} == expected
+        scale = length_scale(inst)
+        assert {state: Fraction(units, scale) for state, units in lengths.items()} == expected
     for d in inst.demands:
         for theta in (None, Fraction(1, 2)):
             walk = feasible_witness(inst, d, theta=theta)

@@ -474,30 +474,76 @@ class _ModelHashes(list):
         self.append(hashlib.sha256(data).digest())
 
 
-def _digest_set_solves(monkeypatch, digest_sets, unbounded):
-    """The reports of the rcs, integer and theta sets of
-    `scripts/report_digest.py`, each round's (round, root, tree) calls, and
-    the hashes of the HiGHS models built, in order; with ``unbounded`` every
-    root runs with no incumbent."""
+@dataclasses.dataclass
+class DigestSolves:
+    """One pass over the 80 solves of `scripts/report_digest.py`'s sets, in
+    order: the reports, each root call as (round, root, tree), the label
+    cover each call built (unbounded passes only), the hashes of each HiGHS
+    model built, the calls to `fallback_tree`, and per set the number of
+    root calls and covers recorded by its end."""
+
+    reports: list = dataclasses.field(default_factory=list)
+    calls: list = dataclasses.field(default_factory=list)
+    bundles: list = dataclasses.field(default_factory=list)
+    models: list = dataclasses.field(default_factory=list)
+    fallback_calls: list = dataclasses.field(default_factory=list)
+    set_ends: dict = dataclasses.field(default_factory=dict)
+
+
+def _solve_digest_sets(digest_sets, unbounded) -> DigestSolves:
+    """The digest sets solved once; with ``unbounded`` every root runs with
+    no incumbent, so no root is cut off and every root builds its cover."""
+    solves = DigestSolves()
     hashes = _ModelHashes()
-    with monkeypatch.context() as patch:
-        calls = _record_root_trees(patch, unbounded)
+    with pytest.MonkeyPatch.context() as patch:
+        solves.calls = _record_root_trees(patch, unbounded)
+        build_label_cover = pcspan.junction.build_label_cover
+        fallback_tree = pcspan.density_lp.fallback_tree
+
+        def keeping(*args):
+            bundle = build_label_cover(*args)
+            solves.bundles.append(bundle)
+            return bundle
+
+        def recording(*args, **kwargs):
+            solves.fallback_calls.append(args)
+            return fallback_tree(*args, **kwargs)
+
+        if unbounded:
+            patch.setattr(pcspan.junction, "build_label_cover", keeping)
+        patch.setattr(pcspan.junction, "fallback_tree", recording)
+        patch.setattr(pcspan.density_lp, "fallback_tree", recording)
         original = digest_sets.hash_models(hashes, [0] * 4)
         try:
-            reports = list(digest_sets.rcs_reports())
-            for _name, mode, instances in digest_sets.PCS_SETS:
-                reports += digest_sets.pcs_reports(mode, instances)
+            sets = [("rcs", digest_sets.rcs_reports())]
+            for name, mode, instances in digest_sets.PCS_SETS:
+                sets.append((name, digest_sets.pcs_reports(mode, instances)))
+            for name, reports in sets:
+                solves.reports += reports
+                solves.set_ends[name] = (len(solves.calls), len(solves.bundles))
         finally:
             pcspan.lpsolve.highs_model = original
-    models = [tuple(hashes[i : i + 6]) for i in range(0, len(hashes), 6)]
-    return reports, _rounds(calls), models
+    solves.models = [tuple(hashes[i : i + 6]) for i in range(0, len(hashes), 6)]
+    return solves
 
 
-def test_the_root_bound_cuts_off_only_roots_that_cannot_win(monkeypatch, digest_sets):
-    reports, rounds, models = _digest_set_solves(monkeypatch, digest_sets, unbounded=True)
-    bounded_reports, bounded_rounds, bounded_models = _digest_set_solves(
-        monkeypatch, digest_sets, unbounded=False
-    )
+# Each pass solves the 80 digest instances; the tests of this module share
+# one unbounded and one bounded pass.
+@pytest.fixture(scope="module")
+def unbounded_solves(digest_sets) -> DigestSolves:
+    return _solve_digest_sets(digest_sets, unbounded=True)
+
+
+@pytest.fixture(scope="module")
+def bounded_solves(digest_sets) -> DigestSolves:
+    return _solve_digest_sets(digest_sets, unbounded=False)
+
+
+def test_the_root_bound_cuts_off_only_roots_that_cannot_win(unbounded_solves, bounded_solves):
+    reports, models = unbounded_solves.reports, unbounded_solves.models
+    rounds = _rounds(unbounded_solves.calls)
+    bounded_reports, bounded_models = bounded_solves.reports, bounded_solves.models
+    bounded_rounds = _rounds(bounded_solves.calls)
     assert bounded_reports == reports
     # the bounded run builds a subset of the LPs, in the same order
     remaining = iter(models)
@@ -612,28 +658,16 @@ def _edge_set_price(bundle, walk) -> int:
     return sum(bundle.rnd.prices[eid] for eid in set(walk.edges))
 
 
-def test_single_demand_roots_are_never_denser_than_the_lp_paths_fallback(
-    monkeypatch, digest_sets
-):
+def test_single_demand_roots_are_never_denser_than_the_lp_paths_fallback(unbounded_solves):
     # the closure-cost-sum walk is one of a demand's direct walks, so at
     # every root each demand's walk in the union-pair tree costs no more as
     # an edge set, and a root with one open demand is never denser than it;
-    # an LP root's tree is never worse than its union-pair tree
-    bundles = []
-    original = pcspan.junction.build_label_cover
-
-    def keeping(*args):
-        bundle = original(*args)
-        bundles.append(bundle)
-        return bundle
-
-    monkeypatch.setattr(pcspan.junction, "build_label_cover", keeping)
-    # unbounded, so that every root builds its cover
-    calls = _record_root_trees(monkeypatch, unbounded=True)
-    for _report in digest_sets.rcs_reports():
-        pass
-    for _report in digest_sets.pcs_reports("integer", digest_sets.integer_instances):
-        pass
+    # an LP root's tree is never worse than its union-pair tree.  Read off
+    # the rcs and integer sets of the unbounded pass, where every root
+    # builds its cover
+    ncalls, nbundles = unbounded_solves.set_ends["pcs-integer"]
+    calls = unbounded_solves.calls[:ncalls]
+    bundles = unbounded_solves.bundles[:nbundles]
     assert len(bundles) == len(calls)
     checked = 0
     lp_roots = 0
@@ -678,19 +712,11 @@ def test_single_pair_tree_counts_a_shared_edge_once():
     assert tree.resolved == {1: Walk((6, 26, 6, 24))}
 
 
-def test_no_solve_calls_fallback_tree(monkeypatch, digest_sets):
+def test_no_solve_calls_fallback_tree(unbounded_solves, bounded_solves):
     # fallback_tree stays importable only for bench/tracer.py, which wraps it
     # by name
-    def unused(*args):
-        raise AssertionError("the solve called fallback_tree")
-
-    monkeypatch.setattr(pcspan.junction, "fallback_tree", unused)
-    monkeypatch.setattr(pcspan.density_lp, "fallback_tree", unused)
-    for _report in digest_sets.rcs_reports():
-        pass
-    for _name, mode, instances in digest_sets.PCS_SETS:
-        for _report in digest_sets.pcs_reports(mode, instances):
-            pass
+    assert unbounded_solves.fallback_calls == []
+    assert bounded_solves.fallback_calls == []
 
 
 ROUND_CASES = [

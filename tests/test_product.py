@@ -22,11 +22,12 @@ from pcspan.product import (
     states_reaching_root_left,
     step_label,
 )
-from pcspan.rcsp import config_count, validate_demands
+from pcspan.rcsp import config_count
 from pcspan.reductions import rcs_to_pcs
 from pcspan.scaling import ScaledInstance, scale_instance
 
 from conftest import equivalence_check, make_instance
+from walk_reference import validate_demands
 
 
 def test_layer_bounds_integer_regime(tri_instance):

@@ -10,26 +10,40 @@ from pcspan.errors import (
     InfeasibleWithinCapError,
     InternalInvariantError,
 )
-from pcspan.model import Demand, Edge, ResourceVector, is_feasible, is_theta_feasible
+from pcspan.model import (
+    Demand,
+    Edge,
+    ResourceVector,
+    is_feasible,
+    is_theta_feasible,
+    length_scale,
+)
 from pcspan.oracle import _enumerate_walks, enumerate_feasible_walks
 from pcspan.rcsp import (
     config_feasible,
     feasible_witness,
     hop_bound,
-    shortest_lengths_from,
     through_root_witness,
-    validate_demands,
     verify_solution,
 )
 from pcspan.generate import gen_pcs
 
 from conftest import make_instance
 from junction_oracle import through_root_candidates
+from walk_reference import lengths_from, validate_demands
+
+
+def final_lengths(instance, source) -> dict:
+    """Each state's minimal length from `source` over walks of any length
+    (the oracle's last hop table), as a Fraction."""
+    scale = length_scale(instance)
+    return {
+        state: Fraction(units, scale) for state, units in lengths_from(instance, source)[-1].items()
+    }
 
 
 def test_source_row_zero(tri_instance):
-    table = shortest_lengths_from(tri_instance, 0)
-    assert table.length(0, (0,)) == 0
+    assert final_lengths(tri_instance, 0)[(0, (0,))] == 0
 
 
 def test_two_edge_chain_table():
@@ -41,8 +55,7 @@ def test_two_edge_chain_table():
         packing=1,
         covering=0,
     )
-    table = shortest_lengths_from(inst, 0)
-    assert table.length(2, (1,)) == 2
+    assert final_lengths(inst, 0)[(2, (1,))] == 2
 
 
 def test_covering_clamp_absorbs():
@@ -55,15 +68,14 @@ def test_covering_clamp_absorbs():
         packing=0,
         covering=1,
     )
-    table = shortest_lengths_from(inst, 0)
-    assert table.length(3, (-2,)) == 3
-    assert table.length(3, (-3,)) is None  # clamped away
+    lengths = final_lengths(inst, 0)
+    assert lengths[(3, (-2,))] == 3
+    assert (3, (-3,)) not in lengths  # clamped away
 
 
 def test_table_respects_relaxations(tri_instance):
-    table = shortest_lengths_from(tri_instance, 0)
-    for (v, cfg), units in table.lengths.items():
-        length = Fraction(units, table.scale)
+    lengths = final_lengths(tri_instance, 0)
+    for (v, cfg), length in lengths.items():
         for eid in tri_instance.out_edges(v):
             e = tri_instance.edges[eid]
             ncfg = tuple(
@@ -71,7 +83,7 @@ def test_table_respects_relaxations(tri_instance):
             )
             if any(x > tri_instance.tau for x in ncfg):
                 continue
-            entry = table.length(e.head, ncfg)
+            entry = lengths.get((e.head, ncfg))
             if entry is not None:
                 assert entry <= length + e.res[0]
 
@@ -98,7 +110,7 @@ def test_a_witness_the_backward_tables_cannot_steer_is_an_invariant_violation(
 ):
     # the forward search finds the walk; the backward tables, emptied here,
     # then give the reconstruction no step to take
-    relax = pcspan.rcsp._relax
+    relax = pcspan.rcsp.relax
     calls = []
 
     def forward_only(arcs, start, max_hops):
@@ -106,7 +118,7 @@ def test_a_witness_the_backward_tables_cannot_steer_is_an_invariant_violation(
         calls.append(start)
         return tables if len(calls) == 1 else [{} for _ in tables]
 
-    monkeypatch.setattr(pcspan.rcsp, "_relax", forward_only)
+    monkeypatch.setattr(pcspan.rcsp, "relax", forward_only)
     with pytest.raises(InternalInvariantError, match="dead end"):
         feasible_witness(tri_instance, tri_instance.demands[0], max_hops=3)
     assert len(calls) == 2
@@ -343,12 +355,12 @@ def test_monotonicity_under_subgraph_growth():
 
 def min_feasible_hops(instance, demand, max_hops):
     """Smallest edge count of any feasible walk for the demand, or None."""
-    table = shortest_lengths_from(instance, demand.source, max_hops=max_hops)
-    for h, tab in enumerate(table.by_hops):
+    scale = length_scale(instance)
+    for h, tab in enumerate(lengths_from(instance, demand.source, max_hops=max_hops)):
         for (v, cfg), units in tab.items():
             if (
                 v == demand.target
-                and units <= demand.budget[0] * table.scale
+                and units <= demand.budget[0] * scale
                 and config_feasible(instance, cfg, demand.budget)
             ):
                 return h

@@ -1,3 +1,5 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -328,3 +330,48 @@ def test_per_demand_beta():
     report = verify_hopset(hs, [])
     assert report[0]["feasible"]  # three hops allowed
     assert not report[1]["feasible"]  # one hop disallows the bare path
+
+
+def bellman_ford_hopset(hs: HopsetInstance, added_edges) -> dict:
+    """The reference for `verify_hopset`: per demand, beta rounds of
+    Bellman-Ford over every edge of G plus the added edges, each round
+    reading the previous round's distances."""
+    combined = list(hs.edges) + [tuple(e) for e in added_edges]
+    out = {}
+    for di, d in enumerate(hs.demands):
+        dist = {d.source: 0}
+        for _hop in range(hs.demand_beta(d)):
+            nxt = dict(dist)
+            for (u, v, length) in combined:
+                if u in dist:
+                    cand = dist[u] + length
+                    if v not in nxt or cand < nxt[v]:
+                        nxt[v] = cand
+            dist = nxt
+        feasible = d.target in dist and dist[d.target] <= d.dist_bound
+        out[di] = {"feasible": feasible, "length": dist.get(d.target)}
+    return out
+
+
+@pytest.mark.parametrize("style", ["random", "path", "cycle"])
+def test_verify_hopset_equals_per_hop_bellman_ford(style):
+    rng = random.Random(style)
+    outcomes = set()
+    for seed in range(6):
+        base = gen_hopset(n=6, k=4, beta=2, style=style, seed=seed)
+        closure = weighted_transitive_closure(base.n, base.edges)
+        extras = [(e.tail, e.head, e.weight) for e in closure.edges if e.cost == 1]
+        # the global beta, then a random beta per demand
+        for hs in (
+            base,
+            replace(
+                base,
+                demands=tuple(replace(d, beta=rng.randint(1, 4)) for d in base.demands),
+            ),
+        ):
+            for _ in range(5):
+                added = [e for e in extras if rng.random() < 0.3]
+                report = verify_hopset(hs, added)
+                assert report == bellman_ford_hopset(hs, added)
+                outcomes |= {entry["feasible"] for entry in report.values()}
+    assert outcomes == {True, False}
