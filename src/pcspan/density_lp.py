@@ -32,20 +32,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ContractError, InternalInvariantError
+from .errors import ContractError, InternalInvariantError, ResourceLimitError
 from .layered import enumerate_root_paths
 from .lpsolve import LinearProgram, solve_lp as _solve_lp_backend
 from .model import Walk, is_feasible, is_theta_feasible
 from .product import relation_holds
 
-# root paths one terminal state may have before the LP build gives up
-MAX_PATHS_PER_TERMINAL = 20000
+# root paths, over all terminal states, one LP may have before its build gives up
+MAX_ROOT_PATHS = 200_000
 
 
 @dataclass
 class LabelCoverLp:
     """LP (objective: the closure costs of the capacity the flows use) over
-    one root's label cover.
+    the label cover of ``root`` in round ``rnd``.
 
     The eq rows come first: the normalization (the y mass is 1), then one
     row per flow (its path flows sum to its value Z).  The ub rows are the
@@ -60,7 +60,8 @@ class LabelCoverLp:
     """
 
     lp: LinearProgram
-    bundle: object  # the RootedLabelCover this LP was built from
+    rnd: object  # the junction.Round this LP was built in
+    root: int
     paths_up: dict  # state vid -> list of vid chains (state .. root)
     paths_down: dict  # state vid -> list of vid chains (root .. state)
     g_cols: dict  # (side, state vid) -> range of its path columns
@@ -71,25 +72,42 @@ class LpValues:
     """Exact-rational view of a solved label-cover LP."""
 
     y: dict  # (demand, L vid, R vid) -> Fraction, summing to exactly 1
-    flow: dict  # (side, state, path_idx) -> Fraction
+    columns: list  # every column's Fraction value, by column index
     objective: Fraction
 
 
-def build_lp(bundle) -> LabelCoverLp:
+def build_lp(rnd, root: int) -> LabelCoverLp:
     """LP (normalization, terminal rows, path-form flow support, shared
-    capacities) with its free and single-row capacities folded away."""
-    h = bundle.h
-    relations = bundle.relations
-    if not any(relations.values()):
-        raise ContractError("no candidate relation pairs: root resolves nothing")
+    capacities) of ``root`` in round ``rnd``, a root with relation pairs,
+    with its free and single-row capacities folded away.  Raises
+    ResourceLimitError, before any column is built, when its terminal states
+    have more than `MAX_ROOT_PATHS` root paths in all."""
+    h = rnd.h
+    relations = rnd.relations[root]
 
-    # enumerate root paths once per terminal state
-    closure = bundle.rnd.closure
-    cap = MAX_PATHS_PER_TERMINAL
+    # enumerate root paths once per terminal state, each search given the
+    # part of the whole LP's budget that the ones before it left
+    closure = rnd.closure
+    budget = MAX_ROOT_PATHS
+
+    def root_paths(start, goal):
+        nonlocal budget
+        try:
+            paths = enumerate_root_paths(closure, start, goal, h, budget)
+        except ResourceLimitError:
+            raise ResourceLimitError(
+                f"the LP of root {root} has more than {MAX_ROOT_PATHS} root paths;"
+                " lower h or shrink the instance"
+            ) from None
+        budget -= len(paths)
+        return paths
+
+    root_left = rnd.pg.root_copy("L", root)
+    root_right = rnd.pg.root_copy("R", root)
     sources = sorted({i for pairs in relations.values() for i, _j in pairs})
     sinks = sorted({j for pairs in relations.values() for _i, j in pairs})
-    paths_up = {i: enumerate_root_paths(closure, i, bundle.root_left, h, cap) for i in sources}
-    paths_down = {j: enumerate_root_paths(closure, bundle.root_right, j, h, cap) for j in sinks}
+    paths_up = {i: root_paths(i, root_left) for i in sources}
+    paths_down = {j: root_paths(root_right, j) for j in sinks}
 
     # eq rows: normalization, then one flow row per terminal state; the ub
     # rows are numbered after them, so every row gets its index at once.
@@ -168,11 +186,12 @@ def build_lp(bundle) -> LabelCoverLp:
         objective=objective,
         eq_rows=[1] + [0] * (num_eq - 1),
         ub_rows=[0] * (ub - num_eq),
-        cost_scale=bundle.rnd.cost_scale,
+        cost_scale=rnd.cost_scale,
     )
     return LabelCoverLp(
         lp=lp,
-        bundle=bundle,
+        rnd=rnd,
+        root=root,
         paths_up=paths_up,
         paths_down=paths_down,
         g_cols=g_cols,
@@ -180,20 +199,16 @@ def build_lp(bundle) -> LabelCoverLp:
 
 
 def solve_lp(cover: LabelCoverLp) -> LpValues:
-    """Solve exactly and read y and the path flows by column position."""
+    """Solve exactly and read y by column position; a path's flow is the
+    value of its column in ``cover.g_cols``."""
     sol = _solve_lp_backend(cover.lp)
     values = sol.values
-    relations = cover.bundle.relations
+    relations = cover.rnd.relations[cover.root]
     pairs = [(di, i, j) for di in sorted(relations) for i, j in relations[di]]
     y = dict(zip(pairs, values))  # the y columns come first
-    flow = {
-        (side, vid, p_idx): values[col]
-        for (side, vid), cols in cover.g_cols.items()
-        for p_idx, col in enumerate(cols)
-    }
     if sum(y.values(), Fraction(0)) != 1:
         raise InternalInvariantError("LP relation mass is not exactly 1")
-    return LpValues(y=y, flow=flow, objective=sol.objective)
+    return LpValues(y=y, columns=values, objective=sol.objective)
 
 
 def sort_representatives(reps, c: int) -> list:
@@ -387,8 +402,7 @@ def bucket_and_scale(gammas: dict, dim: int) -> BucketChoice:
 
 @dataclass
 class RoundedSelection:
-    connected: tuple  # demand indices that connected
-    up_chains: dict  # demand -> vid chain used on the source side
+    up_chains: dict  # demand -> vid chain used on the source side, in bucket order
     down_chains: dict  # demand -> chain on the sink side
     rounds_used: int
 
@@ -422,7 +436,7 @@ def gst_round(
     their state's flow Z at least that mass, and that state's path flows sum
     to Z.
     """
-    pg = cover.bundle.pg
+    pg = cover.rnd.pg
     ids = pg.vertex_ids
     up_chains = {}
     down_chains = {}
@@ -430,25 +444,23 @@ def gst_round(
         d = pg.instance.demands[di]
         src_states = {ids[("L", d.source, lab)] for lab in pruned[di].src_alive}
         snk_states = {ids[("R", d.target, lab)] for lab in pruned[di].snk_alive}
-        up = _weighted_paths(values, cover.paths_up, src_states, "up", bucket.scale)
-        down = _weighted_paths(values, cover.paths_down, snk_states, "down", bucket.scale)
+        up = _weighted_paths(cover, values, "up", src_states, bucket.scale)
+        down = _weighted_paths(cover, values, "down", snk_states, bucket.scale)
         if not up or not down:
             raise InternalInvariantError(f"bucket demand {di} has no positive-flow root path")
         up_chains[di] = _sample(rng, up)
         down_chains[di] = _sample(rng, down)
-    return RoundedSelection(
-        connected=tuple(bucket.demands),
-        up_chains=up_chains,
-        down_chains=down_chains,
-        rounds_used=1,
-    )
+    return RoundedSelection(up_chains=up_chains, down_chains=down_chains, rounds_used=1)
 
 
-def _weighted_paths(values, paths, states, side, scale) -> list:
+def _weighted_paths(cover, values, side, states, scale) -> list:
+    """The ``side`` root paths of ``states`` that carry flow, each weighed
+    by its flow scaled by ``scale`` and capped at 1."""
+    paths = cover.paths_up if side == "up" else cover.paths_down
     weighted = []
     for vid in sorted(states):
-        for p_idx, chain in enumerate(paths.get(vid, ())):
-            w = values.flow.get((side, vid, p_idx), Fraction(0))
+        for chain, col in zip(paths[vid], cover.g_cols[(side, vid)]):
+            w = values.columns[col]
             if w > 0:
                 weighted.append((chain, min(Fraction(1), scale * w)))
     return weighted
@@ -476,27 +488,27 @@ def tree_order(tree: JunctionTree):
     return (tree.density, -len(tree.resolved), tree.root, len(tree.edges), sorted(tree.edges))
 
 
-def assemble_junction_tree(bundle, rounded: RoundedSelection) -> JunctionTree:
-    """Expand each claimed demand's sampled chains over the closure of
-    ``bundle`` (a `junction.RootedLabelCover`) into its s ~> root ~> t walk,
-    check that walk against the demand's budget, and report the density of
-    the union of the walks under the round's prices."""
-    if not rounded.connected:
+def assemble_junction_tree(rnd, root: int, rounded: RoundedSelection) -> JunctionTree:
+    """Expand each claimed demand's sampled chains over the closure of round
+    ``rnd`` into its s ~> root ~> t walk, check that walk against the
+    demand's budget, and report the density of the union of the walks under
+    the round's prices."""
+    if not rounded.up_chains:
         raise InternalInvariantError("assembly needs at least one connected demand")
     # product edges point the way their base edges do on both sides, so the
     # up chain (s .. root) then the down chain (root .. t) is in order
-    return _checked_tree(bundle, {
-        di: _base_edges(bundle, rounded.up_chains[di])
-        + _base_edges(bundle, rounded.down_chains[di])
-        for di in rounded.connected
+    return _checked_tree(rnd, root, {
+        di: _base_edges(rnd, up) + _base_edges(rnd, rounded.down_chains[di])
+        for di, up in rounded.up_chains.items()
     })
 
 
-def _checked_tree(bundle, walks: dict) -> JunctionTree:
-    """The tree of ``walks`` (demand -> base-edge tuple, in walk order) at the
-    root of ``bundle``: each walk is checked against its demand's budget, and
-    the density is that of the union of the walks under the round's prices."""
-    pg = bundle.pg
+def _checked_tree(rnd, root: int, walks: dict) -> JunctionTree:
+    """The tree of ``walks`` (demand -> base-edge tuple, in walk order) at
+    ``root`` in round ``rnd``: each walk is checked against its demand's
+    budget, and the density is that of the union of the walks under the
+    round's prices."""
+    pg = rnd.pg
     instance = pg.instance
     theta = pg.theta
     resolved = {}
@@ -511,10 +523,9 @@ def _checked_tree(bundle, walks: dict) -> JunctionTree:
             raise InternalInvariantError(f"the assembled walk of demand {di} fails its budget")
         resolved[di] = walk
     edges = frozenset(eid for walk in resolved.values() for eid in walk.edges)
-    rnd = bundle.rnd
     cost = Fraction(sum(rnd.prices[eid] for eid in edges), rnd.cost_scale)
     return JunctionTree(
-        root=bundle.root,
+        root=root,
         edges=edges,
         resolved=resolved,
         cost=cost,
@@ -522,51 +533,54 @@ def _checked_tree(bundle, walks: dict) -> JunctionTree:
     )
 
 
-def _base_edges(bundle, chain) -> tuple:
-    edges = bundle.pg.edges
-    path = bundle.rnd.closure.path
+def _base_edges(rnd, chain) -> tuple:
+    edges = rnd.pg.edges
+    path = rnd.closure.path
     return tuple(edges[pidx].base_edge for u, v in zip(chain, chain[1:]) for pidx in path(u, v))
 
 
-def union_pair_tree(bundle, demands) -> JunctionTree:
-    """The union of the best direct walks of ``demands``: one tree resolving
-    them all.  A direct walk takes one relation pair of its demand, the
-    closure path from its source state up to the root and down again to its
-    target state.  It is scored by the cost of its edge set under the round's
-    prices, so a base edge used twice counts once; ties go to fewer edges,
-    then to the smaller sorted edge list.
+def union_pair_tree(rnd, root: int, demands) -> JunctionTree:
+    """The union of the best direct walks of ``demands`` at ``root`` in round
+    ``rnd``: one tree resolving them all.  A direct walk takes one relation
+    pair of its demand, the closure path from its source state up to the
+    root and down again to its target state (one closure step each way: an
+    h-step chain's other steps stay on the root and expand to no edges).  It
+    is scored by the cost of its edge set under the round's prices, so a
+    base edge used twice counts once; ties go to fewer edges, then to the
+    smaller sorted edge list.
 
     Where a root has one open demand, every tree there resolves it alone, so
     this is that root's best tree and needs no LP.  Each source and target
     state's path is expanded once per call, and the chosen walks are built
     from those expansions.
     """
-    prices = bundle.rnd.prices
-    up_tail = (bundle.root_left,) * bundle.h
-    down_head = (bundle.root_right,) * bundle.h
+    prices = rnd.prices
+    relations = rnd.relations[root]
+    root_left = rnd.pg.root_copy("L", root)
+    root_right = rnd.pg.root_copy("R", root)
     ups = {}  # source state -> (base edges of its path up to the root, their set)
     downs = {}
     walks = {}
     for di in demands:
         best = None
-        for svid, tvid in bundle.relations[di]:
+        for svid, tvid in relations[di]:
             if svid not in ups:
-                up = _base_edges(bundle, (svid,) + up_tail)
+                up = _base_edges(rnd, (svid, root_left))
                 ups[svid] = (up, frozenset(up))
             if tvid not in downs:
-                down = _base_edges(bundle, down_head + (tvid,))
+                down = _base_edges(rnd, (root_right, tvid))
                 downs[tvid] = (down, frozenset(down))
             edges = ups[svid][1] | downs[tvid][1]
             key = (sum(prices[eid] for eid in edges), len(edges), sorted(edges))
             if best is None or key < best[0]:
                 best = (key, svid, tvid)
         walks[di] = ups[best[1]][0] + downs[best[2]][0]
-    return _checked_tree(bundle, walks)
+    return _checked_tree(rnd, root, walks)
 
 
 # bench/tracer.py wraps fallback_tree by name, so it stays importable though
 # the solve never calls it
-def fallback_tree(bundle, gammas: dict) -> JunctionTree:
+def fallback_tree(rnd, root: int, gammas: dict) -> JunctionTree:
     """The direct-walk tree of the demand of highest ``gammas`` mass."""
     target = max(sorted(gammas), key=lambda di: (gammas[di], -di))
-    return union_pair_tree(bundle, [target])
+    return union_pair_tree(rnd, root, [target])

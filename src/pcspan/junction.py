@@ -22,7 +22,7 @@ more resolved demands, then smaller root ids) wins.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import layered
@@ -83,19 +83,22 @@ def product_graph_for(
 
 @dataclass(frozen=True)
 class Round:
-    """A greedy round: its open demands (original indices, ascending), each
-    base edge's int price in units of 1 / cost_scale (bought edges 0), the
-    cost closure, under those prices, of the product states the open
-    demands' walks can use, and per root, the relation pairs that connect
-    there (`_relations_at_root`) and a lower bound on the density of its
-    trees (`_root_bounds`)."""
+    """A greedy round on the product graph ``pg`` at height ``h``: its open
+    demands (original indices, ascending), each base edge's int price in
+    units of 1 / cost_scale (bought edges 0), the cost closure, under those
+    prices, of the product states the open demands' walks can use, and per
+    root, the relation pairs that connect there (`_relations_at_root`) and a
+    lower bound on the density of its trees (`_root_bounds`).  A root and
+    its round are all that the per-root stages read."""
 
+    pg: ProductGraph = field(repr=False)
+    h: int  # closure steps per root chain (`SolverConfig.height`)
     demands: tuple
     prices: tuple
     cost_scale: int
     closure: CostClosure
-    relations: tuple  # root -> {demand: [(L vid, R vid), ...]}
-    bounds: tuple  # root -> Fraction, or None where no demand has a pair
+    relations: tuple  # root -> {demand: [(L vid, R vid), ...]}, no empty lists
+    bounds: tuple  # root -> Fraction, or None where relations[root] is empty
 
 
 def greedy_round(
@@ -129,27 +132,28 @@ def greedy_round(
     relations = tuple(
         _relations_at_root(pg, closure, demands, root) for root in range(instance.n)
     )
-    return Round(
-        demands, prices, scale, closure, relations, _root_bounds(pg, prices, scale, relations)
-    )
+    bounds = _root_bounds(pg, prices, scale, relations)
+    return Round(pg, config.height, demands, prices, scale, closure, relations, bounds)
 
 
 def _relations_at_root(pg: ProductGraph, closure: CostClosure, demands, root: int) -> dict:
-    """Per demand of ``demands``, in label order, the relation pairs that
-    connect at ``root`` in ``closure``: the source state reaches the root's
-    L copy and the root's R copy reaches the target state."""
+    """Per demand of ``demands`` that has any, in label order, the relation
+    pairs that connect at ``root`` in ``closure``: the source state reaches
+    the root's L copy and the root's R copy reaches the target state."""
     root_left = pg.root_copy("L", root)
     dist = closure.dist
     down = dist.get(pg.root_copy("R", root), {})
-    return {
-        di: [(i, j) for i, j in pg.relation_vids[di] if root_left in dist[i] and j in down]
-        for di in demands
-    }
+    at_root = {}
+    for di in demands:
+        pairs = [(i, j) for i, j in pg.relation_vids[di] if root_left in dist[i] and j in down]
+        if pairs:
+            at_root[di] = pairs
+    return at_root
 
 
 def _root_bounds(pg: ProductGraph, prices, scale: int, relations) -> tuple:
     """Per root r, a lower bound on the density of every tree at r, or None
-    when no demand has a relation pair there (``relations[r]``).
+    when no demand has a relation pair there (``relations[r]`` is empty).
 
     A tree at r that resolves demand d holds, in its edge set, a base-graph
     path from d's source to r and one from r to its target, so it costs at
@@ -171,47 +175,12 @@ def _root_bounds(pg: ProductGraph, prices, scale: int, relations) -> tuple:
     for root, at_root in enumerate(relations):
         costs = sorted(
             max(dist[d.source][root], dist[root][d.target])
-            for d in (instance.demands[di] for di, pairs in at_root.items() if pairs)
+            for d in (instance.demands[di] for di in at_root)
         )
         bounds.append(
             min((Fraction(c, k * scale) for k, c in enumerate(costs, 1)), default=None)
         )
     return tuple(bounds)
-
-
-@dataclass
-class RootedLabelCover:
-    """Everything the density LP needs for one root.
-
-    A terminal is its product state: ``relations[di]`` lists the kept (L
-    state, R state) pairs of demand ``di``, where its walk starts (up) and
-    ends (down).  The rows of the round's closure hold the up paths from
-    the L states to the root's L copy and the down paths from its R copy.
-    """
-
-    root: int
-    pg: ProductGraph
-    rnd: Round  # its prices, cost scale and closure
-    h: int
-    root_left: int  # product vid of the root's L copy
-    root_right: int
-    relations: dict  # demand_idx -> list of (L vid, R vid) pairs
-
-
-def build_label_cover(
-    pg: ProductGraph, rnd: Round, root: int, config: SolverConfig = DEFAULT_CONFIG
-):
-    """The per-root reduction of the product graph ``pg`` to minimum-density
-    Steiner label cover over the open demands of ``rnd``, under its prices:
-    a demand keeps, in label order, the relation pairs whose source state
-    reaches the root's L copy and whose target state its R copy reaches.
-    None when no demand keeps one (such roots get no LP work)."""
-    root_left = pg.root_copy("L", root)
-    root_right = pg.root_copy("R", root)
-    relations = rnd.relations[root]
-    if not any(relations.values()):
-        return None
-    return RootedLabelCover(root, pg, rnd, config.height, root_left, root_right, relations)
 
 
 # the round's state searches keep module-level names of their own so that
@@ -224,37 +193,26 @@ def _backward_reachable(pg, seeds) -> set:
     return reachable(pg, seeds, backward=True)
 
 
-def junction_tree_for_root(
-    pg: ProductGraph,
-    rnd: Round,
-    root: int,
-    rng: random.Random,
-    config=DEFAULT_CONFIG,
-    incumbent=None,
-):
-    """Pipeline for one root of the product graph ``pg`` in round ``rnd``,
-    drawing from ``rng``; None when the root resolves nothing.  Given
+def junction_tree_for_root(rnd: Round, root: int, rng: random.Random, incumbent=None):
+    """Pipeline for one root in round ``rnd``, drawing from ``rng``; None
+    when the root resolves nothing (its bound is None).  Given
     ``incumbent``, the best density found so far, it returns None before any
-    work or draw when the root's density bound lies strictly above it (or
-    the root has no bound, resolving nothing): no tree here could beat it."""
+    work or draw when the root's density bound lies strictly above it: no
+    tree here could beat it."""
     bound = rnd.bounds[root]
-    if incumbent is not None and (bound is None or bound > incumbent):
+    if bound is None or (incumbent is not None and bound > incumbent):
         return None
-    bundle = build_label_cover(pg, rnd, root, config)
-    if bundle is None:
-        return None
-    open_demands = [di for di, pairs in bundle.relations.items() if pairs]
-    direct = union_pair_tree(bundle, open_demands)
-    if len(open_demands) == 1:
+    relations = rnd.relations[root]
+    direct = union_pair_tree(rnd, root, list(relations))
+    if len(relations) == 1:
         return direct
-    cover = build_lp(bundle)
+    cover = build_lp(rnd, root)
     values = solve_lp(cover)
+    pg = rnd.pg
     keys = pg.vertex_keys
     pruned = {}
     gammas = {}
-    for di, pairs in sorted(bundle.relations.items()):
-        if not pairs:
-            continue
+    for di, pairs in sorted(relations.items()):
         # prune works on label pairs; a state's label is its key's last entry
         masses = {(keys[i][2], keys[j][2]): values.y[(di, i, j)] for i, j in pairs}
         gamma = sum(masses.values(), Fraction(0))
@@ -263,7 +221,7 @@ def junction_tree_for_root(
             pruned[di] = prune(list(masses), masses, pg.budget_units(di), pg.instance.dim)
     bucket = bucket_and_scale(gammas, pg.instance.dim)
     rounded = gst_round(cover, values, pruned, bucket, rng)
-    return min((assemble_junction_tree(bundle, rounded), direct), key=tree_order)
+    return min((assemble_junction_tree(rnd, root, rounded), direct), key=tree_order)
 
 
 def min_density_junction_tree(
@@ -303,7 +261,7 @@ def min_density_junction_tree(
     for root in sorted(root_list, key=lambda r: (bounds[r] is None, bounds[r] or 0, r)):
         rng = random.Random(f"{config.seed}/{round_no}/{root}")
         incumbent = None if best is None else best.density
-        tree = junction_tree_for_root(pg, rnd, root, rng, config, incumbent)
+        tree = junction_tree_for_root(rnd, root, rng, incumbent)
         if tree is None:
             continue
         if best is None or tree_order(tree) < tree_order(best):

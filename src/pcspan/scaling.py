@@ -14,12 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractError
-from .model import (
-    Edge,
-    PcsInstance,
-    ResourceVector,
-    condition_numbers,
-)
+from .model import PcsInstance, condition_numbers
 from .rcsp import hop_bound
 
 
@@ -30,25 +25,6 @@ class ScaledInstance:
     delta: Fraction
     units: tuple  # d_e per edge; scaled length = d_e * delta
     hop_bound_value: int
-
-    def scaled_res(self, eid: int) -> ResourceVector:
-        base = self.base.edges[eid].res
-        return ResourceVector((self.units[eid] * self.delta,) + base.entries[1:])
-
-    def as_instance(self) -> PcsInstance:
-        """The scaled graph as a plain instance (costs and demands inherited)."""
-        edges = tuple(
-            Edge(e.tail, e.head, e.cost, self.scaled_res(eid))
-            for eid, e in enumerate(self.base.edges)
-        )
-        return PcsInstance(
-            n=self.base.n,
-            edges=edges,
-            demands=self.base.demands,
-            tau=self.base.tau,
-            packing=self.base.packing,
-            covering=self.base.covering,
-        )
 
 
 def round_lengths_to_delta(lengths, delta: Fraction) -> tuple:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from pcspan.config import DEFAULT_CONFIG, SolverConfig
-from pcspan.junction import build_label_cover, greedy_round
+from pcspan.junction import greedy_round
 from pcspan.model import Demand, Edge, PcsInstance, ResourceVector
 from pcspan.oracle import ENUM_CAP, brute_force_opt
 from pcspan.product import (
@@ -120,11 +120,12 @@ def double_loop_pcs(double_loop_rcs) -> PcsInstance:
 
 
 def label_cover(problem, root: int, config: SolverConfig = DEFAULT_CONFIG):
-    """`build_label_cover` on the product graph of `problem` (an instance or
-    a scaled instance), every demand open at the instance's own costs; None
-    when the root resolves nothing."""
+    """(round, root) on the product graph of `problem` (an instance or a
+    scaled instance), every demand open at the instance's own costs, as the
+    per-root stages take them; None when the root resolves nothing."""
     pg = build_product_graph(problem, config)
-    return build_label_cover(pg, greedy_round(pg, config=config), root, config)
+    rnd = greedy_round(pg, config=config)
+    return None if rnd.bounds[root] is None else (rnd, root)
 
 
 def lp_masses(values) -> dict:
@@ -135,11 +136,36 @@ def lp_masses(values) -> dict:
     return gammas
 
 
-def label_masses(bundle, values, di) -> dict:
-    """Demand ``di``'s LP y mass per relation pair, keyed by the (I, J)
-    labels of its two terminal states, as `prune` takes it."""
-    keys = bundle.pg.vertex_keys
-    return {(keys[i][2], keys[j][2]): values.y[(di, i, j)] for i, j in bundle.relations[di]}
+def label_masses(cover, values, di) -> dict:
+    """Demand ``di``'s y mass in the solved LP ``cover`` per relation pair,
+    keyed by the (I, J) labels of its two terminal states, as `prune` takes
+    it."""
+    keys = cover.rnd.pg.vertex_keys
+    pairs = cover.rnd.relations[cover.root][di]
+    return {(keys[i][2], keys[j][2]): values.y[(di, i, j)] for i, j in pairs}
+
+
+def scaled_res(scaled: ScaledInstance, eid: int) -> ResourceVector:
+    """Edge ``eid``'s resource vector in ``scaled``: its length is d_e *
+    delta, its other entries are the base edge's."""
+    base = scaled.base.edges[eid].res
+    return ResourceVector((scaled.units[eid] * scaled.delta,) + base.entries[1:])
+
+
+def scaled_as_instance(scaled: ScaledInstance) -> PcsInstance:
+    """The scaled graph as a plain instance (costs and demands inherited)."""
+    base = scaled.base
+    edges = tuple(
+        Edge(e.tail, e.head, e.cost, scaled_res(scaled, eid)) for eid, e in enumerate(base.edges)
+    )
+    return PcsInstance(
+        n=base.n,
+        edges=edges,
+        demands=base.demands,
+        tau=base.tau,
+        packing=base.packing,
+        covering=base.covering,
+    )
 
 
 def equivalence_check(problem, root: int, config: SolverConfig = DEFAULT_CONFIG) -> dict:
@@ -157,7 +183,7 @@ def equivalence_check(problem, root: int, config: SolverConfig = DEFAULT_CONFIG)
         states_reachable_from_root_right(pg, root),
     )
     if isinstance(problem, ScaledInstance):
-        oracle_instance = problem.as_instance()
+        oracle_instance = scaled_as_instance(problem)
         theta = problem.theta
     else:
         oracle_instance = problem

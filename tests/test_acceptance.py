@@ -35,6 +35,8 @@ from conftest import (
     equivalence_check,
     make_instance,
     routing_feasible_exists,
+    scaled_as_instance,
+    scaled_res,
 )
 
 # criterion 6 medians recorded on the frozen suite before the main build;
@@ -67,7 +69,7 @@ def test_criterion_1_scaling_example():
     scaled_values = [u * 2 for u in units]
     elapsed = time.perf_counter() - started
     ok = scaled_values == [2, 4, 2, 2, 2, 2, 4, -2]
-    ok = ok and [scaled.scaled_res(e)[0] for e in range(8)] == scaled_values
+    ok = ok and [scaled_res(scaled, e)[0] for e in range(8)] == scaled_values
     ok = ok and elapsed < 0.001
     _report(1, ok, f"eight lengths scale exactly at delta=2 in {elapsed*1e6:.0f} us")
 
@@ -227,7 +229,7 @@ def test_criterion_7_theta_regime_soundness():
         )
         for theta in (Fraction(1, 2), Fraction(1, 10)):
             scaled = scale_instance(inst, theta)
-            scaled_inst = scaled.as_instance()
+            scaled_inst = scaled_as_instance(scaled)
             cap = min(6, scaled.hop_bound_value - 1)
             for di, d in enumerate(inst.demands):
                 # base-feasible (short) walks stay theta-feasible when scaled

@@ -320,7 +320,7 @@ def test_path_cap_exits_5(tmp_path, monkeypatch):
     inst = gen_pcs(n=8, k=4, m=1, tau=1, regime="integer", seed=1, budget_slack=1)
     inst_path = tmp_path / "paths.json"
     pio.write_json(str(inst_path), pio.pcs_to_dict(inst))
-    monkeypatch.setattr(density_lp, "MAX_PATHS_PER_TERMINAL", 1)
+    monkeypatch.setattr(density_lp, "MAX_ROOT_PATHS", 1)
     assert run(["--mode", "pcs-int", str(inst_path)]) == 5
 
 

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcspan.density_lp
+import pcspan.lpsolve
 from pcspan.density_lp import (
     BucketChoice,
     JunctionTree,
+    LabelCoverLp,
     LpValues,
     _weighted_paths,
     bucket_and_scale,
@@ -22,9 +25,14 @@ from pcspan.density_lp import (
     tree_order,
     union_pair_tree,
 )
-from pcspan.errors import ContractError, InternalInvariantError
+from pcspan.errors import ContractError, InternalInvariantError, ResourceLimitError
 from pcspan.generate import gen_pcs
-from pcspan.junction import min_density_junction_tree, product_graph_for
+from pcspan.junction import (
+    greedy_round,
+    junction_tree_for_root,
+    min_density_junction_tree,
+    product_graph_for,
+)
 from pcspan.model import Walk, is_feasible
 from pcspan.product import relation_holds
 
@@ -33,9 +41,9 @@ from junction_oracle import brute_force_min_density_junction
 
 
 def tri_cover(tri_instance, root=1):
-    bundle = label_cover(tri_instance, root)
-    assert bundle is not None
-    return build_lp(bundle)
+    rooted = label_cover(tri_instance, root)
+    assert rooted is not None
+    return build_lp(*rooted)
 
 
 def test_build_lp_single_pair_forces_unit_mass(tri_instance):
@@ -48,7 +56,7 @@ def test_build_lp_single_pair_forces_unit_mass(tri_instance):
     _di, i, j = key
     assert mass == 1
     for side, vid in (("up", i), ("down", j)):
-        carried = [v for (s, state, _p), v in values.flow.items() if (s, state) == (side, vid)]
+        carried = [values.columns[col] for col in cover.g_cols[(side, vid)]]
         assert sum(carried) >= mass
 
 
@@ -73,7 +81,7 @@ def test_lp_value_zero_iff_zero_cost_path():
         packing=1,
         covering=0,
     )
-    cover = build_lp(label_cover(zero, 1))
+    cover = build_lp(*label_cover(zero, 1))
     assert solve_lp(cover).objective == 0
     paid = make_instance(
         n=3,
@@ -83,7 +91,7 @@ def test_lp_value_zero_iff_zero_cost_path():
         packing=1,
         covering=0,
     )
-    cover = build_lp(label_cover(paid, 1))
+    cover = build_lp(*label_cover(paid, 1))
     assert solve_lp(cover).objective > 0
 
 
@@ -98,8 +106,8 @@ def test_tri_lp_value_matches_min_density(tri_instance):
 
 def test_density_lp_is_a_column_wise_plus_minus_one_matrix():
     inst = gen_pcs(n=6, k=3, m=1, tau=1, regime="integer", seed=8, budget_slack=1)
-    bundles = [label_cover(inst, root) for root in range(3)]
-    covers = [build_lp(b) for b in bundles if b is not None]
+    rooted = [label_cover(inst, root) for root in range(3)]
+    covers = [build_lp(*r) for r in rooted if r is not None]
     assert covers
     for cover in covers:
         lp = cover.lp
@@ -112,6 +120,35 @@ def test_density_lp_is_a_column_wise_plus_minus_one_matrix():
         assert lp.eq_rows == [1] + [0] * (len(lp.eq_rows) - 1)
         assert all(b == 0 for b in lp.ub_rows)
         assert len(lp.eq_rows) == 1 + len(cover.paths_up) + len(cover.paths_down)
+
+
+def test_the_root_path_cap_counts_the_paths_of_every_terminal(monkeypatch):
+    # the cap bounds the root paths of all of an LP's terminal states
+    # together: at their total the root builds and solves its LP, one below
+    # it the build stops before HiGHS is given any model
+    inst = gen_pcs(n=6, k=3, m=1, tau=1, regime="integer", seed=8, budget_slack=1)
+    rnd = greedy_round(product_graph_for(inst))
+    root = next(r for r, relations in enumerate(rnd.relations) if len(relations) > 1)
+    cover = build_lp(rnd, root)
+    paths = [*cover.paths_up.values(), *cover.paths_down.values()]
+    assert len(paths) > 2 and all(paths)
+    total = sum(map(len, paths))
+    models = []
+    highs_model = pcspan.lpsolve.highs_model
+
+    def recording(lp):
+        models.append(lp)
+        return highs_model(lp)
+
+    monkeypatch.setattr(pcspan.lpsolve, "highs_model", recording)
+    monkeypatch.setattr(pcspan.density_lp, "MAX_ROOT_PATHS", total - 1)
+    with pytest.raises(ResourceLimitError, match=f"more than {total - 1} root paths"):
+        junction_tree_for_root(rnd, root, random.Random(0))
+    assert models == []
+    monkeypatch.setattr(pcspan.density_lp, "MAX_ROOT_PATHS", total)
+    assert build_lp(rnd, root).lp == cover.lp
+    assert junction_tree_for_root(rnd, root, random.Random(0)) is not None
+    assert len(models) == 1
 
 
 def test_sort_representatives_examples():
@@ -253,15 +290,18 @@ def test_weighted_paths_clamp_scaled_flow():
     # state 5 has a path of flow 1/16 and one of flow 0; state 2 one of
     # flow 1; state 7 and the down side are not asked for
     paths = {5: [(5, 0), (5, 1, 0)], 2: [(2, 0)], 7: [(7, 0)]}
-    flow = {
-        ("up", 5, 0): Fraction(1, 16),
-        ("up", 5, 1): Fraction(0),
-        ("up", 2, 0): Fraction(1),
-        ("up", 7, 0): Fraction(1),
-        ("down", 2, 0): Fraction(1),
+    g_cols = {
+        ("up", 5): range(0, 2),
+        ("up", 2): range(2, 3),
+        ("up", 7): range(3, 4),
+        ("down", 2): range(4, 5),
     }
-    values = LpValues(y={}, flow=flow, objective=Fraction(0))
-    weighted = _weighted_paths(values, paths, {5, 2}, "up", Fraction(8))
+    flow = [Fraction(1, 16), Fraction(0), Fraction(1), Fraction(1), Fraction(1)]
+    cover = LabelCoverLp(
+        lp=None, rnd=None, root=0, paths_up=paths, paths_down={2: [(0, 2)]}, g_cols=g_cols
+    )
+    values = LpValues(y={}, columns=flow, objective=Fraction(0))
+    weighted = _weighted_paths(cover, values, "up", {5, 2}, Fraction(8))
     assert weighted == [((2, 0), Fraction(1)), ((5, 0), Fraction(1, 2))]
 
 
@@ -270,8 +310,8 @@ def tri_rounding_inputs(tri_instance):
     takes on `tri_instance` at root 1."""
     cover = tri_cover(tri_instance)
     values = solve_lp(cover)
-    masses = label_masses(cover.bundle, values, 0)
-    pruned = {0: prune(list(masses), masses, cover.bundle.pg.budget_units(0), tri_instance.dim)}
+    masses = label_masses(cover, values, 0)
+    pruned = {0: prune(list(masses), masses, cover.rnd.pg.budget_units(0), tri_instance.dim)}
     bucket = bucket_and_scale({0: Fraction(1)}, tri_instance.dim)
     return cover, values, pruned, bucket
 
@@ -279,8 +319,8 @@ def tri_rounding_inputs(tri_instance):
 def test_gst_round_integral_solution_returns_path(tri_instance):
     cover, values, pruned, bucket = tri_rounding_inputs(tri_instance)
     rounded = gst_round(cover, values, pruned, bucket, random.Random(5))
-    assert rounded.connected == (0,)
-    tree = assemble_junction_tree(cover.bundle, rounded)
+    assert tuple(rounded.up_chains) == (0,)
+    tree = assemble_junction_tree(cover.rnd, cover.root, rounded)
     assert tree.edges == frozenset({0, 1})
     assert tree.density == 2
     assert is_feasible(tree.resolved[0], tri_instance.demands[0], tri_instance)
@@ -301,19 +341,18 @@ def test_gst_round_monte_carlo_connects_bucket():
         packing=1,
         covering=0,
     )
-    bundle = label_cover(inst, 1)
-    cover = build_lp(bundle)
+    cover = build_lp(*label_cover(inst, 1))
     values = solve_lp(cover)
     gammas = lp_masses(values)
     pruned = {}
-    for di in bundle.relations:
-        masses = label_masses(bundle, values, di)
+    for di in cover.rnd.relations[cover.root]:
+        masses = label_masses(cover, values, di)
         if sum(masses.values()) > 0:
-            pruned[di] = prune(list(masses), masses, bundle.pg.budget_units(di), inst.dim)
+            pruned[di] = prune(list(masses), masses, cover.rnd.pg.budget_units(di), inst.dim)
     bucket = bucket_and_scale(gammas, inst.dim)
     for seed in range(200):
         rounded = gst_round(cover, values, pruned, bucket, random.Random(seed))
-        assert rounded.connected == bucket.demands
+        assert tuple(rounded.up_chains) == bucket.demands
         assert rounded.rounds_used == 1
         assert set(rounded.up_chains) == set(rounded.down_chains) == set(bucket.demands)
 
@@ -322,9 +361,10 @@ def test_gst_round_without_positive_flow_is_an_invariant_violation(tri_instance)
     # the terminal rows make this unreachable from a solved LP, so zero the
     # up-side flows by hand
     cover, values, pruned, bucket = tri_rounding_inputs(tri_instance)
-    for key in values.flow:
-        if key[0] == "up":
-            values.flow[key] = Fraction(0)
+    for (side, _vid), cols in cover.g_cols.items():
+        if side == "up":
+            for col in cols:
+                values.columns[col] = Fraction(0)
     with pytest.raises(InternalInvariantError):
         gst_round(cover, values, pruned, bucket, random.Random(0))
 
@@ -343,18 +383,17 @@ def test_assemble_two_demands_sharing_edges_halves_density():
         packing=1,
         covering=0,
     )
-    bundle = label_cover(inst, 1)
-    cover = build_lp(bundle)
+    cover = build_lp(*label_cover(inst, 1))
     values = solve_lp(cover)
     gammas = lp_masses(values)
     pruned = {}
-    for di in bundle.relations:
-        masses = label_masses(bundle, values, di)
+    for di in cover.rnd.relations[cover.root]:
+        masses = label_masses(cover, values, di)
         if sum(masses.values()) > 0:
-            pruned[di] = prune(list(masses), masses, bundle.pg.budget_units(di), inst.dim)
+            pruned[di] = prune(list(masses), masses, cover.rnd.pg.budget_units(di), inst.dim)
     bucket = bucket_and_scale(gammas, inst.dim)
     rounded = gst_round(cover, values, pruned, bucket, random.Random(0))
-    tree = assemble_junction_tree(cover.bundle, rounded)
+    tree = assemble_junction_tree(cover.rnd, cover.root, rounded)
     if len(tree.resolved) == 2:
         assert tree.density == tree.cost / 2
 
@@ -362,7 +401,7 @@ def test_assemble_two_demands_sharing_edges_halves_density():
 def test_fallback_tree_valid(tri_instance):
     cover = tri_cover(tri_instance)
     values = solve_lp(cover)
-    tree = fallback_tree(cover.bundle, lp_masses(values))
+    tree = fallback_tree(cover.rnd, cover.root, lp_masses(values))
     assert tree.resolved
     assert tree.density >= 2  # cannot beat the optimum
 
@@ -370,7 +409,7 @@ def test_fallback_tree_valid(tri_instance):
 def test_assemble_density_at_least_oracle_minimum(tri_instance):
     cover = tri_cover(tri_instance)
     values = solve_lp(cover)
-    tree = fallback_tree(cover.bundle, lp_masses(values))
+    tree = fallback_tree(cover.rnd, cover.root, lp_masses(values))
     _r, density, _e, _m = brute_force_min_density_junction(tri_instance)
     assert tree.density >= density
 
@@ -400,9 +439,9 @@ def two_walk_instance():
 
 def test_single_pair_tree_takes_the_walk_with_fewer_edges_at_equal_cost():
     inst = two_walk_instance()
-    bundle = label_cover(inst, 0)
-    assert len(bundle.relations[0]) == 2
-    tree = union_pair_tree(bundle, [0])
+    rnd, root = label_cover(inst, 0)
+    assert len(rnd.relations[root][0]) == 2
+    tree = union_pair_tree(rnd, root, [0])
     assert tree.edges == frozenset({2})
     assert tree.density == 1
 

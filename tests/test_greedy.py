@@ -8,7 +8,7 @@ from pcspan.density_lp import build_lp
 from pcspan.errors import InfeasibleDemandError
 from pcspan.generate import gen_pcs
 from pcspan.greedy import solve_pcs
-from pcspan.junction import build_label_cover, greedy_round, product_graph_for
+from pcspan.junction import greedy_round, product_graph_for
 from pcspan.model import Edge, PcsInstance, is_feasible
 from pcspan.oracle import brute_force_opt
 from pcspan.product import build_product_graph
@@ -161,10 +161,9 @@ def _residual(instance: PcsInstance, free_edges, demand_indices) -> PcsInstance:
 
 
 def _lp_arrays(pg, rnd, root):
-    bundle = build_label_cover(pg, rnd, root)
-    if bundle is None:
+    if rnd.bounds[root] is None:
         return None
-    lp = build_lp(bundle).lp
+    lp = build_lp(rnd, root).lp
     return lp.columns, lp.objective, lp.eq_rows, lp.ub_rows, lp.cost_scale
 
 

@@ -10,9 +10,11 @@ from pcspan.greedy import solve_pcs
 from pcspan.rational import format_rational, parse_rational
 from pcspan.scaling import ScaledInstance, scale_instance
 
+from conftest import scaled_as_instance, scaled_res
+
 
 def scaled_to_dict(scaled: ScaledInstance) -> dict:
-    out = pio.pcs_to_dict(scaled.as_instance())
+    out = pio.pcs_to_dict(scaled_as_instance(scaled))
     out["delta"] = format_rational(scaled.delta)
     out["theta"] = format_rational(scaled.theta)
     return out
@@ -57,7 +59,7 @@ def test_scaled_serialization_carries_delta_and_theta():
     assert parse_rational(obj["theta"]) == Fraction(1, 2)
     back = pio.pcs_from_dict(obj)  # the scaled graph is itself an instance
     for eid in range(len(inst.edges)):
-        assert back.edges[eid].res[0] == scaled.scaled_res(eid)[0]
+        assert back.edges[eid].res[0] == scaled_res(scaled, eid)[0]
 
 
 def test_rcs_round_trip():

@@ -9,7 +9,7 @@ import pytest
 import pcspan.density_lp
 import pcspan.junction
 import pcspan.lpsolve
-from pcspan.config import DEFAULT_CONFIG, SolverConfig
+from pcspan.config import SolverConfig
 from pcspan.density_lp import (
     RoundedSelection,
     assemble_junction_tree,
@@ -26,7 +26,6 @@ from pcspan.errors import (
 from pcspan.generate import gen_pcs
 from pcspan.greedy import solve_pcs
 from pcspan.junction import (
-    build_label_cover,
     greedy_round,
     junction_tree_for_root,
     min_density_junction_tree,
@@ -133,19 +132,18 @@ def test_assembly_rejects_a_claimed_demand_whose_walk_breaks_its_budget():
         packing=1,
         covering=0,
     )
-    bundle = label_cover(inst, 0)
-    via_1 = bundle.pg.vertex_ids[("R", 2, (2, 1))]
-    up = (bundle.root_left,) * (bundle.h + 1)
-    down = (bundle.root_right,) * bundle.h + (via_1,)
+    rnd, root = label_cover(inst, 0)
+    pg = rnd.pg
+    via_1 = pg.vertex_ids[("R", 2, (2, 1))]
+    up = (pg.root_copy("L", root),) * (rnd.h + 1)
+    down = (pg.root_copy("R", root),) * rnd.h + (via_1,)
 
     def claim(di):
-        return RoundedSelection(
-            connected=(di,), up_chains={di: up}, down_chains={di: down}, rounds_used=1
-        )
+        return RoundedSelection(up_chains={di: up}, down_chains={di: down}, rounds_used=1)
 
-    assert assemble_junction_tree(bundle, claim(0)).resolved == {0: Walk((0, 1))}
+    assert assemble_junction_tree(rnd, root, claim(0)).resolved == {0: Walk((0, 1))}
     with pytest.raises(InternalInvariantError):
-        assemble_junction_tree(bundle, claim(1))
+        assemble_junction_tree(rnd, root, claim(1))
 
 
 def test_density_within_polylog_of_oracle_minimum():
@@ -210,7 +208,7 @@ def test_root_enumeration_completeness(tri_instance):
     rnd = greedy_round(pg)
     best = None
     for root in range(tri_instance.n):
-        tree = junction_tree_for_root(pg, rnd, root, random.Random(0))
+        tree = junction_tree_for_root(rnd, root, random.Random(0))
         if tree is not None and (best is None or tree.density < best.density):
             best = tree
     full = min_density_junction_tree(product_graph_for(tri_instance))
@@ -425,8 +423,8 @@ def _record_root_trees(monkeypatch, unbounded=False):
     calls = []
     original = pcspan.junction.junction_tree_for_root
 
-    def recording(pg, rnd, root, rng, config=DEFAULT_CONFIG, incumbent=None):
-        tree = original(pg, rnd, root, rng, config, None if unbounded else incumbent)
+    def recording(rnd, root, rng, incumbent=None):
+        tree = original(rnd, root, rng, None if unbounded else incumbent)
         calls.append((rnd, root, tree))
         return tree
 
@@ -477,14 +475,12 @@ class _ModelHashes(list):
 @dataclasses.dataclass
 class DigestSolves:
     """One pass over the 80 solves of `scripts/report_digest.py`'s sets, in
-    order: the reports, each root call as (round, root, tree), the label
-    cover each call built (unbounded passes only), the hashes of each HiGHS
-    model built, the calls to `fallback_tree`, and per set the number of
-    root calls and covers recorded by its end."""
+    order: the reports, each root call as (round, root, tree), the hashes of
+    each HiGHS model built, the calls to `fallback_tree`, and per set the
+    number of root calls recorded by its end."""
 
     reports: list = dataclasses.field(default_factory=list)
     calls: list = dataclasses.field(default_factory=list)
-    bundles: list = dataclasses.field(default_factory=list)
     models: list = dataclasses.field(default_factory=list)
     fallback_calls: list = dataclasses.field(default_factory=list)
     set_ends: dict = dataclasses.field(default_factory=dict)
@@ -492,25 +488,17 @@ class DigestSolves:
 
 def _solve_digest_sets(digest_sets, unbounded) -> DigestSolves:
     """The digest sets solved once; with ``unbounded`` every root runs with
-    no incumbent, so no root is cut off and every root builds its cover."""
+    no incumbent, so no root that resolves something is cut off."""
     solves = DigestSolves()
     hashes = _ModelHashes()
     with pytest.MonkeyPatch.context() as patch:
         solves.calls = _record_root_trees(patch, unbounded)
-        build_label_cover = pcspan.junction.build_label_cover
         fallback_tree = pcspan.density_lp.fallback_tree
-
-        def keeping(*args):
-            bundle = build_label_cover(*args)
-            solves.bundles.append(bundle)
-            return bundle
 
         def recording(*args, **kwargs):
             solves.fallback_calls.append(args)
             return fallback_tree(*args, **kwargs)
 
-        if unbounded:
-            patch.setattr(pcspan.junction, "build_label_cover", keeping)
         patch.setattr(pcspan.junction, "fallback_tree", recording)
         patch.setattr(pcspan.density_lp, "fallback_tree", recording)
         original = digest_sets.hash_models(hashes, [0] * 4)
@@ -520,7 +508,7 @@ def _solve_digest_sets(digest_sets, unbounded) -> DigestSolves:
                 sets.append((name, digest_sets.pcs_reports(mode, instances)))
             for name, reports in sets:
                 solves.reports += reports
-                solves.set_ends[name] = (len(solves.calls), len(solves.bundles))
+                solves.set_ends[name] = len(solves.calls)
         finally:
             pcspan.lpsolve.highs_model = original
     solves.models = [tuple(hashes[i : i + 6]) for i in range(0, len(hashes), 6)]
@@ -598,12 +586,8 @@ def test_a_root_whose_bound_equals_the_incumbent_is_still_run(monkeypatch):
     assert tree.root == 0 and tree.density == 1
     assert [root for _rnd, root, _tree in calls] == [0, 1]
     assert calls[1][2] is not None and calls[1][2].density == 1
-    assert junction_tree_for_root(pg, rnd, 1, random.Random(0), incumbent=Fraction(1)) is not None
-    assert junction_tree_for_root(pg, rnd, 1, random.Random(0), incumbent=Fraction(99, 100)) is None
-
-
-def _open_demands(bundle) -> int:
-    return sum(1 for pairs in bundle.relations.values() if pairs)
+    assert junction_tree_for_root(rnd, 1, random.Random(0), incumbent=Fraction(1)) is not None
+    assert junction_tree_for_root(rnd, 1, random.Random(0), incumbent=Fraction(99, 100)) is None
 
 
 def test_a_root_with_one_open_demand_builds_no_lp(monkeypatch):
@@ -621,41 +605,42 @@ def test_a_root_with_one_open_demand_builds_no_lp(monkeypatch):
     kinds = set()
     for rnd in (greedy_round(pg), greedy_round(pg, demands=[0, 2]), greedy_round(pg, {0}, [3])):
         for root in range(inst.n):
-            bundle = build_label_cover(pg, rnd, root)
-            if bundle is None:
+            if rnd.bounds[root] is None:
                 continue
-            single = _open_demands(bundle) == 1
+            single = len(rnd.relations[root]) == 1
             kinds.add(single)
             calls.clear()
-            junction_tree_for_root(pg, rnd, root, random.Random(0))
+            junction_tree_for_root(rnd, root, random.Random(0))
             assert calls == ([] if single else ["build_lp", "solve_lp"])
     assert kinds == {True, False}
 
 
-def closure_sum_pair_tree(bundle, di):
-    """The reference direct-walk tree of demand ``di``: its relation pair
-    of least closure-cost sum up to the root and down again, ties toward
-    smaller state ids.  `union_pair_tree` scores the same walks by the cost
-    of their edge sets, so its walk is never dearer than this one."""
-    closure = bundle.rnd.closure
+def closure_sum_pair_tree(rnd, root, di):
+    """The reference direct-walk tree of demand ``di`` at ``root`` in round
+    ``rnd``: its relation pair of least closure-cost sum up to the root and
+    down again, ties toward smaller state ids.  `union_pair_tree` scores the
+    same walks by the cost of their edge sets, so its walk is never dearer
+    than this one."""
+    closure = rnd.closure
+    root_left = rnd.pg.root_copy("L", root)
+    root_right = rnd.pg.root_copy("R", root)
 
     def closure_sum(pair):
         svid, tvid = pair
-        cost = closure.cost(svid, bundle.root_left) + closure.cost(bundle.root_right, tvid)
+        cost = closure.cost(svid, root_left) + closure.cost(root_right, tvid)
         return cost, pair
 
-    svid, tvid = min(bundle.relations[di], key=closure_sum)
+    svid, tvid = min(rnd.relations[root][di], key=closure_sum)
     walks = RoundedSelection(
-        connected=(di,),
-        up_chains={di: (svid,) + (bundle.root_left,) * bundle.h},
-        down_chains={di: (bundle.root_right,) * bundle.h + (tvid,)},
+        up_chains={di: (svid,) + (root_left,) * rnd.h},
+        down_chains={di: (root_right,) * rnd.h + (tvid,)},
         rounds_used=0,
     )
-    return assemble_junction_tree(bundle, walks)
+    return assemble_junction_tree(rnd, root, walks)
 
 
-def _edge_set_price(bundle, walk) -> int:
-    return sum(bundle.rnd.prices[eid] for eid in set(walk.edges))
+def _edge_set_price(rnd, walk) -> int:
+    return sum(rnd.prices[eid] for eid in set(walk.edges))
 
 
 def test_single_demand_roots_are_never_denser_than_the_lp_paths_fallback(unbounded_solves):
@@ -663,32 +648,28 @@ def test_single_demand_roots_are_never_denser_than_the_lp_paths_fallback(unbound
     # every root each demand's walk in the union-pair tree costs no more as
     # an edge set, and a root with one open demand is never denser than it;
     # an LP root's tree is never worse than its union-pair tree.  Read off
-    # the rcs and integer sets of the unbounded pass, where every root
-    # builds its cover
-    ncalls, nbundles = unbounded_solves.set_ends["pcs-integer"]
-    calls = unbounded_solves.calls[:ncalls]
-    bundles = unbounded_solves.bundles[:nbundles]
-    assert len(bundles) == len(calls)
+    # the rcs and integer sets of the unbounded pass, where every root that
+    # resolves something runs
+    calls = unbounded_solves.calls[: unbounded_solves.set_ends["pcs-integer"]]
     checked = 0
     lp_roots = 0
-    for bundle, (_rnd, root, tree) in zip(bundles, calls):
-        if bundle is None:
+    for rnd, root, tree in calls:
+        if rnd.bounds[root] is None:
+            assert tree is None
             continue
-        open_demands = [di for di, pairs in bundle.relations.items() if pairs]
-        union = union_pair_tree(bundle, open_demands)
+        open_demands = list(rnd.relations[root])
+        union = union_pair_tree(rnd, root, open_demands)
         assert union.resolved.keys() == set(open_demands)
         for di in open_demands:
-            reference = closure_sum_pair_tree(bundle, di).resolved[di]
-            assert _edge_set_price(bundle, union.resolved[di]) <= _edge_set_price(
-                bundle, reference
-            )
+            reference = closure_sum_pair_tree(rnd, root, di).resolved[di]
+            assert _edge_set_price(rnd, union.resolved[di]) <= _edge_set_price(rnd, reference)
         if len(open_demands) != 1:
             assert tree_order(tree) <= tree_order(union)
             lp_roots += 1
             continue
         assert tree.root == root
         (di,) = open_demands
-        reference = closure_sum_pair_tree(bundle, di)
+        reference = closure_sum_pair_tree(rnd, root, di)
         assert tree.resolved.keys() == {di}
         assert tree.density <= reference.density
         checked += 1
@@ -704,9 +685,8 @@ def test_single_pair_tree_counts_a_shared_edge_once():
     )
     pg = product_graph_for(inst)
     rnd = greedy_round(pg, {4, 10, 12, 26}, [1])
-    bundle = build_label_cover(pg, rnd, 7)
-    assert closure_sum_pair_tree(bundle, 1).density == 8
-    tree = junction_tree_for_root(pg, rnd, 7, random.Random(0))
+    assert closure_sum_pair_tree(rnd, 7, 1).density == 8
+    tree = junction_tree_for_root(rnd, 7, random.Random(0))
     assert tree.density == 5
     assert tree.edges == frozenset({6, 24, 26})
     assert tree.resolved == {1: Walk((6, 26, 6, 24))}
@@ -717,6 +697,40 @@ def test_no_solve_calls_fallback_tree(unbounded_solves, bounded_solves):
     # by name
     assert unbounded_solves.fallback_calls == []
     assert bounded_solves.fallback_calls == []
+
+
+def test_a_round_lists_only_demands_with_pairs(unbounded_solves):
+    # a root's relations never hold an empty list, and its bound is None
+    # exactly when it lists no demand, so the bound alone says whether a
+    # root resolves anything
+    kinds = Counter()
+    for calls in _rounds(unbounded_solves.calls):
+        rnd = calls[0][0]
+        assert len(rnd.relations) == len(rnd.bounds)
+        for relations, bound in zip(rnd.relations, rnd.bounds):
+            assert all(relations.values())
+            assert (bound is None) == (not relations)
+            kinds[bound is None] += 1
+    assert kinds[True] > 0 and kinds[False] > 0
+
+
+def test_union_pair_tree_does_not_depend_on_the_height(digest_sets):
+    # a direct walk takes one closure step up and one down; the other steps
+    # of an h-step chain stay on the root copy and expand to no edges
+    tall = SolverConfig(epsilon=Fraction(1, 3))
+    trees = 0
+    for inst in digest_sets.integer_instances():
+        pg = product_graph_for(inst)
+        rnd, rnd_tall = greedy_round(pg), greedy_round(pg, config=tall)
+        assert (rnd.h, rnd_tall.h) == (2, 3)
+        assert rnd_tall.relations == rnd.relations
+        for root, relations in enumerate(rnd.relations):
+            if relations:
+                demands = list(relations)
+                tree = union_pair_tree(rnd, root, demands)
+                assert union_pair_tree(rnd_tall, root, demands) == tree
+                trees += 1
+    assert trees > 40
 
 
 ROUND_CASES = [
@@ -742,8 +756,8 @@ def _per_root_cover(pg, rnd, root):
     """(relations, useful L states, useful R states) of ``root`` from the
     per-root searches of `pcspan.product`, the reference the round's closure
     must agree with; each relation pair's labels are mapped to their
-    (source, I, L) and (target, J, R) states.  None when no relation pair
-    connects."""
+    (source, I, L) and (target, J, R) states, and a demand with no pair is
+    left out.  None when no relation pair connects."""
     reach_left = states_reaching_root_left(pg, root)
     reach_right = states_reachable_from_root_right(pg, root)
     by_label = connectable_relation_pairs(pg, rnd.demands, reach_left, reach_right)
@@ -751,6 +765,8 @@ def _per_root_cover(pg, rnd, root):
         return None
     relations = {}
     for di, pairs in by_label.items():
+        if not pairs:
+            continue
         d = pg.instance.demands[di]
         relations[di] = [
             (pg.vertex_ids[("L", d.source, i_lab)], pg.vertex_ids[("R", d.target, j_lab)])
@@ -771,14 +787,13 @@ def test_relations_read_off_the_round_closure_equal_the_per_root_searches(mode, 
     outcomes = Counter()
     for rnd in rounds:
         for root in range(inst.n):
-            bundle = build_label_cover(pg, rnd, root)
             reference = _per_root_cover(pg, rnd, root)
-            outcomes[bundle is None] += 1
+            outcomes[rnd.bounds[root] is None] += 1
             if reference is None:
-                assert bundle is None
+                assert rnd.relations[root] == {} and rnd.bounds[root] is None
                 continue
             relations, _left, _right = reference
-            assert bundle.relations == relations
+            assert rnd.relations[root] == relations
     assert outcomes[False] > 0
 
 

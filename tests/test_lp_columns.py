@@ -15,7 +15,7 @@ full LP at that optimum.
 from fractions import Fraction
 
 from pcspan.config import DEFAULT_CONFIG
-from pcspan.density_lp import MAX_PATHS_PER_TERMINAL, build_lp, solve_lp
+from pcspan.density_lp import MAX_ROOT_PATHS, build_lp, solve_lp
 from pcspan.errors import InternalInvariantError
 from pcspan.generate import gen_pcs, gen_rcs
 from pcspan.layered import enumerate_root_paths
@@ -37,20 +37,23 @@ def _down_edge_keys(h, chain):
     return [("down", i, chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
 
 
-def keyed_build_lp(bundle):
-    """(LinearProgram, column keys) of one root's label cover."""
-    h = bundle.h
-    relations = bundle.relations
-    closure = bundle.rnd.closure
-    cap = MAX_PATHS_PER_TERMINAL
+def keyed_build_lp(rnd, root):
+    """(LinearProgram, column keys) of the label cover of ``root`` in round
+    ``rnd``."""
+    h = rnd.h
+    relations = rnd.relations[root]
+    closure = rnd.closure
+    root_left = rnd.pg.root_copy("L", root)
+    root_right = rnd.pg.root_copy("R", root)
+    cap = MAX_ROOT_PATHS
     paths_up = {}
     paths_down = {}
     for di in sorted(relations):
         for i, j in relations[di]:
             if i not in paths_up:
-                paths_up[i] = enumerate_root_paths(closure, i, bundle.root_left, h, cap)
+                paths_up[i] = enumerate_root_paths(closure, i, root_left, h, cap)
             if j not in paths_down:
-                paths_down[j] = enumerate_root_paths(closure, bundle.root_right, j, h, cap)
+                paths_down[j] = enumerate_root_paths(closure, root_right, j, h, cap)
 
     num_eq = 1 + len(paths_up) + len(paths_down)
     var_index = {}
@@ -128,7 +131,7 @@ def keyed_build_lp(bundle):
         objective=objective,
         eq_rows=[1] + [0] * (num_eq - 1),
         ub_rows=[0] * (ub - num_eq),
-        cost_scale=bundle.rnd.cost_scale,
+        cost_scale=rnd.cost_scale,
     )
     return lp, tuple(keys)
 
@@ -150,7 +153,7 @@ def lift(keys, cover, values) -> list:
     """The full LP's column values for a solution of the reduced one: z is
     the terminal's y mass, Z its flow's total and x the largest use of its
     step by any one flow of that side."""
-    h = cover.bundle.h
+    h = cover.rnd.h
     mass = {}
     for (di, i, j), v in values.y.items():
         for end, vid in (("src", i), ("snk", j)):
@@ -162,8 +165,8 @@ def lift(keys, cover, values) -> list:
         ("down", cover.paths_down, _down_edge_keys),
     ):
         for vid, chains in paths.items():
-            for p_idx, chain in enumerate(chains):
-                v = values.flow[(side, vid, p_idx)]
+            for chain, col in zip(chains, cover.g_cols[(side, vid)]):
+                v = values.columns[col]
                 total[(side, vid)] = total.get((side, vid), 0) + v
                 for ekey in keyfn(h, chain):
                     use[(ekey, vid)] = use.get((ekey, vid), 0) + v
@@ -180,26 +183,27 @@ def lift(keys, cover, values) -> list:
         elif kind == "Z":
             lifted.append(total[key])
         elif kind == "g":
-            lifted.append(values.flow[key])
+            side, vid, p_idx = key
+            lifted.append(values.columns[cover.g_cols[(side, vid)][p_idx]])
         else:
             lifted.append(peak[key[0]])
     return lifted
 
 
 def _covers():
-    """(bundle, reduced LabelCoverLp) of every root that has a cover."""
+    """The reduced LabelCoverLp of every root that has a cover."""
     for problem, n in _problems():
         for root in range(n):
-            bundle = label_cover(problem, root)
-            if bundle is not None:
-                yield bundle, build_lp(bundle)
+            rooted = label_cover(problem, root)
+            if rooted is not None:
+                yield build_lp(*rooted)
 
 
 def test_reduced_lp_matches_the_full_reference():
     covers = 0
-    for bundle, cover in _covers():
+    for cover in _covers():
         covers += 1
-        ref_lp, keys = keyed_build_lp(bundle)
+        ref_lp, keys = keyed_build_lp(cover.rnd, cover.root)
         values = solve_lp(cover)
         assert values.objective == solve_backend(ref_lp).objective
 
@@ -215,10 +219,10 @@ def test_built_lp_has_no_z_free_or_single_row_capacity():
     # value Z (its flow's eq row, then terminal rows) or a capacity x of
     # positive cost in two or more capacity rows; a z would be the only
     # other column with a +1 entry
-    for bundle, cover in _covers():
+    for cover in _covers():
         lp = cover.lp
         num_eq = len(lp.eq_rows)
-        num_y = sum(len(pairs) for pairs in bundle.relations.values())
+        num_y = sum(len(pairs) for pairs in cover.rnd.relations[cover.root].values())
         paths = {j for cols in cover.g_cols.values() for j in cols}
         flows = capacities = 0
         for j, column in enumerate(lp.columns[num_y:], num_y):

@@ -223,7 +223,7 @@ def test_dual_solver_cross_check_random():
 
 def test_density_lp_above_48_rows_matches_reference():
     inst = gen_pcs(n=6, k=3, m=1, tau=1, regime="integer", seed=2, budget_slack=1)
-    lp = build_lp(label_cover(inst, 0)).lp
+    lp = build_lp(*label_cover(inst, 0)).lp
     assert len(lp.eq_rows) + len(lp.ub_rows) > 48
     assert assert_exact_optimum(lp).objective == Fraction(13, 2)
 
@@ -250,7 +250,7 @@ def _fallbacks(caplog) -> list:
 def test_highs_solution_is_certified_without_elimination(caplog):
     caplog.set_level(logging.DEBUG, logger="pcspan.lpsolve")
     inst = gen_pcs(n=6, k=3, m=1, tau=1, regime="integer", seed=8, budget_slack=1)
-    lp = build_lp(label_cover(inst, 0)).lp
+    lp = build_lp(*label_cover(inst, 0)).lp
     basis, guess = solve_highs(lp)
     assert solve_exact(lp, basis, guess) == solve_exact(lp, basis)
     assert len(_fallbacks(caplog)) == 1  # only the call without a guess
@@ -330,9 +330,9 @@ def _generated_lps():
     for seed in (8, 9):
         inst = gen_pcs(n=6, k=3, m=1, tau=1, regime="integer", seed=seed, budget_slack=1)
         for root in range(inst.n):
-            bundle = label_cover(inst, root)
-            if bundle is not None:
-                yield build_lp(bundle).lp
+            rooted = label_cover(inst, root)
+            if rooted is not None:
+                yield build_lp(*rooted).lp
 
 
 def _basis_by_status(lp: LinearProgram) -> tuple:
@@ -393,9 +393,9 @@ def _alternating_density_lps():
     LP follows one of another shape."""
     small, large = (
         [
-            build_lp(bundle).lp
-            for bundle in (label_cover(inst, root) for root in range(inst.n))
-            if bundle is not None
+            build_lp(*rooted).lp
+            for rooted in (label_cover(inst, root) for root in range(inst.n))
+            if rooted is not None
         ]
         for inst in (
             gen_pcs(n=5, k=2, m=1, tau=1, regime="integer", seed=3, budget_slack=1),

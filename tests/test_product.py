@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from pcspan.config import SolverConfig
 from pcspan.errors import ContractError, InfeasibleDemandError, ResourceLimitError
 from pcspan.generate import gen_pcs, gen_rcs
-from pcspan.junction import build_label_cover, greedy_round, product_graph_for
+from pcspan.junction import greedy_round, product_graph_for
 from pcspan.model import Demand, ResourceVector, Walk, is_feasible, walk_resource
 from pcspan.product import (
     ProductEdge,
@@ -383,11 +383,12 @@ def test_parallel_arcs_are_kept_and_the_closure_takes_the_cheaper():
     # (free edges, base edge the closure takes, its price): the cheaper
     # under the round's prices, the smaller id when both cost the same
     for free, taken, price in ((set(), 1, 2), ({0}, 0, 0), ({1}, 1, 0), ({0, 1}, 0, 0)):
-        bundle = build_label_cover(pg, greedy_round(pg, free), 0)
-        closure = bundle.rnd.closure
-        path = closure.path(bundle.root_right, target)
+        rnd = greedy_round(pg, free)
+        assert rnd.bounds[0] is not None
+        root_right = pg.root_copy("R", 0)
+        path = rnd.closure.path(root_right, target)
         assert [pg.edges[idx].base_edge for idx in path] == [taken]
-        assert closure.cost(bundle.root_right, target) == price
+        assert rnd.closure.cost(root_right, target) == price
 
 
 def test_relation_box_semantics():

@@ -15,7 +15,7 @@ from pcspan.oracle import enumerate_feasible_walks
 from pcspan.rcsp import feasible_witness
 from pcspan.scaling import ScaledInstance, compute_delta, scale_instance
 
-from conftest import make_instance
+from conftest import make_instance, scaled_as_instance, scaled_res
 
 
 def scaled_walk_resource(walk: Walk, scaled: ScaledInstance) -> ResourceVector:
@@ -82,7 +82,7 @@ def test_scaling_rounds_up_to_delta_multiples():
     delta = compute_delta(inst, 2)  # 2 * 4 / 4 = 2
     assert delta == 2
     scaled = scale_instance(inst, 2)
-    assert [scaled.scaled_res(e)[0] for e in range(3)] == [4, -2, 2]
+    assert [scaled_res(scaled, e)[0] for e in range(3)] == [4, -2, 2]
 
 
 def test_scaled_values_are_delta_multiples():
@@ -90,7 +90,7 @@ def test_scaled_values_are_delta_multiples():
         inst = gen_pcs(n=5, k=2, m=1, tau=1, regime="rational", seed=seed)
         scaled = scale_instance(inst, Fraction(1, 2))
         for eid, e in enumerate(inst.edges):
-            s0 = scaled.scaled_res(eid)[0]
+            s0 = scaled_res(scaled, eid)[0]
             d = scaled.units[eid]
             assert s0 == d * scaled.delta
             assert (d - 1) * scaled.delta < e.res[0] <= d * scaled.delta
@@ -146,7 +146,7 @@ def test_round_trip_soundness(theta):
     for seed in range(8):
         inst = gen_pcs(n=4, k=2, m=1, tau=1, regime="rational-negative", seed=seed + 50)
         scaled = scale_instance(inst, theta)
-        scaled_inst = scaled.as_instance()
+        scaled_inst = scaled_as_instance(scaled)
         cap = scaled.hop_bound_value - 1
         for di, d in enumerate(inst.demands):
             cat = enumerate_feasible_walks(inst, d, cap=max(cap, 1))

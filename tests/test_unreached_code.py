@@ -1,0 +1,68 @@
+"""`src/pcspan` holds only code that something reaches.
+
+Every module-level function, every class and every method of
+`src/pcspan/*.py` is referenced from `src/pcspan` by a name load or an
+attribute (an import alone does not count), is exported in
+`pcspan.__all__`, or is one of the names that only the benchmark's tracer
+(`bench/tracer.py`) wraps or reads.  Dunder methods run implicitly and are
+not checked.
+"""
+
+import ast
+from pathlib import Path
+
+import pcspan
+
+SRC = Path(pcspan.__file__).resolve().parent
+
+# bench/tracer.py wraps or imports these by name; the solve never reaches them
+TRACER_ONLY = {
+    "RoundingFailureError",
+    "connectable_relation_pairs",
+    "fallback_tree",
+    "states_reachable_from_root_right",
+    "states_reaching_root_left",
+    "through_root_witness",
+}
+
+
+def _is_dunder(name) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions_and_references():
+    """([(qualified name, name)] of every checked definition, {names
+    referenced by a name load or an attribute}) over `src/pcspan`."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined = []
+    referenced = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if not isinstance(node, (*functions, ast.ClassDef)):
+                continue
+            defined.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{path.stem}.{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, functions) and not _is_dunder(item.name)
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return defined, referenced
+
+
+def test_src_defines_nothing_unreached_but_the_tracer_only_names():
+    defined, referenced = definitions_and_references()
+    unreached = {
+        qualified: name
+        for qualified, name in defined
+        if name not in referenced and name not in pcspan.__all__
+    }
+    # the pinned list names exactly what is left: once the tracer no longer
+    # needs a name, it goes from src and from the list together
+    assert sorted(unreached.values()) == sorted(TRACER_ONLY), unreached
