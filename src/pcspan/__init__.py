@@ -12,7 +12,6 @@ from .model import (
     Walk,
     condition_numbers,
     is_feasible,
-    is_theta_feasible,
     walk_resource,
 )
 from .rcsp import feasible_witness, hop_bound, verify_solution
@@ -48,7 +47,6 @@ __all__ = [
     "feasible_witness",
     "hop_bound",
     "is_feasible",
-    "is_theta_feasible",
     "min_density_junction_tree",
     "product_graph_for",
     "scale_instance",

@@ -35,7 +35,7 @@ from fractions import Fraction
 from .errors import ContractError, InternalInvariantError, ResourceLimitError
 from .layered import enumerate_root_paths
 from .lpsolve import LinearProgram, solve_lp as _solve_lp_backend
-from .model import Walk, is_feasible, is_theta_feasible
+from .model import Walk, is_feasible
 from .product import relation_holds
 
 # root paths, over all terminal states, one LP may have before its build gives up
@@ -211,17 +211,6 @@ def solve_lp(cover: LabelCoverLp) -> LpValues:
     return LpValues(y=y, columns=values, objective=sol.objective)
 
 
-def sort_representatives(reps, c: int) -> list:
-    """Nondecreasing by entry c; ties by full label lex order, then by the
-    input position, so the order is fully deterministic."""
-    return [
-        lab
-        for _key, lab in sorted(
-            ((lab[c], lab, idx), lab) for idx, lab in enumerate(reps)
-        )
-    ]
-
-
 def median_consumption(masses, reps, lam: Fraction, c: int):
     """Smallest entry-c value whose cumulative y-mass over `reps` reaches lam.
 
@@ -276,12 +265,11 @@ def prune(relation_pairs, y_masses, budget_units, dim: int) -> PrunedSets:
         src_mass[i_lab] = src_mass.get(i_lab, Fraction(0)) + w
         snk_mass[j_lab] = snk_mass.get(j_lab, Fraction(0)) + w
 
-    src_alive = sort_representatives(src_mass, 0)
-    snk_alive = sort_representatives(snk_mass, 0)
+    # survivors stay in label order; no phase depends on their order
+    src_alive = sorted(src_mass)
+    snk_alive = sorted(snk_mass)
     for c in range(dim):
         lam = gamma / 2 ** (c + 1)
-        src_alive = sort_representatives(src_alive, c)
-        snk_alive = sort_representatives(snk_alive, c)
         mu_src = median_consumption(src_mass, src_alive, lam, c)
         mu_snk = median_consumption(snk_mass, snk_alive, lam, c)
         src_alive = [lab for lab in src_alive if lab[c] <= mu_src]
@@ -510,16 +498,10 @@ def _checked_tree(rnd, root: int, walks: dict) -> JunctionTree:
     round's prices."""
     pg = rnd.pg
     instance = pg.instance
-    theta = pg.theta
     resolved = {}
     for di, edges in walks.items():
         walk = Walk(edges)
-        demand = instance.demands[di]
-        if theta is None:
-            ok = is_feasible(walk, demand, instance)
-        else:
-            ok = is_theta_feasible(walk, demand, instance, theta)
-        if not ok:
+        if not is_feasible(walk, instance.demands[di], instance, pg.theta):
             raise InternalInvariantError(f"the assembled walk of demand {di} fails its budget")
         resolved[di] = walk
     edges = frozenset(eid for walk in resolved.values() for eid in walk.edges)

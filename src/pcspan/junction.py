@@ -7,14 +7,15 @@ product states: a terminal is its state) with a lower bound on the density
 of any tree rooted there.  The roots are visited best-first, by ascending
 (bound, root).  A root whose bound lies strictly above the best density
 found so far cannot win and returns None at once.  Every other root runs:
-label-cover LP over its relation pairs' h-step root chains -> representative
-pruning -> bucketing -> randomized rounding -> assembly, weighed against the
-union of every open demand's best direct walk (`union_pair_tree`).  A root
-where only one demand has relation pairs skips the LP and takes that union,
-its one best direct walk.  The product graph depends on neither the root nor
-the greedy round, so one graph (`product_graph_for`) serves a whole solve.
-Each root draws from its own random stream, seeded by (seed, round, root),
-so its tree does not depend on which roots ran, or were cut off, before it.
+label-cover LP over its relation pairs' h-step root chains -> bucketing ->
+representative pruning of the bucket's demands -> randomized rounding ->
+assembly, weighed against the union of every open demand's best direct walk
+(`union_pair_tree`).  A root where only one demand has relation pairs skips
+the LP and takes that union, its one best direct walk.  The product graph
+depends on neither the root nor the greedy round, so one graph
+(`product_graph_for`) serves a whole solve.  Each root draws from its own
+random stream, seeded by (seed, round, root), so its tree does not depend on
+which roots ran, or were cut off, before it.
 The best tree across roots under `tree_order` (lowest density, ties toward
 more resolved demands, then smaller root ids) wins.
 """
@@ -209,17 +210,18 @@ def junction_tree_for_root(rnd: Round, root: int, rng: random.Random, incumbent=
     cover = build_lp(rnd, root)
     values = solve_lp(cover)
     pg = rnd.pg
+    gammas = {
+        di: sum((values.y[(di, i, j)] for i, j in pairs), Fraction(0))
+        for di, pairs in sorted(relations.items())
+    }
+    bucket = bucket_and_scale(gammas, pg.instance.dim)
+    # rounding reads only the bucket's survivors, so only its demands are
+    # pruned; prune works on label pairs, a state's label its key's last entry
     keys = pg.vertex_keys
     pruned = {}
-    gammas = {}
-    for di, pairs in sorted(relations.items()):
-        # prune works on label pairs; a state's label is its key's last entry
-        masses = {(keys[i][2], keys[j][2]): values.y[(di, i, j)] for i, j in pairs}
-        gamma = sum(masses.values(), Fraction(0))
-        gammas[di] = gamma
-        if gamma > 0:
-            pruned[di] = prune(list(masses), masses, pg.budget_units(di), pg.instance.dim)
-    bucket = bucket_and_scale(gammas, pg.instance.dim)
+    for di in bucket.demands:
+        masses = {(keys[i][2], keys[j][2]): values.y[(di, i, j)] for i, j in relations[di]}
+        pruned[di] = prune(list(masses), masses, pg.budget_units(di), pg.instance.dim)
     rounded = gst_round(cover, values, pruned, bucket, rng)
     return min((assemble_junction_tree(rnd, root, rounded), direct), key=tree_order)
 

@@ -35,16 +35,6 @@ class ResourceVector:
     def __getitem__(self, i):
         return self.entries[i]
 
-    def dominated_by(self, other: "ResourceVector") -> bool:
-        """Componentwise <=."""
-        if len(self) != len(other):
-            raise ContractError("dimension mismatch in resource comparison")
-        return all(a <= b for a, b in zip(self.entries, other.entries))
-
-    @staticmethod
-    def zero(dim: int) -> "ResourceVector":
-        return ResourceVector((Fraction(0),) + (0,) * (dim - 1))
-
 
 @dataclass(frozen=True)
 class Demand:
@@ -180,59 +170,42 @@ class Walk:
     def __len__(self):
         return len(self.edges)
 
-    def is_empty(self) -> bool:
-        return not self.edges
 
-
-def walk_endpoints(walk: Walk, instance: PcsInstance):
-    """(first tail, last head), or None for the empty walk."""
-    if walk.is_empty():
-        return None
-    _check_walk_edges(walk, instance)
-    return instance.edges[walk.edges[0]].tail, instance.edges[walk.edges[-1]].head
-
-
-def walk_is_connected(walk: Walk, instance: PcsInstance) -> bool:
-    _check_walk_edges(walk, instance)
+def check_walk(walk: Walk, edges, source: int, target: int):
+    """Raise unless ``walk`` is a walk from ``source`` to ``target`` over
+    ``edges`` (any sequence of objects with ``.tail`` and ``.head``): every
+    id names an edge (`InstanceMismatchError`), the first edge leaves
+    ``source``, the last enters ``target``, and each edge starts where the
+    one before it ends (`ContractError`).  The empty walk resolves only
+    source == target."""
+    _check_walk_edges(walk, edges)
+    if not walk.edges:
+        if source != target:
+            raise ContractError("empty walk cannot resolve a demand with distinct endpoints")
+        return
+    ends = (edges[walk.edges[0]].tail, edges[walk.edges[-1]].head)
+    if ends != (source, target):
+        raise ContractError(f"walk endpoints {ends} do not match demand ({source},{target})")
     for a, b in zip(walk.edges, walk.edges[1:]):
-        if instance.edges[a].head != instance.edges[b].tail:
-            return False
-    return True
+        if edges[a].head != edges[b].tail:
+            raise ContractError("walk edges are not consecutive")
 
 
-def _check_walk_edges(walk: Walk, instance: PcsInstance):
+def _check_walk_edges(walk: Walk, edges):
     for eid in walk.edges:
-        if not (0 <= eid < len(instance.edges)):
+        if not (0 <= eid < len(edges)):
             raise InstanceMismatchError(f"walk references unknown edge id {eid}")
 
 
 def walk_resource(walk: Walk, instance: PcsInstance) -> ResourceVector:
     """Componentwise sum of the walk's edge consumption vectors."""
-    _check_walk_edges(walk, instance)
+    _check_walk_edges(walk, instance.edges)
     total = [Fraction(0)] + [0] * instance.m
     for eid in walk.edges:
         res = instance.edges[eid].res
         for i in range(instance.dim):
             total[i] += res[i]
     return ResourceVector(tuple(total))
-
-
-def _require_endpoints(walk: Walk, demand: Demand, instance: PcsInstance):
-    ep = walk_endpoints(walk, instance)
-    if ep is None:
-        if demand.source != demand.target:
-            raise ContractError("empty walk cannot resolve a demand with distinct endpoints")
-        return
-    if ep != (demand.source, demand.target):
-        raise ContractError(f"walk endpoints {ep} do not match demand ({demand.source},{demand.target})")
-    if not walk_is_connected(walk, instance):
-        raise ContractError("walk edges are not consecutive")
-
-
-def is_feasible(walk: Walk, demand: Demand, instance: PcsInstance) -> bool:
-    """Definition-level feasibility: resource sum componentwise <= budget."""
-    _require_endpoints(walk, demand, instance)
-    return walk_resource(walk, instance).dominated_by(demand.budget)
 
 
 def sign(x) -> int:
@@ -243,17 +216,24 @@ def sign(x) -> int:
     return 0
 
 
-def theta_relaxed_bound(budget_length, theta: Fraction) -> Fraction:
-    """Entry-0 bound after relaxation: Bdgt[0] * (1 + theta * sign(Bdgt[0]))."""
+def theta_relaxed_bound(budget_length, theta) -> Fraction:
+    """Entry-0 bound after relaxation: Bdgt[0] * (1 + theta * sign(Bdgt[0]));
+    Bdgt[0] itself when theta is None (no relaxation)."""
+    if theta is None:
+        return budget_length
     return budget_length * (1 + Fraction(theta) * sign(budget_length))
 
 
-def is_theta_feasible(walk: Walk, demand: Demand, instance: PcsInstance, theta) -> bool:
-    """Feasibility with only the length entry relaxed by the factor above."""
-    theta = Fraction(theta)
-    if theta <= 0:
+def is_feasible(walk: Walk, demand: Demand, instance: PcsInstance, theta=None) -> bool:
+    """Definition-level feasibility: ``walk`` runs from the demand's source
+    to its target and its resource sum is componentwise within the budget,
+    with the length entry relaxed by `theta_relaxed_bound` when ``theta`` is
+    given (theta-feasibility)."""
+    if theta is not None and Fraction(theta) <= 0:
         raise ContractError("theta must be positive")
-    _require_endpoints(walk, demand, instance)
+    check_walk(walk, instance.edges, demand.source, demand.target)
+    if len(demand.budget) != instance.dim:
+        raise ContractError("dimension mismatch in resource comparison")
     res = walk_resource(walk, instance)
     if res[0] > theta_relaxed_bound(demand.budget[0], theta):
         return False

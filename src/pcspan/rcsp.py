@@ -19,7 +19,6 @@ budget becomes the largest whole number of units within it.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import (
     ContractError,
@@ -194,13 +193,8 @@ def _witness(instance: PcsInstance, edges, edge_ids, demand: Demand, theta, max_
     They are exact for every state the steering reads: a walk of at most
     `hops` edges only leaves states the forward search expanded.
     """
-    bound = (
-        demand.budget[0]
-        if theta is None
-        else theta_relaxed_bound(demand.budget[0], Fraction(theta))
-    )
     scale = length_scale(instance)
-    bound = _limit(bound, scale)
+    bound = _limit(theta_relaxed_bound(demand.budget[0], theta), scale)
     arcs, expanded = _successors(instance, edges, edge_ids, scale)
     start = (demand.source, zero_config(instance))
     best = None

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .greedy import SolveReport, solve_pcs
 from .layered import build_closure
-from .model import Demand, Edge, PcsInstance, ResourceVector, Walk
+from .model import Demand, Edge, PcsInstance, ResourceVector, Walk, check_walk
 from .rcsp import relax
 
 MUST_VISIT = "must_visit"
@@ -116,17 +116,10 @@ def walk_vertices(walk: Walk, rcs: RcsInstance, source: int) -> list:
 
 def is_routing_feasible(walk: Walk, demand: RcsDemand, rcs: RcsInstance) -> bool:
     """Length within the distance control; every required group touched
-    (the start vertex counts as visited); no forbidden group touched."""
-    if walk.edges:
-        if rcs.edges[walk.edges[0]].tail != demand.source:
-            raise ContractError("walk does not start at the demand source")
-        if rcs.edges[walk.edges[-1]].head != demand.target:
-            raise ContractError("walk does not end at the demand target")
-        for a, b in zip(walk.edges, walk.edges[1:]):
-            if rcs.edges[a].head != rcs.edges[b].tail:
-                raise ContractError("walk edges are not consecutive")
-    elif demand.source != demand.target:
-        raise ContractError("empty walk cannot resolve distinct endpoints")
+    (the start vertex counts as visited); no forbidden group touched.  A
+    walk that is not one from the demand's source to its target raises, as
+    `check_walk` does for a PCS walk."""
+    check_walk(walk, rcs.edges, demand.source, demand.target)
     length = sum(rcs.edges[eid].length for eid in walk.edges)
     if length > demand.ctrl[0]:
         return False

@@ -15,7 +15,7 @@ import pytest
 from pcspan.density_lp import prune
 from pcspan.generate import gen_hopset, gen_pcs, gen_rcs
 from pcspan.greedy import solve_pcs
-from pcspan.model import Demand, ResourceVector, Walk, is_theta_feasible, theta_relaxed_bound
+from pcspan.model import Demand, ResourceVector, Walk, is_feasible, theta_relaxed_bound
 from pcspan.oracle import brute_force_opt, enumerate_feasible_walks
 from pcspan.product import build_product_graph, relation_holds
 from pcspan.rcsp import feasible_witness
@@ -236,7 +236,7 @@ def test_criterion_7_theta_regime_soundness():
                 cat = enumerate_feasible_walks(inst, d, cap=max(cap, 1))
                 for walk in cat.walks:
                     checked += 1
-                    if not is_theta_feasible(walk, scaled_inst.demands[di], scaled_inst, theta):
+                    if not is_feasible(walk, scaled_inst.demands[di], scaled_inst, theta):
                         violations += 1
                 # scaled theta-feasible walks stay theta-feasible in the base
                 relaxed = Demand(
@@ -250,7 +250,7 @@ def test_criterion_7_theta_regime_soundness():
                 scat = enumerate_feasible_walks(scaled_inst, relaxed, cap=max(cap, 1))
                 for walk in scat.walks:
                     checked += 1
-                    if not is_theta_feasible(walk, d, inst, theta):
+                    if not is_feasible(walk, d, inst, theta):
                         violations += 1
     elapsed = time.perf_counter() - started
     ok = violations == 0 and checked > 0 and elapsed < 120

@@ -20,7 +20,6 @@ from pcspan.density_lp import (
     median_consumption,
     prune,
     solve_lp,
-    sort_representatives,
     assemble_junction_tree,
     tree_order,
     union_pair_tree,
@@ -151,14 +150,6 @@ def test_the_root_path_cap_counts_the_paths_of_every_terminal(monkeypatch):
     assert len(models) == 1
 
 
-def test_sort_representatives_examples():
-    reps = [(1, 0), (2, 5), (3, 1)]
-    assert sort_representatives(reps, 0) == reps  # already sorted: unchanged
-    assert sort_representatives(reps[::-1], 0) == reps  # reverse input
-    tied = [(1, 9), (1, 2), (0, 7)]
-    assert sort_representatives(tied, 0) == [(0, 7), (1, 2), (1, 9)]  # lex on ties
-
-
 def test_median_consumption_examples():
     reps = [(1,), (2,), (3,)]
     masses = {(1,): Fraction(3, 10), (2,): Fraction(4, 10), (3,): Fraction(3, 10)}
@@ -198,6 +189,19 @@ def test_prune_constructed_two_resource_case():
     assert ps.snk_mass >= ps.gamma / 8
 
 
+def test_prune_falls_back_on_a_covering_box():
+    # entry 1 is a covering coordinate with box -1: each pair covers it once,
+    # but the median phases keep (0, 0) and (3, 0), whose sum (3, 0) does not
+    budget = (9, -1)
+    pairs = [((0, 0), (7, -1)), ((5, -1), (3, 0))]
+    y = {p: Fraction(1, 2) for p in pairs}
+    ps = prune(pairs, y, budget, dim=2)
+    assert ps.used_fallback
+    assert ps.src_alive == ((0, 0),)
+    assert ps.snk_alive == ((7, -1),)
+    assert ps.src_mass == ps.snk_mass == Fraction(1, 2)
+
+
 def _random_relation_case(rng: random.Random, dim: int):
     budget = tuple(rng.randint(2, 8) for _ in range(dim))
     pairs = set()
@@ -232,14 +236,19 @@ def test_prune_lemma_random_relations():
 @settings(max_examples=120, deadline=None)
 def test_prune_cross_product_always_safe(data):
     dim = data.draw(st.integers(1, 3))
-    budget = tuple(data.draw(st.integers(1, 6)) for _ in range(dim))
+    # a packing coordinate has labels in [0, 6]; a covering one has labels
+    # and a budget entry in [-2, 0]
+    covering = [data.draw(st.booleans()) for _ in range(dim)]
+    budget = tuple(data.draw(st.integers(-2, 0) if cov else st.integers(1, 6)) for cov in covering)
+
+    def entry(c, cap):  # a label entry of coordinate c, at most cap
+        return data.draw(st.integers(-2, min(cap, 0)) if covering[c] else st.integers(0, cap))
+
     n_pairs = data.draw(st.integers(1, 8))
     pairs = set()
     for _ in range(n_pairs):
-        i_lab = tuple(data.draw(st.integers(0, b)) for b in budget)
-        j_lab = tuple(
-            data.draw(st.integers(0, budget[c] - i_lab[c])) for c in range(dim)
-        )
+        i_lab = tuple(entry(c, max(budget[c], 0)) for c in range(dim))
+        j_lab = tuple(entry(c, budget[c] - i_lab[c]) for c in range(dim))
         pairs.add((i_lab, j_lab))
     pairs = sorted(pairs)
     y = {p: Fraction(data.draw(st.integers(1, 5))) for p in pairs}

@@ -137,10 +137,8 @@ def test_theta_mode_end_to_end():
     report = solve_pcs(inst, "theta", config)
     assert report.verified
     assert report.theta == Fraction(1, 10)
-    from pcspan.model import is_theta_feasible
-
     for di, d in enumerate(inst.demands):
-        assert is_theta_feasible(report.witnesses[di], d, inst, config.theta)
+        assert is_feasible(report.witnesses[di], d, inst, config.theta)
 
 
 def _residual(instance: PcsInstance, free_edges, demand_indices) -> PcsInstance:

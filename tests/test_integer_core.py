@@ -89,7 +89,7 @@ def fraction_witness(instance, demand, theta, max_hops):
     with the least (length, hops, config), then the lexicographically least
     edge sequence of that length steered by backward tables."""
     arcs = fraction_arcs(instance)
-    bound = demand.budget[0] if theta is None else theta_relaxed_bound(demand.budget[0], theta)
+    bound = theta_relaxed_bound(demand.budget[0], theta)
     start = (demand.source, (0,) * instance.m)
     forward = fraction_tables(arcs, start, max_hops)
     best = min(

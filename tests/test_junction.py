@@ -31,7 +31,7 @@ from pcspan.junction import (
     min_density_junction_tree,
     product_graph_for,
 )
-from pcspan.model import Walk, is_feasible, is_theta_feasible
+from pcspan.model import Walk, is_feasible
 from pcspan.layered import build_closure
 from pcspan.product import (
     build_product_graph,
@@ -105,7 +105,7 @@ def test_every_resolved_demand_verifies_through_root(tri_instance):
     ids=["integer-m2", "integer-k3", "theta"],
 )
 def test_assembled_walks_run_through_the_root_inside_the_tree(mode, instances):
-    theta = SolverConfig().theta
+    theta = None if mode == "integer" else SolverConfig().theta
     for inst in instances:
         tree = min_density_junction_tree(product_graph_for(inst, mode))
         for di, walk in tree.resolved.items():
@@ -113,10 +113,7 @@ def test_assembled_walks_run_through_the_root_inside_the_tree(mode, instances):
             edges = [inst.edges[eid] for eid in walk.edges]
             assert (edges[0].tail, edges[-1].head) == (d.source, d.target)
             assert tree.root in {edges[0].tail} | {e.head for e in edges}
-            if mode == "integer":
-                assert is_feasible(walk, d, inst)
-            else:
-                assert is_theta_feasible(walk, d, inst, theta)
+            assert is_feasible(walk, d, inst, theta)
             assert set(walk.edges) <= tree.edges
         assert set().union(*(w.edges for w in tree.resolved.values())) == tree.edges
 
@@ -178,7 +175,7 @@ def test_theta_mode_small_negative_instance():
     config = SolverConfig(theta=Fraction(1, 10))
     tree = min_density_junction_tree(product_graph_for(inst, "theta", config), config=config)
     for di, witness in tree.resolved.items():
-        assert is_theta_feasible(witness, inst.demands[di], inst, config.theta)
+        assert is_feasible(witness, inst.demands[di], inst, config.theta)
 
 
 def test_theta_mode_with_covering_resource():
@@ -199,7 +196,7 @@ def test_theta_mode_with_covering_resource():
     tree = min_density_junction_tree(product_graph_for(inst, "theta", config), config=config)
     assert 1 in tree.edges  # the covering edge is unavoidable
     for di, w in tree.resolved.items():
-        assert is_theta_feasible(w, inst.demands[di], inst, config.theta)
+        assert is_feasible(w, inst.demands[di], inst, config.theta)
 
 
 def test_root_enumeration_completeness(tri_instance):

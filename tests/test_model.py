@@ -14,9 +14,10 @@ from pcspan.model import (
     Demand,
     ResourceVector,
     Walk,
+    check_walk,
     condition_numbers,
     is_feasible,
-    is_theta_feasible,
+    theta_relaxed_bound,
     walk_resource,
 )
 
@@ -93,13 +94,13 @@ def test_theta_feasibility_sign_handling(budget0, length, expected):
         packing=1,
         covering=0,
     )
-    got = is_theta_feasible(Walk((0,)), inst.demands[0], inst, Fraction(1, 10))
+    got = is_feasible(Walk((0,)), inst.demands[0], inst, Fraction(1, 10))
     assert got is expected
 
 
 def test_theta_must_be_positive(tri_instance):
     with pytest.raises(ContractError):
-        is_theta_feasible(Walk((0, 1)), tri_instance.demands[0], tri_instance, 0)
+        is_feasible(Walk((0, 1)), tri_instance.demands[0], tri_instance, 0)
 
 
 def test_condition_numbers_nonnegative_lengths(tri_instance):
@@ -231,9 +232,33 @@ def test_feasible_implies_theta_feasible(budget0, length_delta, theta_num):
     d = inst.demands[0]
     walk = Walk((0,))
     assert is_feasible(walk, d, inst)
-    assert is_theta_feasible(walk, d, inst, Fraction(theta_num, 10))
+    assert is_feasible(walk, d, inst, Fraction(theta_num, 10))
 
 
-def test_dominated_by_requires_matching_dims():
+def test_is_feasible_requires_a_budget_of_the_instance_dim(tri_instance):
+    short = Demand(0, 2, ResourceVector((Fraction(2),)))
     with pytest.raises(ContractError):
-        ResourceVector((Fraction(1), 0)).dominated_by(ResourceVector((Fraction(1),)))
+        is_feasible(Walk((0, 1)), short, tri_instance)
+
+
+def test_theta_none_leaves_the_length_bound_alone():
+    assert theta_relaxed_bound(Fraction(-7, 2), None) == Fraction(-7, 2)
+
+
+@pytest.mark.parametrize(
+    "edges,source,target",
+    [
+        ((1,), 0, 2),  # starts at 1, not at the source
+        ((0,), 0, 2),  # ends at 1, not at the target
+        ((0, 2), 0, 2),  # 0 -> 1, then an edge out of 0
+        ((), 0, 2),  # empty, distinct endpoints
+    ],
+)
+def test_check_walk_rejects_a_bad_shape(tri_instance, edges, source, target):
+    with pytest.raises(ContractError):
+        check_walk(Walk(edges), tri_instance.edges, source, target)
+
+
+def test_check_walk_accepts_a_walk_from_source_to_target(tri_instance):
+    check_walk(Walk(()), tri_instance.edges, 1, 1)
+    check_walk(Walk((0, 1)), tri_instance.edges, 0, 2)

@@ -15,7 +15,6 @@ from pcspan.model import (
     Edge,
     ResourceVector,
     is_feasible,
-    is_theta_feasible,
     length_scale,
 )
 from pcspan.oracle import _enumerate_walks, enumerate_feasible_walks
@@ -176,7 +175,7 @@ def test_verify_solution_theta_mode():
     assert not strict[0]["feasible"]
     relaxed = verify_solution(inst, [0], theta=Fraction(1, 10))
     assert relaxed[0]["feasible"]
-    assert is_theta_feasible(relaxed[0]["witness"], inst.demands[0], inst, Fraction(1, 10))
+    assert is_feasible(relaxed[0]["witness"], inst.demands[0], inst, Fraction(1, 10))
 
 
 def test_hop_bound_examples(tri_instance):

@@ -5,9 +5,9 @@ from itertools import combinations
 
 import pytest
 
-from pcspan.errors import InfeasibleDemandError
+from pcspan.errors import InfeasibleDemandError, InstanceMismatchError
 from pcspan.generate import gen_hopset, gen_rcs
-from pcspan.model import Walk
+from pcspan.model import Walk, is_feasible
 from pcspan.oracle import enumerate_feasible_walks
 from pcspan.rcsp import feasible_witness
 from pcspan.reductions import (
@@ -68,6 +68,19 @@ def test_double_loop_no_routing_feasible_simple_path(double_loop_rcs):
     assert found  # simple paths exist...
     for edges in found:
         assert not is_routing_feasible(Walk(edges), double_loop_rcs.demands[0], double_loop_rcs)
+
+
+@pytest.mark.parametrize("eid", [-1, len(DOUBLE_LOOP_ARCS)])
+def test_unknown_edge_ids_raise_in_both_walk_checks(double_loop_rcs, eid):
+    # the last edge, 9, runs i -> c; -1 must not alias it, and 10 names no edge
+    rcs = replace(double_loop_rcs, demands=(RcsDemand(8, 2, (1, 0, 0)),))
+    assert is_routing_feasible(Walk((9,)), rcs.demands[0], rcs)
+    with pytest.raises(InstanceMismatchError):
+        is_routing_feasible(Walk((eid,)), rcs.demands[0], rcs)
+    inst, _mapping = rcs_to_pcs(rcs)
+    assert is_feasible(Walk((9,)), inst.demands[0], inst)
+    with pytest.raises(InstanceMismatchError):
+        is_feasible(Walk((eid,)), inst.demands[0], inst)
 
 
 def test_no_controls_reduces_to_length_check(double_loop_rcs):

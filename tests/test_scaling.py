@@ -8,7 +8,7 @@ from pcspan.model import (
     ResourceVector,
     Walk,
     condition_numbers,
-    is_theta_feasible,
+    is_feasible,
     walk_resource,
 )
 from pcspan.oracle import enumerate_feasible_walks
@@ -34,7 +34,7 @@ def check_scaling_claims(instance, scaled: ScaledInstance, walks) -> list:
             raise ContractError("scaling claims only cover walks shorter than the hop bound")
         res = walk_resource(walk, instance)
         sres = scaled_walk_resource(walk, scaled)
-        if not res.dominated_by(sres):
+        if not all(a <= b for a, b in zip(res.entries, sres.entries)):
             violations.append((walk, "scaled consumption fails to dominate"))
         if sres[0] > res[0] + scaled.theta * numbers.bdgt_min:
             violations.append((walk, "rounding slack exceeds theta * Bdgt_min"))
@@ -154,9 +154,9 @@ def test_round_trip_soundness(theta):
                 if len(walk.edges) >= scaled.hop_bound_value:
                     continue
                 # base-feasible -> theta-feasible in the scaled instance
-                assert is_theta_feasible(walk, scaled_inst.demands[di], scaled_inst, theta)
+                assert is_feasible(walk, scaled_inst.demands[di], scaled_inst, theta)
         # scaled theta-feasible -> base theta-feasible
         for di, d in enumerate(scaled_inst.demands):
             witness = feasible_witness(scaled_inst, d, theta=theta)
             if witness is not None:
-                assert is_theta_feasible(witness, inst.demands[di], inst, theta)
+                assert is_feasible(witness, inst.demands[di], inst, theta)
