@@ -25,6 +25,16 @@ these reductions changes the optimal value:
 
 Capacity columns remain only for steps of positive cost shared by two or
 more flows, one row per flow.
+
+The solved LP's values stay ints over the one denominator D of its
+certified solution (`lpsolve.solve_exact`) through bucketing, pruning and
+rounding.  Every threshold there is a power of two times a mass, so each
+stage compares by cross-multiplying, never by dividing: the phase median
+reaches gamma / 2^(c+1) when `cum * 2**(c+1) >= gamma`, a demand lies in
+bucket i when `gamma * 2**(i+1) <= D`, and a path's capped weight is
+`min(D, scale * flow)`.  Written with `*`, these stages take any exact
+mass: ints over D in the solve, `Fraction`s as well.  Only the tree's cost
+and density, which the report carries, are `Fraction`s.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from fractions import Fraction
 
 from .errors import ContractError, InternalInvariantError, ResourceLimitError
 from .layered import enumerate_root_paths
-from .lpsolve import LinearProgram, solve_lp as _solve_lp_backend
+from .lpsolve import LinearProgram, LpSolution, solve_lp as _solve_lp_backend
 from .model import Walk, is_feasible
 from .product import relation_holds
 
@@ -69,11 +79,11 @@ class LabelCoverLp:
 
 @dataclass
 class LpValues:
-    """Exact-rational view of a solved label-cover LP."""
+    """A solved label-cover LP: its certified solution, every column's value
+    an int over the one denominator D, and the y columns by relation pair."""
 
-    y: dict  # (demand, L vid, R vid) -> Fraction, summing to exactly 1
-    columns: list  # every column's Fraction value, by column index
-    objective: Fraction
+    solution: LpSolution
+    y: dict  # (demand, L vid, R vid) -> int over D, summing to exactly D
 
 
 def build_lp(rnd, root: int) -> LabelCoverLp:
@@ -202,30 +212,30 @@ def solve_lp(cover: LabelCoverLp) -> LpValues:
     """Solve exactly and read y by column position; a path's flow is the
     value of its column in ``cover.g_cols``."""
     sol = _solve_lp_backend(cover.lp)
-    values = sol.values
     relations = cover.rnd.relations[cover.root]
     pairs = [(di, i, j) for di in sorted(relations) for i, j in relations[di]]
-    y = dict(zip(pairs, values))  # the y columns come first
-    if sum(y.values(), Fraction(0)) != 1:
+    y = dict(zip(pairs, sol.values))  # the y columns come first
+    if sum(y.values()) != sol.denominator:
         raise InternalInvariantError("LP relation mass is not exactly 1")
-    return LpValues(y=y, columns=values, objective=sol.objective)
+    return LpValues(solution=sol, y=y)
 
 
-def median_consumption(masses, reps, lam: Fraction, c: int):
-    """Smallest entry-c value whose cumulative y-mass over `reps` reaches lam.
+def median_consumption(masses, reps, gamma, c: int):
+    """Smallest entry-c value whose cumulative y-mass over `reps` reaches
+    lambda = gamma / 2^(c+1), compared as `cum * 2**(c+1) >= gamma`.
 
     `masses[label]` is the representative's full-relation y mass.  Raises on
     mass deficit, which the phase schedule makes unreachable.
     """
-    if lam <= 0:
-        raise ContractError("lambda must be positive")
+    if gamma <= 0:
+        raise ContractError("gamma must be positive")
     by_value = {}
     for lab in reps:
-        by_value[lab[c]] = by_value.get(lab[c], Fraction(0)) + masses.get(lab, Fraction(0))
-    cum = Fraction(0)
+        by_value[lab[c]] = by_value.get(lab[c], 0) + masses.get(lab, 0)
+    cum = 0
     for value in sorted(by_value):
         cum += by_value[value]
-        if cum >= lam:
+        if cum * 2 ** (c + 1) >= gamma:
             return value
     raise InternalInvariantError(
         "median mass deficit: cumulative mass below lambda (schedule violated)"
@@ -234,11 +244,14 @@ def median_consumption(masses, reps, lam: Fraction, c: int):
 
 @dataclass
 class PrunedSets:
+    """Surviving labels with their masses, in the units of the y masses
+    pruned (ints over the LP's denominator in the solve)."""
+
     src_alive: tuple  # labels
     snk_alive: tuple
-    gamma: Fraction
-    src_mass: Fraction  # sum of full-relation y mass over surviving sources
-    snk_mass: Fraction
+    gamma: object  # the relation's y mass
+    src_mass: object  # sum of full-relation y mass over surviving sources
+    snk_mass: object
     used_fallback: bool
 
 
@@ -250,40 +263,40 @@ def prune(relation_pairs, y_masses, budget_units, dim: int) -> PrunedSets:
     terminals' full-relation y sums.  If the phase result ever violates the
     cross-product guarantee or the survivor-mass bound, an exhaustive
     threshold-box search takes over: it only returns relation-compatible
-    boxes, and maximizes the smaller surviving side mass.
+    boxes, and maximizes the smaller surviving side mass.  The masses may
+    be ints over one denominator or Fractions; no threshold divides them.
     """
     pairs = list(relation_pairs)
     if not pairs:
         raise ContractError("prune needs a nonempty relation")
-    gamma = sum((y_masses.get(p, Fraction(0)) for p in pairs), Fraction(0))
+    gamma = sum(y_masses.get(p, 0) for p in pairs)
     if gamma <= 0:
         raise ContractError("prune needs positive relation mass")
     src_mass = {}
     snk_mass = {}
     for (i_lab, j_lab) in pairs:
-        w = y_masses.get((i_lab, j_lab), Fraction(0))
-        src_mass[i_lab] = src_mass.get(i_lab, Fraction(0)) + w
-        snk_mass[j_lab] = snk_mass.get(j_lab, Fraction(0)) + w
+        w = y_masses.get((i_lab, j_lab), 0)
+        src_mass[i_lab] = src_mass.get(i_lab, 0) + w
+        snk_mass[j_lab] = snk_mass.get(j_lab, 0) + w
 
     # survivors stay in label order; no phase depends on their order
     src_alive = sorted(src_mass)
     snk_alive = sorted(snk_mass)
     for c in range(dim):
-        lam = gamma / 2 ** (c + 1)
-        mu_src = median_consumption(src_mass, src_alive, lam, c)
-        mu_snk = median_consumption(snk_mass, snk_alive, lam, c)
+        mu_src = median_consumption(src_mass, src_alive, gamma, c)
+        mu_snk = median_consumption(snk_mass, snk_alive, gamma, c)
         src_alive = [lab for lab in src_alive if lab[c] <= mu_src]
         snk_alive = [lab for lab in snk_alive if lab[c] <= mu_snk]
 
-    bound = gamma / 2 ** dim
-    s_mass = sum((src_mass[lab] for lab in src_alive), Fraction(0))
-    t_mass = sum((snk_mass[lab] for lab in snk_alive), Fraction(0))
+    # each side's survivors keep at least gamma / 2^dim
+    s_mass = sum(src_mass[lab] for lab in src_alive)
+    t_mass = sum(snk_mass[lab] for lab in snk_alive)
     ok_cross = all(
         relation_holds(budget_units, i_lab, j_lab)
         for i_lab in src_alive
         for j_lab in snk_alive
     ) and bool(src_alive) and bool(snk_alive)
-    if ok_cross and s_mass >= bound and t_mass >= bound:
+    if ok_cross and s_mass * 2**dim >= gamma and t_mass * 2**dim >= gamma:
         return PrunedSets(
             src_alive=tuple(src_alive),
             snk_alive=tuple(snk_alive),
@@ -295,8 +308,8 @@ def prune(relation_pairs, y_masses, budget_units, dim: int) -> PrunedSets:
     box = _best_threshold_box(src_mass, snk_mass, budget_units, dim)
     src_alive = [lab for lab in sorted(src_mass) if _dominated(lab, box[0])]
     snk_alive = [lab for lab in sorted(snk_mass) if _dominated(lab, box[1])]
-    s_mass = sum((src_mass[lab] for lab in src_alive), Fraction(0))
-    t_mass = sum((snk_mass[lab] for lab in snk_alive), Fraction(0))
+    s_mass = sum(src_mass[lab] for lab in src_alive)
+    t_mass = sum(snk_mass[lab] for lab in snk_alive)
     return PrunedSets(
         src_alive=tuple(src_alive),
         snk_alive=tuple(snk_alive),
@@ -328,8 +341,8 @@ def _best_threshold_box(src_mass, snk_mass, budget_units, dim):
         if c == dim:
             a = tuple(caps)
             b = tuple(budget_units[i] - a[i] for i in range(dim))
-            s = sum((m for lab, m in src_mass.items() if _dominated(lab, a)), Fraction(0))
-            t = sum((m for lab, m in snk_mass.items() if _dominated(lab, b)), Fraction(0))
+            s = sum(m for lab, m in src_mass.items() if _dominated(lab, a))
+            t = sum(m for lab, m in snk_mass.items() if _dominated(lab, b))
             if s <= 0 or t <= 0:
                 return
             key = (min(s, t), s + t, tuple(-v for v in a))
@@ -347,15 +360,15 @@ def _best_threshold_box(src_mass, snk_mass, budget_units, dim):
 class BucketChoice:
     i_star: int
     demands: tuple  # demand indices in D_{i*}
-    bucket_mass: Fraction
-    scale: Fraction  # 2^(m+1) * 2^(i*+1)
+    bucket_mass: object  # in the units of the gammas bucketed
+    scale: int  # 2^(m+1) * 2^(i*+1)
 
 
-def bucket_and_scale(gammas: dict, dim: int) -> BucketChoice:
-    """Bucket demands by gamma in (2^-i-1, 2^-i]; pick the heaviest bucket
-    (ties toward smaller i*) and return the capacity scale factor."""
-    total = sum(gammas.values(), Fraction(0))
-    if total != 1:
+def bucket_and_scale(gammas: dict, dim: int, denominator: int) -> BucketChoice:
+    """Bucket demands by gamma / D in (2^-i-1, 2^-i], D the ``denominator``
+    the gammas are masses over (1 for Fraction gammas); pick the heaviest
+    bucket (ties toward smaller i*) and return the capacity scale factor."""
+    if sum(gammas.values()) != denominator:
         raise ContractError("bucket_and_scale expects gammas summing to exactly 1")
     buckets = {}
     for di in sorted(gammas):
@@ -363,23 +376,24 @@ def bucket_and_scale(gammas: dict, dim: int) -> BucketChoice:
         if g <= 0:
             continue
         i = 0
-        while g <= Fraction(1, 2 ** (i + 1)):
+        while g * 2 ** (i + 1) <= denominator:
             i += 1
         buckets.setdefault(i, []).append(di)
     best = None
     for i in sorted(buckets):
-        mass = sum((gammas[di] for di in buckets[i]), Fraction(0))
+        mass = sum(gammas[di] for di in buckets[i])
         if best is None or mass > best[1]:
             best = (i, mass)
     i_star, mass = best
     k = len(gammas)
     floor_log = max(0, (k - 1).bit_length())
-    guarantee = Fraction(1, 2 * (floor_log + 1))
-    if mass < guarantee:
+    # the heaviest bucket holds at least 1 / (2 (floor_log + 1)) of the mass
+    if mass * 2 * (floor_log + 1) < denominator:
         raise InternalInvariantError(
-            f"bucket mass {mass} below the counting guarantee {guarantee}"
+            f"bucket mass {mass}/{denominator} below the counting guarantee"
+            f" 1/{2 * (floor_log + 1)}"
         )
-    scale = Fraction(2**dim) * Fraction(2 ** (i_star + 1))
+    scale = 2**dim * 2 ** (i_star + 1)
     return BucketChoice(
         i_star=i_star,
         demands=tuple(buckets[i_star]),
@@ -395,15 +409,21 @@ class RoundedSelection:
     rounds_used: int
 
 
+# rng.random() returns k / 2^53 for an int k in [0, 2^53)
+_RANDOM_DENOMINATOR = 2**53
+
+
 def _sample(rng, weighted):
-    """Pick an item proportionally to its positive Fraction weight,
-    deterministically from the rng stream."""
-    total = sum((w for _item, w in weighted), Fraction(0))
-    r = Fraction(rng.random()) * total
-    cum = Fraction(0)
+    """Pick an item proportionally to its positive exact weight,
+    deterministically from the rng stream: the first whose cumulative
+    weight exceeds r * total for r = rng.random() = k / 2^53, compared as
+    `k * total < cum * 2**53`."""
+    total = sum(w for _item, w in weighted)
+    r = int(rng.random() * _RANDOM_DENOMINATOR) * total
+    cum = 0
     for item, w in weighted:
         cum += w
-        if r < cum:
+        if r < cum * _RANDOM_DENOMINATOR:
             return item
     return weighted[-1][0]
 
@@ -443,14 +463,17 @@ def gst_round(
 
 def _weighted_paths(cover, values, side, states, scale) -> list:
     """The ``side`` root paths of ``states`` that carry flow, each weighed
-    by its flow scaled by ``scale`` and capped at 1."""
+    by its flow scaled by ``scale`` and capped at 1: ints over the LP's
+    denominator D, so the cap is D."""
     paths = cover.paths_up if side == "up" else cover.paths_down
+    flow = values.solution.values
+    cap = values.solution.denominator
     weighted = []
     for vid in sorted(states):
         for chain, col in zip(paths[vid], cover.g_cols[(side, vid)]):
-            w = values.columns[col]
+            w = flow[col]
             if w > 0:
-                weighted.append((chain, min(Fraction(1), scale * w)))
+                weighted.append((chain, min(cap, scale * w)))
     return weighted
 
 

@@ -210,11 +210,12 @@ def junction_tree_for_root(rnd: Round, root: int, rng: random.Random, incumbent=
     cover = build_lp(rnd, root)
     values = solve_lp(cover)
     pg = rnd.pg
+    # each demand's mass, an int over the LP's denominator like every value
+    # bucketing, pruning and rounding read
     gammas = {
-        di: sum((values.y[(di, i, j)] for i, j in pairs), Fraction(0))
-        for di, pairs in sorted(relations.items())
+        di: sum(values.y[(di, i, j)] for i, j in pairs) for di, pairs in sorted(relations.items())
     }
-    bucket = bucket_and_scale(gammas, pg.instance.dim)
+    bucket = bucket_and_scale(gammas, pg.instance.dim, values.solution.denominator)
     # rounding reads only the bucket's survivors, so only its demands are
     # pruned; prune works on label pairs, a state's label its key's last entry
     keys = pg.vertex_keys

@@ -6,16 +6,20 @@ The objective is ints too, over one positive scale (the instance's cost
 scale); HiGHS receives `k / scale`, the correctly rounded float of the true
 cost.  `solve_highs` hands the matrix to HiGHS untransposed and returns the
 optimal basis with its float primal values and row duals.  `solve_exact`
-reconstructs the basic primal values (ints where integral) and the
-tight-row duals as small-denominator rationals (continued fractions, as in
+reconstructs the basic primal values and the tight-row duals as
+small-denominator rationals, each an int pair (continued fractions, as in
 Gleixner, Steffy & Wolter, "Iterative refinement for linear programming",
-INFORMS JoC 2016) and certifies primal feasibility, dual feasibility and
+INFORMS JoC 2016), and certifies primal feasibility, dual feasibility and
 complementary slackness exactly in integer arithmetic (Applegate, Cook, Dash
 & Espinoza, "Exact solutions to linear programming problems", 2007), with
-row activities and reduced costs read off the same columns.  Only when that
-certificate fails does it solve the basis's primal and dual systems by
-`Fraction` elimination, and it puts that result through the same check, so
-downstream pruning never consumes an uncertified float.
+row activities and reduced costs read off the same columns.  The certificate
+scales the primal by the lcm D of its denominators, and that scaled primal
+is the solution: every value an int over the one denominator D, so the
+stages downstream compare masses by cross-multiplying and build no
+`Fraction`.  Only when the certificate fails does `solve_exact` solve the
+basis's primal and dual systems by `Fraction` elimination, and it puts that
+result through the same check, so downstream pruning never consumes an
+uncertified float.
 """
 
 from __future__ import annotations
@@ -64,8 +68,6 @@ highs = _load_highs()
 # largest denominator rational reconstruction tries for a HiGHS value
 RECONSTRUCT_LIMIT = 10**6
 
-_ZERO = Fraction(0)
-
 
 @dataclass
 class LinearProgram:
@@ -90,8 +92,18 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
-    values: list  # Fractions, one per variable
-    objective: Fraction
+    """An exact solution over one denominator: column j's value is
+    values[j] / denominator, and the objective value is
+    cost / (denominator * cost_scale)."""
+
+    values: list  # ints, one per variable
+    denominator: int
+    cost: int
+    cost_scale: int
+
+    @property
+    def objective(self) -> Fraction:
+        return Fraction(self.cost, self.denominator * self.cost_scale)
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -192,11 +204,9 @@ def solve_exact(lp: LinearProgram, basis: tuple, guess: tuple | None = None) -> 
         primal = {j: _reconstruct(col_value[j]) for j in basic}
         dual = {i: _reconstruct(row_dual[i]) for i in tight}
         try:
-            _certify(lp, basis, primal, dual)
+            return _solution(lp, *_certify(lp, basis, primal, dual))
         except InternalInvariantError as exc:
             failed = str(exc)
-        else:
-            return _solution(lp, primal)
     log.debug(
         "LP with %d rows and %d columns: %s; solving the basis by elimination",
         len(lp.eq_rows) + len(lp.ub_rows),
@@ -204,52 +214,72 @@ def solve_exact(lp: LinearProgram, basis: tuple, guess: tuple | None = None) -> 
         failed,
     )
     primal, dual = _eliminate(lp, basic, tight)
-    _certify(lp, basis, primal, dual)
-    return _solution(lp, primal)
+    return _solution(lp, *_certify(lp, basis, primal, dual))
 
 
-def _reconstruct(v: float):
-    """The rational a float solution value stands for: the nearest integer
-    within 1e-9 (as an int), else the best approximation with denominator at
-    most RECONSTRUCT_LIMIT (a continued-fraction convergent)."""
+def _reconstruct(v: float) -> tuple:
+    """The rational a float solution value stands for, as (numerator,
+    denominator): the nearest integer within 1e-9, else the best
+    approximation with denominator at most RECONSTRUCT_LIMIT, the one
+    `Fraction(v).limit_denominator(RECONSTRUCT_LIMIT)` finds (a continued-
+    fraction convergent or semiconvergent of v's exact binary value, the
+    one nearer v; on a tie the convergent), computed in ints."""
     r = round(v)
     if abs(v - r) <= 1e-9:
-        return r
-    return Fraction(v).limit_denominator(RECONSTRUCT_LIMIT)
+        return r, 1
+    num, den = v.as_integer_ratio()
+    if den <= RECONSTRUCT_LIMIT:
+        return num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > RECONSTRUCT_LIMIT:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (RECONSTRUCT_LIMIT - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - v| <= |p2/q2 - v|, both sides times q1 * q2 * den
+    if abs(p1 * den - num * q1) * q2 <= abs(p2 * den - num * q2) * q1:
+        return p1, q1
+    return p2, q2
 
 
-def _solution(lp: LinearProgram, primal: dict) -> LpSolution:
-    """The LpSolution of a certified primal (values ints or Fractions)."""
-    values = [_ZERO] * lp.num_vars
-    objective = 0
-    for j, v in primal.items():
-        if v:
-            values[j] = v if isinstance(v, Fraction) else Fraction(v)
-            if j in lp.objective:
-                objective += lp.objective[j] * v
-    return LpSolution(values=values, objective=Fraction(objective, lp.cost_scale))
+def _solution(lp: LinearProgram, x: dict, scale: int) -> LpSolution:
+    """The LpSolution of a certified primal, `x` its nonzero values as ints
+    over `scale`."""
+    values = [0] * lp.num_vars
+    cost = 0
+    for j, v in x.items():
+        values[j] = v
+        if j in lp.objective:
+            cost += lp.objective[j] * v
+    return LpSolution(values=values, denominator=scale, cost=cost, cost_scale=lp.cost_scale)
 
 
-def _certify(lp: LinearProgram, basis: tuple, primal: dict, dual: dict) -> None:
-    """Raise InternalInvariantError unless `primal` (basic column -> value,
-    every other column 0) and `dual` (tight row -> value, every other row 0)
-    prove each other optimal.
+def _certify(lp: LinearProgram, basis: tuple, primal: dict, dual: dict) -> tuple:
+    """(x, D): the primal scaled by the lcm D of its denominators, as ints,
+    its nonzero columns only.  Raise InternalInvariantError unless `primal`
+    (basic column -> value, every other column 0) and `dual` (tight row ->
+    value, every other row 0) prove each other optimal.
 
-    Values may be ints or Fractions.  The primal is scaled by the lcm of its
-    denominators, and the reduced costs by the cost scale times the lcm of
-    the dual denominators, so with the int constraint coefficients and the
-    int objective every sum below is over integers.  Row activities come
-    from scattering the nonzero basic columns, reduced costs from the cost
-    vector less the entries of the rows with a nonzero dual.  A pass means
-    primal feasibility, dual feasibility and complementary slackness: the
-    primal is nonzero only on basic columns, whose reduced costs are 0, and
-    the dual only on tight rows, which hold with equality.
+    Values are (numerator, denominator) int pairs, denominators positive.
+    The reduced costs are scaled by the cost scale times the lcm of the dual
+    denominators, so with the int constraint coefficients and the int
+    objective every sum below is over integers.  Row activities come from
+    scattering the nonzero basic columns, reduced costs from the cost vector
+    less the entries of the rows with a nonzero dual.  A pass means primal
+    feasibility, dual feasibility and complementary slackness: the primal
+    is nonzero only on basic columns, whose reduced costs are 0, and the
+    dual only on tight rows, which hold with equality.
     """
     basic, tight = basis
     num_eq = len(lp.eq_rows)
     bounds = lp.eq_rows + lp.ub_rows
-    scale = math.lcm(*(v.denominator for v in primal.values()))
-    x = {j: v.numerator * (scale // v.denominator) for j, v in primal.items() if v}
+    scale = math.lcm(*(d for _n, d in primal.values()))
+    x = {j: n * (scale // d) for j, (n, d) in primal.items() if n}
     if any(v < 0 for v in x.values()):
         raise InternalInvariantError("LP solution is not primal feasible: a value is negative")
     activity = [0] * len(bounds)
@@ -267,10 +297,10 @@ def _certify(lp: LinearProgram, basis: tuple, primal: dict, dual: dict) -> None:
                 )
         elif lhs > bound:
             raise InternalInvariantError("LP solution is not primal feasible: a <= row is violated")
-    dscale = math.lcm(*(y.denominator for y in dual.values()))
+    dscale = math.lcm(*(d for _n, d in dual.values()))
     # the true reduced cost objective[j] / L - a . dual, times L * dscale
     yscale = dscale * lp.cost_scale
-    y = {i: v.numerator * (yscale // v.denominator) for i, v in dual.items() if v}
+    y = {i: n * (yscale // d) for i, (n, d) in dual.items() if n}
     if any(v > 0 for i, v in y.items() if i >= num_eq):
         raise InternalInvariantError("LP solution has a positive dual on a <= row")
     cost = {j: c * dscale for j, c in lp.objective.items()}
@@ -279,6 +309,7 @@ def _certify(lp: LinearProgram, basis: tuple, primal: dict, dual: dict) -> None:
         raise InternalInvariantError("LP solution has a negative reduced cost")
     if any(reduced[j] for j in basic):
         raise InternalInvariantError("LP solution has a nonzero reduced cost on a basic column")
+    return x, scale
 
 
 def _reduced_costs(lp: LinearProgram, cost: dict, y: dict) -> list:
@@ -296,9 +327,9 @@ def _reduced_costs(lp: LinearProgram, cost: dict, y: dict) -> list:
 
 
 def _eliminate(lp: LinearProgram, basic: list, tight: list) -> tuple:
-    """(primal, dual) at the basis: B x = b over the tight rows and
-    B^T y = c over the basic columns, solved in Fractions (an int / int
-    quotient would be a float)."""
+    """(primal, dual) at the basis, each value a (numerator, denominator)
+    pair: B x = b over the tight rows and B^T y = c over the basic columns,
+    solved in Fractions (an int / int quotient would be a float)."""
     rhs = lp.eq_rows + lp.ub_rows
     coef = {i: {} for i in tight}  # the basis matrix B, row-wise
     for j in basic:
@@ -311,7 +342,10 @@ def _eliminate(lp: LinearProgram, basic: list, tight: list) -> tuple:
         [Fraction(lp.objective.get(j, 0), lp.cost_scale) for j in basic],
         tight,
     )
-    return primal, dual
+    return (
+        {j: v.as_integer_ratio() for j, v in primal.items()},
+        {i: v.as_integer_ratio() for i, v in dual.items()},
+    )
 
 
 def _solve_square(rows: list, rhs: list, unknowns: list) -> dict:

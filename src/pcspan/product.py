@@ -119,7 +119,6 @@ class ProductEdge:
 class ProductGraph:
     problem: object  # PcsInstance or ScaledInstance
     bounds: LayerBounds
-    labels: tuple  # all valid labels, sorted
     vertex_ids: dict  # (side, v, label) -> int id, reached states only
     vertex_keys: tuple  # int id -> key
     edges: tuple  # ProductEdge
@@ -163,6 +162,12 @@ class ProductGraph:
     @property
     def instance(self) -> PcsInstance:
         return _base_of(self.problem)
+
+    @property
+    def labels(self) -> tuple:
+        """Every valid label, sorted.  The solve never reads it, so it is
+        enumerated on each read rather than with the graph."""
+        return tuple(_enumerate_labels(self.instance, self.bounds))
 
     @property
     def theta(self):
@@ -259,7 +264,6 @@ def build_product_graph(problem, config: SolverConfig = DEFAULT_CONFIG) -> Produ
     return ProductGraph(
         problem=problem,
         bounds=bounds,
-        labels=tuple(_enumerate_labels(instance, bounds)),
         vertex_ids=vertex_ids,
         vertex_keys=vertex_keys,
         edges=edges,

@@ -129,10 +129,11 @@ def label_cover(problem, root: int, config: SolverConfig = DEFAULT_CONFIG):
 
 
 def lp_masses(values) -> dict:
-    """Per demand, the LP relation mass (gamma) of its pairs."""
+    """Per demand, the LP relation mass (gamma) of its pairs, an int over
+    the solved LP's denominator."""
     gammas = {}
     for (di, _i, _j), w in values.y.items():
-        gammas[di] = gammas.get(di, Fraction(0)) + w
+        gammas[di] = gammas.get(di, 0) + w
     return gammas
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import pcspan.density_lp
 import pcspan.lpsolve
+from pcspan.lpsolve import LpSolution
 from pcspan.density_lp import (
     BucketChoice,
     JunctionTree,
@@ -48,14 +49,15 @@ def tri_cover(tri_instance, root=1):
 def test_build_lp_single_pair_forces_unit_mass(tri_instance):
     cover = tri_cover(tri_instance)
     values = solve_lp(cover)
-    assert sum(values.y.values()) == 1
+    denominator = values.solution.denominator
+    assert Fraction(sum(values.y.values()), denominator) == 1
     # the only connectable pair carries all mass, and the flow of each of
     # its terminal states carries at least that mass
     ((key, mass),) = [(k, v) for k, v in values.y.items() if v > 0]
     _di, i, j = key
-    assert mass == 1
+    assert Fraction(mass, denominator) == 1
     for side, vid in (("up", i), ("down", j)):
-        carried = [values.columns[col] for col in cover.g_cols[(side, vid)]]
+        carried = [values.solution.values[col] for col in cover.g_cols[(side, vid)]]
         assert sum(carried) >= mass
 
 
@@ -81,7 +83,7 @@ def test_lp_value_zero_iff_zero_cost_path():
         covering=0,
     )
     cover = build_lp(*label_cover(zero, 1))
-    assert solve_lp(cover).objective == 0
+    assert solve_lp(cover).solution.objective == 0
     paid = make_instance(
         n=3,
         edges=[(0, 1, 3, (1, 0)), (1, 2, 0, (1, 0))],
@@ -91,7 +93,7 @@ def test_lp_value_zero_iff_zero_cost_path():
         covering=0,
     )
     cover = build_lp(*label_cover(paid, 1))
-    assert solve_lp(cover).objective > 0
+    assert solve_lp(cover).solution.objective > 0
 
 
 def test_tri_lp_value_matches_min_density(tri_instance):
@@ -100,7 +102,7 @@ def test_tri_lp_value_matches_min_density(tri_instance):
     cover = tri_cover(tri_instance, root=1)
     values = solve_lp(cover)
     _root, density, _edges, _members = brute_force_min_density_junction(tri_instance)
-    assert values.objective == density == 2
+    assert values.solution.objective == density == 2
 
 
 def test_density_lp_is_a_column_wise_plus_minus_one_matrix():
@@ -151,14 +153,19 @@ def test_the_root_path_cap_counts_the_paths_of_every_terminal(monkeypatch):
 
 
 def test_median_consumption_examples():
+    # at c = 0 the threshold lambda is gamma / 2
     reps = [(1,), (2,), (3,)]
     masses = {(1,): Fraction(3, 10), (2,): Fraction(4, 10), (3,): Fraction(3, 10)}
-    assert median_consumption(masses, reps, Fraction(1, 2), 0) == 2
-    assert median_consumption(masses, reps, Fraction(1), 0) == 3  # full mass
+    assert median_consumption(masses, reps, Fraction(1), 0) == 2  # lambda 1/2
+    assert median_consumption(masses, reps, Fraction(2), 0) == 3  # full mass
     single = {(7,): Fraction(1)}
-    assert median_consumption(single, [(7,)], Fraction(1), 0) == 7
+    assert median_consumption(single, [(7,)], Fraction(2), 0) == 7
     with pytest.raises(InternalInvariantError):
-        median_consumption(masses, reps, Fraction(2), 0)
+        median_consumption(masses, reps, Fraction(4), 0)
+    # the same masses as ints over 10 on entry 1, where lambda is gamma / 4
+    ints = {(0, *lab): int(m * 10) for lab, m in masses.items()}
+    assert median_consumption(ints, list(ints), 12, 1) == 1  # lambda 3 of 10
+    assert median_consumption(ints, list(ints), 20, 1) == 2  # lambda 5 of 10
 
 
 def test_prune_one_dimensional_median():
@@ -267,7 +274,7 @@ def test_prune_cross_product_always_safe(data):
 
 
 def test_bucket_single_demand():
-    choice = bucket_and_scale({0: Fraction(1)}, dim=2)
+    choice = bucket_and_scale({0: Fraction(1)}, dim=2, denominator=1)
     assert choice.i_star == 0 and choice.demands == (0,)
     assert choice.scale == 4 * 2  # 2^(m+1) * 2^(i*+1) with m+1 = 2
 
@@ -275,14 +282,14 @@ def test_bucket_single_demand():
 def test_bucket_equal_demands_share_one_bucket():
     k = 4
     gammas = {i: Fraction(1, k) for i in range(k)}
-    choice = bucket_and_scale(gammas, dim=1)
+    choice = bucket_and_scale(gammas, dim=1, denominator=1)
     assert choice.demands == (0, 1, 2, 3)
     assert choice.bucket_mass == 1
 
 
 def test_bucket_tie_breaks_toward_smaller_index():
     gammas = {0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)}
-    choice = bucket_and_scale(gammas, dim=1)
+    choice = bucket_and_scale(gammas, dim=1, denominator=1)
     # gamma 1/2 lands in bucket 1 and the two 1/4s in bucket 2, both with
     # mass 1/2: the tie resolves toward the smaller index
     assert choice.i_star == 1
@@ -292,7 +299,7 @@ def test_bucket_tie_breaks_toward_smaller_index():
 
 def test_bucket_requires_normalized_gammas():
     with pytest.raises(ContractError):
-        bucket_and_scale({0: Fraction(1, 3)}, dim=1)
+        bucket_and_scale({0: Fraction(1, 3)}, dim=1, denominator=1)
 
 
 def test_weighted_paths_clamp_scaled_flow():
@@ -305,13 +312,16 @@ def test_weighted_paths_clamp_scaled_flow():
         ("up", 7): range(3, 4),
         ("down", 2): range(4, 5),
     }
-    flow = [Fraction(1, 16), Fraction(0), Fraction(1), Fraction(1), Fraction(1)]
+    flow = [1, 0, 16, 16, 16]  # over the denominator 16
     cover = LabelCoverLp(
         lp=None, rnd=None, root=0, paths_up=paths, paths_down={2: [(0, 2)]}, g_cols=g_cols
     )
-    values = LpValues(y={}, columns=flow, objective=Fraction(0))
-    weighted = _weighted_paths(cover, values, "up", {5, 2}, Fraction(8))
-    assert weighted == [((2, 0), Fraction(1)), ((5, 0), Fraction(1, 2))]
+    solution = LpSolution(values=flow, denominator=16, cost=0, cost_scale=1)
+    weighted = _weighted_paths(cover, LpValues(solution=solution, y={}), "up", {5, 2}, 8)
+    assert [(chain, Fraction(w, 16)) for chain, w in weighted] == [
+        ((2, 0), Fraction(1)),
+        ((5, 0), Fraction(1, 2)),
+    ]
 
 
 def tri_rounding_inputs(tri_instance):
@@ -321,7 +331,7 @@ def tri_rounding_inputs(tri_instance):
     values = solve_lp(cover)
     masses = label_masses(cover, values, 0)
     pruned = {0: prune(list(masses), masses, cover.rnd.pg.budget_units(0), tri_instance.dim)}
-    bucket = bucket_and_scale({0: Fraction(1)}, tri_instance.dim)
+    bucket = bucket_and_scale({0: Fraction(1)}, tri_instance.dim, 1)
     return cover, values, pruned, bucket
 
 
@@ -358,7 +368,7 @@ def test_gst_round_monte_carlo_connects_bucket():
         masses = label_masses(cover, values, di)
         if sum(masses.values()) > 0:
             pruned[di] = prune(list(masses), masses, cover.rnd.pg.budget_units(di), inst.dim)
-    bucket = bucket_and_scale(gammas, inst.dim)
+    bucket = bucket_and_scale(gammas, inst.dim, values.solution.denominator)
     for seed in range(200):
         rounded = gst_round(cover, values, pruned, bucket, random.Random(seed))
         assert tuple(rounded.up_chains) == bucket.demands
@@ -373,7 +383,7 @@ def test_gst_round_without_positive_flow_is_an_invariant_violation(tri_instance)
     for (side, _vid), cols in cover.g_cols.items():
         if side == "up":
             for col in cols:
-                values.columns[col] = Fraction(0)
+                values.solution.values[col] = 0
     with pytest.raises(InternalInvariantError):
         gst_round(cover, values, pruned, bucket, random.Random(0))
 
@@ -400,7 +410,7 @@ def test_assemble_two_demands_sharing_edges_halves_density():
         masses = label_masses(cover, values, di)
         if sum(masses.values()) > 0:
             pruned[di] = prune(list(masses), masses, cover.rnd.pg.budget_units(di), inst.dim)
-    bucket = bucket_and_scale(gammas, inst.dim)
+    bucket = bucket_and_scale(gammas, inst.dim, values.solution.denominator)
     rounded = gst_round(cover, values, pruned, bucket, random.Random(0))
     tree = assemble_junction_tree(cover.rnd, cover.root, rounded)
     if len(tree.resolved) == 2:

@@ -3,18 +3,37 @@
 Product-edge costs are base costs times the instance's cost scale, and the
 walk oracle counts lengths in units of one over the length scale.  On
 instances with rational costs and lengths, the int closures and walks must
-be exactly those that Fraction arithmetic gives.
+be exactly those that Fraction arithmetic gives.  A solved LP's values are
+ints over one denominator D through pruning, bucketing and rounding; those
+stages must pick exactly what their Fraction versions
+(`fraction_reference`) pick on the values over D, and build no Fraction.
 """
 
 import heapq
+import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fraction_reference as ref
+import pcspan.junction
+import pcspan.lpsolve
+from pcspan.density_lp import (
+    LabelCoverLp,
+    LpValues,
+    _sample,
+    _weighted_paths,
+    bucket_and_scale,
+    prune,
+)
+from pcspan.errors import ContractError, InternalInvariantError
 from pcspan.generate import gen_pcs
+from pcspan.greedy import solve_pcs
 from pcspan.junction import greedy_round
+from pcspan.lpsolve import LpSolution
 from pcspan.model import Edge, ResourceVector, length_scale, theta_relaxed_bound
 from pcspan.product import build_product_graph
 from pcspan.rational import common_scale
@@ -185,3 +204,137 @@ def test_int_closures_and_witnesses_equal_the_fraction_reference(case):
             walk = feasible_witness(inst, d, theta=theta)
             expected = fraction_witness(inst, d, theta, cap)
             assert (None if walk is None else walk.edges) == expected
+
+
+@st.composite
+def lp_stage_cases(draw):
+    """Per demand a relation box and its relation pairs with int y masses,
+    over a dimension whose covering entries have negative box entries, the
+    masses of all demands summing to D; per terminal state a few root paths
+    with int flows over D; and an rng seed."""
+    dim = draw(st.integers(1, 3))
+    covering = [draw(st.booleans()) for _ in range(dim)]
+    demands = []
+    for _ in range(draw(st.integers(1, 5))):
+        budget = tuple(
+            draw(st.integers(-2, 0) if cov else st.integers(1, 6)) for cov in covering
+        )
+
+        def entry(c, cap):  # a label entry of coordinate c, at most cap
+            return draw(st.integers(-2, min(cap, 0)) if covering[c] else st.integers(0, cap))
+
+        pairs = set()
+        for _ in range(draw(st.integers(1, 7))):
+            i_lab = tuple(entry(c, max(budget[c], 0)) for c in range(dim))
+            j_lab = tuple(entry(c, budget[c] - i_lab[c]) for c in range(dim))
+            pairs.add((i_lab, j_lab))
+        masses = {p: draw(st.integers(0, 60)) for p in sorted(pairs)}
+        demands.append((budget, masses))
+    denominator = sum(sum(masses.values()) for _budget, masses in demands)
+    assume(denominator > 0)
+    flows = {
+        vid: draw(st.lists(st.integers(0, 2 * denominator), min_size=1, max_size=3))
+        for vid in range(draw(st.integers(1, 3)))
+    }
+    return dim, demands, denominator, flows, draw(st.integers(0, 2**32))
+
+
+def _outcome(stage, *args):
+    """What ``stage(*args)`` returns, or the class of the pcspan error it
+    raises."""
+    try:
+        return stage(*args)
+    except (ContractError, InternalInvariantError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lp_stage_cases())
+def test_int_lp_stages_pick_what_the_fraction_reference_picks(case):
+    dim, demands, denominator, flows, seed = case
+
+    def over_d(mass):
+        return Fraction(mass, denominator)
+
+    for budget, masses in demands:
+        got = _outcome(prune, list(masses), masses, budget, dim)
+        fractions = {p: over_d(m) for p, m in masses.items()}
+        want = _outcome(ref.prune, list(fractions), fractions, budget, dim)
+        if isinstance(want, type):
+            assert got is want
+            continue
+        assert (got.src_alive, got.snk_alive, got.used_fallback) == (
+            want.src_alive, want.snk_alive, want.used_fallback
+        )
+        assert all(type(v) is int for v in (got.gamma, got.src_mass, got.snk_mass))
+        assert (over_d(got.gamma), over_d(got.src_mass), over_d(got.snk_mass)) == (
+            want.gamma, want.src_mass, want.snk_mass
+        )
+
+    gammas = {di: sum(masses.values()) for di, (_budget, masses) in enumerate(demands)}
+    got = _outcome(bucket_and_scale, gammas, dim, denominator)
+    want = _outcome(ref.bucket_and_scale, {di: over_d(g) for di, g in gammas.items()}, dim)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert (got.i_star, got.demands, got.scale) == (want.i_star, want.demands, want.scale)
+    assert type(got.scale) is int and over_d(got.bucket_mass) == want.bucket_mass
+
+    # one path per flow, its column the flow's index
+    columns = [flow for vid in sorted(flows) for flow in flows[vid]]
+    g_cols, start = {}, 0
+    for vid in sorted(flows):
+        g_cols[("up", vid)] = range(start, start + len(flows[vid]))
+        start += len(flows[vid])
+    paths = {vid: [(vid, p) for p in range(len(flows[vid]))] for vid in flows}
+    cover = LabelCoverLp(lp=None, rnd=None, root=0, paths_up=paths, paths_down={}, g_cols=g_cols)
+    values = LpValues(solution=LpSolution(columns, denominator, 0, 1), y={})
+    weighted = _weighted_paths(cover, values, "up", set(flows), got.scale)
+    reference = ref._weighted_paths(cover, [over_d(v) for v in columns], "up", set(flows), want.scale)
+    assert [(chain, over_d(w)) for chain, w in weighted] == reference
+    assume(weighted)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for _ in range(8):
+        assert _sample(rng, weighted) == ref._sample(ref_rng, reference)
+
+
+def test_no_fraction_is_built_after_the_certificate(monkeypatch):
+    # one integer-set instance of scripts/report_digest.py whose roots build
+    # LPs: the certified solve, pruning, bucketing and rounding build no
+    # Fraction, and no LP needs elimination, the uncertified path
+    inst = gen_pcs(n=5, k=2, m=2, tau=1, seed=5000)
+    stages = []
+    entered = Counter()
+    built = Counter()
+
+    def within(module, name):
+        stage = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            entered[name] += 1
+            stages.append(name)
+            try:
+                return stage(*args, **kwargs)
+            finally:
+                stages.pop()
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    for name in ("prune", "bucket_and_scale", "gst_round"):
+        within(pcspan.junction, name)
+    for name in ("solve_exact", "_eliminate"):
+        within(pcspan.lpsolve, name)
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        if stages:
+            built[stages[-1]] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    solve_pcs(inst, "integer")
+    monkeypatch.undo()
+    assert entered["solve_exact"] > 0 and entered["gst_round"] > 0
+    assert entered["prune"] > 0 and entered["bucket_and_scale"] > 0
+    assert entered["_eliminate"] == 0
+    assert built == Counter()

@@ -154,8 +154,11 @@ def lift(keys, cover, values) -> list:
     the terminal's y mass, Z its flow's total and x the largest use of its
     step by any one flow of that side."""
     h = cover.rnd.h
+    denominator = values.solution.denominator
+    columns = [Fraction(v, denominator) for v in values.solution.values]
     mass = {}
     for (di, i, j), v in values.y.items():
+        v = Fraction(v, denominator)
         for end, vid in (("src", i), ("snk", j)):
             mass[(di, end, vid)] = mass.get((di, end, vid), 0) + v
     total = {}
@@ -166,7 +169,7 @@ def lift(keys, cover, values) -> list:
     ):
         for vid, chains in paths.items():
             for chain, col in zip(chains, cover.g_cols[(side, vid)]):
-                v = values.columns[col]
+                v = columns[col]
                 total[(side, vid)] = total.get((side, vid), 0) + v
                 for ekey in keyfn(h, chain):
                     use[(ekey, vid)] = use.get((ekey, vid), 0) + v
@@ -177,14 +180,14 @@ def lift(keys, cover, values) -> list:
     for kind, *rest in keys:
         key = tuple(rest)
         if kind == "y":
-            lifted.append(values.y[key])
+            lifted.append(Fraction(values.y[key], denominator))
         elif kind == "z":
             lifted.append(mass[key])
         elif kind == "Z":
             lifted.append(total[key])
         elif kind == "g":
             side, vid, p_idx = key
-            lifted.append(values.columns[cover.g_cols[(side, vid)][p_idx]])
+            lifted.append(columns[cover.g_cols[(side, vid)][p_idx]])
         else:
             lifted.append(peak[key[0]])
     return lifted
@@ -205,12 +208,12 @@ def test_reduced_lp_matches_the_full_reference():
         covers += 1
         ref_lp, keys = keyed_build_lp(cover.rnd, cover.root)
         values = solve_lp(cover)
-        assert values.objective == solve_backend(ref_lp).objective
+        assert values.solution.objective == solve_backend(ref_lp).objective
 
         lifted = lift(keys, cover, values)
         assert residuals(ref_lp, lifted) == (0, 0)
         cost = sum((c * lifted[j] for j, c in ref_lp.objective.items()), Fraction(0))
-        assert cost / ref_lp.cost_scale == values.objective
+        assert cost / ref_lp.cost_scale == values.solution.objective
     assert covers >= 40
 
 

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pcspan import lpsolve
 from pcspan.density_lp import build_lp
@@ -57,9 +59,15 @@ def residuals(lp: LinearProgram, values) -> tuple:
     return Fraction(eq), Fraction(max(ub, -min(values, default=0), 0))
 
 
-def reference_simplex(lp: LinearProgram) -> LpSolution:
-    """Dense two-phase primal simplex over Fractions with Bland's rule: the
-    independent reference the basis-certified solver is checked against."""
+def fractions_of(sol: LpSolution) -> list:
+    """Every column's value of `sol` as a Fraction."""
+    return [Fraction(v, sol.denominator) for v in sol.values]
+
+
+def reference_simplex(lp: LinearProgram) -> Fraction:
+    """The optimal objective value by dense two-phase primal simplex over
+    Fractions with Bland's rule: the independent reference the
+    basis-certified solver is checked against."""
     n = lp.num_vars
     num_eq = len(lp.eq_rows)
     slack_count = len(lp.ub_rows)
@@ -154,31 +162,32 @@ def reference_simplex(lp: LinearProgram) -> LpSolution:
         if bj < lp.num_vars:
             values[bj] = tableau[r][-1]
     assert residuals(lp, values) == (0, 0)
-    return LpSolution(values=values, objective=sum(
+    return sum(
         (Fraction(c, lp.cost_scale) * values[j] for j, c in lp.objective.items()), Fraction(0)
-    ))
+    )
 
 
 def assert_exact_optimum(lp: LinearProgram) -> LpSolution:
     sol = solve_lp(lp)
-    assert all(isinstance(v, Fraction) for v in sol.values)
-    assert residuals(lp, sol.values) == (0, 0)
-    assert sol.objective == reference_simplex(lp).objective
+    assert all(type(v) is int for v in sol.values)
+    assert type(sol.denominator) is int and sol.denominator > 0
+    assert residuals(lp, fractions_of(sol)) == (0, 0)
+    assert sol.objective == reference_simplex(lp)
     return sol
 
 
 def test_exact_forced_assignment():
     lp = make_lp(2, {0: 1, 1: 3}, eq=[({0: 1, 1: 1}, 1)])
     sol = assert_exact_optimum(lp)
-    assert sol.values == [Fraction(1), Fraction(0)]
+    assert fractions_of(sol) == [Fraction(1), Fraction(0)]
     assert sol.objective == 1
 
 
 def test_integer_coefficients_give_exact_fractions():
     lp = make_lp(1, {0: 1}, eq=[({0: 3}, 1)])
     sol = assert_exact_optimum(lp)
-    assert sol.values == [Fraction(1, 3)]
-    assert type(sol.values[0]) is Fraction
+    assert fractions_of(sol) == [Fraction(1, 3)]
+    assert (sol.values, sol.denominator) == ([1], 3)
 
 
 def test_exact_detects_infeasibility():
@@ -243,6 +252,29 @@ def test_exact_rejects_a_basis_it_cannot_certify():
         solve_exact(lp, ([0], [0, 1]))
 
 
+def _non_integral(v: float) -> bool:
+    return abs(v - round(v)) > 1e-9
+
+
+@given(
+    st.one_of(
+        st.floats(min_value=-1e6, max_value=1e6),
+        # the floats of small-denominator rationals, as HiGHS reports them
+        st.builds(lambda p, q: p / q, st.integers(-10**7, 10**7), st.integers(1, 10**7)),
+    ).filter(_non_integral)
+)
+def test_reconstruction_is_the_fraction_limit_denominator(v):
+    num, den = _reconstruct(v)
+    assert type(num) is int and type(den) is int and 0 < den <= RECONSTRUCT_LIMIT
+    assert Fraction(num, den) == Fraction(v).limit_denominator(RECONSTRUCT_LIMIT)
+    assert Fraction(num, den).denominator == den
+
+
+def test_reconstruction_keeps_an_integer_within_tolerance():
+    assert _reconstruct(3.0) == (3, 1)
+    assert _reconstruct(-2 + 1e-12) == (-2, 1)
+
+
 def _fallbacks(caplog) -> list:
     return [r for r in caplog.records if "elimination" in r.getMessage()]
 
@@ -263,11 +295,11 @@ def test_denominator_above_the_limit_falls_back_to_elimination(caplog):
     assert big > RECONSTRUCT_LIMIT
     lp = make_lp(2, {1: 1}, eq=[({0: big, 1: 1}, 1)])  # column 1 is a costly slack
     sol = solve_lp(lp)
-    assert sol.values == [Fraction(1, big), Fraction(0)]
+    assert fractions_of(sol) == [Fraction(1, big), Fraction(0)]
     [record] = _fallbacks(caplog)
     assert "1 rows and 2 columns" in record.getMessage()
     assert "not primal feasible" in record.getMessage()
-    assert solve_exact(lp, ([0], [0])).values == sol.values
+    assert solve_exact(lp, ([0], [0])) == sol
 
 
 def test_corrupted_guess_falls_back_to_the_same_values(caplog):
@@ -310,18 +342,23 @@ def _one_condition_violations():
     yield lp, ([0], [0]), {0: Fraction(1, 2)}, {0: 0}, "basic column"
 
 
+def _ratios(values: dict) -> dict:
+    """`values` as the (numerator, denominator) pairs `_certify` takes."""
+    return {k: Fraction(v).as_integer_ratio() for k, v in values.items()}
+
+
 def test_certificate_rejects_each_violated_condition():
     for lp, basis, primal, dual, message in _one_condition_violations():
-        primal = {j: Fraction(v) for j, v in primal.items()}
-        dual = {i: Fraction(y) for i, y in dual.items()}
         with pytest.raises(InternalInvariantError, match=message):
-            _certify(lp, basis, primal, dual)
+            _certify(lp, basis, _ratios(primal), _ratios(dual))
 
 
 def test_certificate_accepts_an_optimum_with_fractional_values():
     lp = make_lp(2, {0: Fraction(3, 2), 1: 1}, eq=[({0: 2, 1: 1}, 1)], ub=[({0: 1}, 1)])
-    _certify(lp, ([0], [0]), {0: Fraction(1, 2)}, {0: Fraction(3, 4)})
-    assert solve_lp(lp).values == [Fraction(1, 2), Fraction(0)]
+    primal = _ratios({0: Fraction(1, 2)})
+    # the certified primal, scaled by the lcm of its denominators
+    assert _certify(lp, ([0], [0]), primal, _ratios({0: Fraction(3, 4)})) == ({0: 1}, 2)
+    assert fractions_of(solve_lp(lp)) == [Fraction(1, 2), Fraction(0)]
 
 
 def _generated_lps():
@@ -367,7 +404,7 @@ def test_reduced_costs_equal_the_per_column_sums():
     for lp in _generated_lps():
         (basic, tight), (_col_value, row_dual) = solve_highs(lp)
         cost = {j: Fraction(c, lp.cost_scale) for j, c in lp.objective.items()}
-        dual = {i: Fraction(_reconstruct(row_dual[i])) for i in tight}
+        dual = {i: Fraction(*_reconstruct(row_dual[i])) for i in tight}
         shifted = dict(dual)
         shifted[rng.choice(tight)] += rng.choice((-1, 1)) * Fraction(1, 3)
         for y in (dual, shifted):

@@ -21,6 +21,7 @@ TRACER_ONLY = {
     "RoundingFailureError",
     "connectable_relation_pairs",
     "fallback_tree",
+    "labels",  # ProductGraph.labels, read for the traced product.labels count
     "states_reachable_from_root_right",
     "states_reaching_root_left",
     "through_root_witness",
